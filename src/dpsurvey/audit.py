@@ -238,43 +238,56 @@ def _frame_for(instance: AuditInstance, ys, xs) -> Frame:
     return frame
 
 
-class _DesignContext:
-    """Caches sample spaces and weights per concrete frame content."""
+class _SampleSpaces:
+    """Sampling-stage outcomes and design weights per concrete frame content.
 
-    def __init__(self, instance: AuditInstance, relation: NeighborRelation):
+    Both depend on x always and on y only when the design's sample space
+    does (Neyman allocation), so datasets sharing that key share one entry.
+    ``condition_on_unit`` keeps only the outcomes containing that unit,
+    renormalized; it is applied once per entry.  Without a design the
+    stage is the identity: every record, probability one, unit weights.
+    """
+
+    def __init__(self, instance: AuditInstance, design: Design | None,
+                 condition_on_unit: int | None = None):
         self.instance = instance
-        self.relation = relation
+        self.design = design
+        self.condition_on_unit = condition_on_unit
         self._cache: dict = {}
 
-    def _key(self, ys, xs):
-        design = self.instance.design
-        # Weights and support depend on x always, and on y only for
-        # data-dependent (Neyman) allocation.
-        y_key = ys if isinstance(design, StratifiedSRSWOR) and design.allocation == "neyman" \
-            else None
-        return (xs, y_key)
-
-    def space_and_weights(self, ys, xs):
-        key = self._key(ys, xs)
-        if key not in self._cache:
-            frame = _frame_for(self.instance, ys, xs)
-            pi = inclusion_probs(self.instance.design, frame)
-            space = sample_space(self.instance.design, frame, cap=self.instance.cap)
-            id_to_pos = {record.id: pos for pos, record in enumerate(frame.records)}
-            positions = [tuple(id_to_pos[u] for u in sample) for sample, _ in space]
-            probs = [p for _, p in space]
-            weights = tuple(1.0 / float(v) for v in pi)
-            self._cache[key] = (positions, probs, weights)
+    def get(self, ys, xs):
+        """(positions, probs, weights) of the sampling stage on one dataset."""
+        if self.design is None:
+            return [tuple(range(len(ys)))], [1.0], (1.0,) * len(ys)
+        key = (xs, ys if self.design.space_depends_on_y else None)
+        if key in self._cache:
+            return self._cache[key]
+        frame = _frame_for(self.instance, ys, xs)
+        pi = inclusion_probs(self.design, frame)
+        space = sample_space(self.design, frame, cap=self.instance.cap)
+        id_to_pos = {record.id: pos for pos, record in enumerate(frame.records)}
+        positions = [tuple(id_to_pos[u] for u in sample) for sample, _ in space]
+        probs = [p for _, p in space]
+        if self.condition_on_unit is not None:
+            target = id_to_pos[self.condition_on_unit]
+            kept = [i for i, pos in enumerate(positions) if target in pos]
+            mass = math.fsum(probs[i] for i in kept)
+            if mass <= 0.0:
+                raise ValueError(
+                    f"unit {self.condition_on_unit} is never sampled; cannot condition")
+            positions = [positions[i] for i in kept]
+            probs = [probs[i] / mass for i in kept]
+        self._cache[key] = positions, probs, tuple(1.0 / float(v) for v in pi)
         return self._cache[key]
 
 
 def _coupled_distance(stat: str, d1: tuple, d2: tuple, instance: AuditInstance,
-                      relation: NeighborRelation, ctx: _DesignContext) -> float:
+                      relation: NeighborRelation, spaces: _SampleSpaces) -> float:
     """max over feasible id-sets of |f_s(d1) - f_s(d2)| with s held fixed."""
     ys1, xs1 = _split_y_x(d1, instance, relation)
     ys2, xs2 = _split_y_x(d2, instance, relation)
-    pos1, _, w1 = ctx.space_and_weights(ys1, xs1)
-    pos2, _, w2 = ctx.space_and_weights(ys2, xs2)
+    pos1, _, w1 = spaces.get(ys1, xs1)
+    pos2, _, w2 = spaces.get(ys2, xs2)
     common = set(pos1) & set(pos2)
     best = 0.0
     for s in common:
@@ -316,10 +329,10 @@ def exact_sensitivity(instance: AuditInstance, relation: NeighborRelation) -> Se
                 a2 = _allocation_vector(instance, ys2)
                 best = max(best, float(sum(abs(u - v) for u, v in zip(a1, a2))))
             return Sensitivity(best)
-        ctx = _DesignContext(instance, relation)
+        spaces = _SampleSpaces(instance, instance.design)
         best = 0.0
         for d1, d2 in neighbors(instance, relation):
-            best = max(best, _coupled_distance(stat, d1, d2, instance, relation, ctx))
+            best = max(best, _coupled_distance(stat, d1, d2, instance, relation, spaces))
         return Sensitivity(best)
 
     weights = instance.weights
@@ -337,25 +350,21 @@ def _frame_invariant_sensitivity(instance: AuditInstance,
                                  relation: NeighborRelation) -> Sensitivity:
     """Weights frozen at the reference frame; datasets are samples plus y values."""
     stat = instance.statistic
-    frame = instance.frame
-    pi = inclusion_probs(instance.design, frame)
-    weights = tuple(1.0 / float(v) for v in pi)
-    space = sample_space(instance.design, frame, cap=instance.cap)
-    id_to_pos = {record.id: pos for pos, record in enumerate(frame.records)}
+    samples, probs, weights = _SampleSpaces(instance, instance.design).get(
+        instance.frame.y, instance.frame.x)
 
     cap = instance.cap if instance.cap is not None else default_enumeration_cap()
     grid = instance.y_grid
-    total = sum(len(grid) ** len(s) * len(s) * (len(grid) - 1) for s, _ in space)
+    total = sum(len(grid) ** len(s) * len(s) * (len(grid) - 1) for s in samples)
     if total > cap:
         raise EnumerationCapExceeded(total, cap)
 
     best = 0.0
-    for sample, prob in space:
+    for sample, prob in zip(samples, probs):
         if not sample or prob <= 0.0:
             continue
         # with-replacement draws contribute one record per distinct unit
-        positions = list(dict.fromkeys(id_to_pos[u] for u in sample))
-        ws = [weights[p] for p in positions]
+        ws = [weights[p] for p in dict.fromkeys(sample)]
         for ys in itertools.product(grid, repeat=len(sample)):
             f1 = _sample_statistic(stat, ys, ws, instance.n_pop)
             for slot in range(len(ys)):
@@ -469,51 +478,18 @@ class EffectiveEpsilonReport:
         return self.eps_effective / self.eps_nominal
 
 
-def _mechanism_samples(mechanism: SampledReleaseMechanism, instance: AuditInstance,
-                       ys, xs, space_cache: dict):
-    """(positions, prob) outcomes of the sampling stage for one dataset."""
-    if mechanism.design is None:
-        return [(tuple(range(len(ys))), 1.0)]
-    design = mechanism.design
-    y_key = ys if isinstance(design, StratifiedSRSWOR) and design.allocation == "neyman" else None
-    key = (xs, y_key)
-    if key not in space_cache:
-        frame = _frame_for(instance, ys, xs)
-        space = sample_space(design, frame, cap=instance.cap)
-        id_to_pos = {record.id: pos for pos, record in enumerate(frame.records)}
-        outcomes = [(tuple(id_to_pos[u] for u in sample), prob) for sample, prob in space]
-        if mechanism.condition_on_unit is not None:
-            target = id_to_pos[mechanism.condition_on_unit]
-            kept = [(pos, prob) for pos, prob in outcomes if target in pos]
-            mass = math.fsum(prob for _, prob in kept)
-            if mass <= 0.0:
-                raise ValueError(
-                    f"unit {mechanism.condition_on_unit} is never sampled; cannot condition")
-            outcomes = [(pos, prob / mass) for pos, prob in kept]
-        space_cache[key] = outcomes
-    return space_cache[key]
-
-
 def _truth_key(value) -> tuple:
     return ("v", round(value, 12))
 
 
-def _dataset_weights(mechanism, instance, ys, xs):
-    if not _needs_weights(mechanism.statistic):
-        return None
-    frame = _frame_for(instance, ys, xs)
-    pi = inclusion_probs(mechanism.design, frame) if mechanism.design is not None \
-        else np.ones(len(ys))
-    return tuple(1.0 / float(v) for v in pi)
-
-
-def _output_distribution(mechanism, instance, relation, dataset, space_cache,
+def _output_distribution(mechanism, instance, relation, dataset, spaces,
                          categories) -> dict:
     ys, xs = _split_y_x(dataset, instance, relation)
-    outcomes = _mechanism_samples(mechanism, instance, ys, xs, space_cache)
-    weights = _dataset_weights(mechanism, instance, ys, xs)
+    samples, probs, weights = spaces.get(ys, xs)
+    if not _needs_weights(mechanism.statistic):
+        weights = None
     dist: dict = {}
-    for positions, prob in outcomes:
+    for positions, prob in zip(samples, probs):
         if prob <= 0.0:
             continue
         if positions:
@@ -535,14 +511,15 @@ def _output_distribution(mechanism, instance, relation, dataset, space_cache,
     return dist
 
 
-def _collect_categories(mechanism, instance, relation, datasets, space_cache):
+def _collect_categories(mechanism, instance, relation, datasets, spaces):
     """Achievable statistic values over every dataset and feasible sample."""
     categories = set()
     for dataset in datasets:
         ys, xs = _split_y_x(dataset, instance, relation)
-        outcomes = _mechanism_samples(mechanism, instance, ys, xs, space_cache)
-        weights = _dataset_weights(mechanism, instance, ys, xs)
-        for positions, prob in outcomes:
+        samples, probs, weights = spaces.get(ys, xs)
+        if not _needs_weights(mechanism.statistic):
+            weights = None
+        for positions, prob in zip(samples, probs):
             if prob <= 0.0:
                 continue
             if not positions:
@@ -595,14 +572,14 @@ def effective_epsilon(mechanism: SampledReleaseMechanism, instance: AuditInstanc
                 seen.add(d)
                 datasets.append(d)
 
-    space_cache: dict = {}
+    spaces = _SampleSpaces(instance, mechanism.design, mechanism.condition_on_unit)
     categories = None
     if isinstance(mechanism.base, RandomizedResponse):
-        categories = _collect_categories(mechanism, instance, relation, datasets, space_cache)
+        categories = _collect_categories(mechanism, instance, relation, datasets, spaces)
 
     distributions = {
         dataset: _output_distribution(mechanism, instance, relation, dataset,
-                                      space_cache, categories)
+                                      spaces, categories)
         for dataset in datasets
     }
 
@@ -650,10 +627,10 @@ def reevaluate_witness(mechanism: SampledReleaseMechanism, instance: AuditInstan
     if report.worst_pair is None:
         raise ValueError("report has no witness to re-evaluate")
     d1, d2 = report.worst_pair
-    space_cache: dict = {}
-    dist1 = _output_distribution(mechanism, instance, relation, d1, space_cache,
+    spaces = _SampleSpaces(instance, mechanism.design, mechanism.condition_on_unit)
+    dist1 = _output_distribution(mechanism, instance, relation, d1, spaces,
                                  report.categories)
-    dist2 = _output_distribution(mechanism, instance, relation, d2, space_cache,
+    dist2 = _output_distribution(mechanism, instance, relation, d2, spaces,
                                  report.categories)
     p = dist1.get(report.worst_event, 0.0)
     q = dist2.get(report.worst_event, 0.0)

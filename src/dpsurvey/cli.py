@@ -58,13 +58,7 @@ def _cmd_sample(args) -> int:
     seed = args.seed if args.seed is not None else config.seed
     if seed is None:
         raise ValueError("a seed is required (--seed or config.seed)")
-    from .pipeline import TwoStageDesign, _draw_two_stage
-
-    rng = np.random.default_rng(int(seed))
-    if isinstance(config.design, TwoStageDesign):
-        sample = _draw_two_stage(config.design, frame, rng)
-    else:
-        sample = draw(config.design, frame, rng)
+    sample = draw(config.design, frame, np.random.default_rng(int(seed)))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["id", "y", "pi", "w"])

@@ -1,13 +1,14 @@
 """Sampling designs: inclusion probabilities, weights, draws, enumeration.
 
-Seven designs are supported: simple random sampling with and without
+Eight designs are supported: simple random sampling with and without
 replacement, Poisson sampling, stratified SRSWOR (proportional or
 Neyman allocation), single-stage cluster sampling, fixed-size probability
-proportional to size (PPS), and systematic sampling (frame or random
-ordering).  Every design can, at desk scale, enumerate its full sample
-space exactly; that enumeration is the ground truth the audit oracle
-builds on, so probabilities are computed with exact rational arithmetic
-wherever the design permits.
+proportional to size (PPS), systematic sampling (frame or random
+ordering), and two-stage sampling (clusters, then a design inside each).
+Each is one ``Design`` subclass.  Every design can, at desk scale,
+enumerate its full sample space exactly; that enumeration is the ground
+truth the audit oracle builds on, so probabilities are computed with exact
+rational arithmetic wherever the design permits.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .frames import Frame
 
 __all__ = [
+    "Design",
     "SRSWR",
     "SRSWOR",
     "Poisson",
@@ -31,6 +33,7 @@ __all__ = [
     "ClusterSRSWOR",
     "PPS",
     "Systematic",
+    "TwoStageDesign",
     "WeightedSample",
     "EnumerationCapExceeded",
     "CertaintyUnitError",
@@ -80,69 +83,6 @@ class CertaintyUnitError(ValueError):
 
 
 @dataclass(frozen=True)
-class SRSWR:
-    """Simple random sampling with replacement: n independent uniform draws."""
-    n: int
-
-
-@dataclass(frozen=True)
-class SRSWOR:
-    """Simple random sampling without replacement, fixed size n."""
-    n: int
-
-
-@dataclass(frozen=True)
-class Poisson:
-    """Independent Bernoulli(rate) inclusion per unit."""
-    rate: float
-
-
-@dataclass(frozen=True)
-class StratifiedSRSWOR:
-    """SRSWOR within strata; total size n split by the allocation rule."""
-    n: int
-    allocation: str = "proportional"  # "proportional" | "neyman"
-
-    def __post_init__(self):
-        if self.allocation not in ("proportional", "neyman"):
-            raise ValueError(f"unknown allocation {self.allocation!r}")
-
-
-@dataclass(frozen=True)
-class ClusterSRSWOR:
-    """Select m clusters by SRSWOR and observe every unit in them."""
-    m: int
-
-
-@dataclass(frozen=True)
-class PPS:
-    """Fixed-size inclusion probabilities proportional to the size measure x.
-
-    pi_i = n * x_i / sum(x).  The joint design is conditional Poisson
-    (rejective) sampling calibrated so the marginals hit those targets.
-    """
-    n: int
-
-
-@dataclass(frozen=True)
-class Systematic:
-    """Fractional-interval systematic sampling: every sample has exactly n units.
-
-    ordering="frame" walks the frame order (the sample space collapses to a
-    handful of outcomes); ordering="random" permutes the frame first.
-    """
-    n: int
-    ordering: str = "frame"  # "frame" | "random"
-
-    def __post_init__(self):
-        if self.ordering not in ("frame", "random"):
-            raise ValueError(f"unknown ordering {self.ordering!r}")
-
-
-Design = SRSWR | SRSWOR | Poisson | StratifiedSRSWOR | ClusterSRSWOR | PPS | Systematic
-
-
-@dataclass(frozen=True)
 class WeightedSample:
     """Selected units with their inclusion probabilities and weights.
 
@@ -181,42 +121,370 @@ def _validate_fixed_size(n: int, available: int, what: str):
         raise ValueError(f"{what}: sample size {n} not in [1, {available}]")
 
 
-def inclusion_probs(design: Design, frame: Frame) -> np.ndarray:
-    """Per-unit inclusion probability over the whole frame, in frame order."""
-    n_frame = frame.n
-    if isinstance(design, SRSWR):
-        if design.n < 1:
-            raise ValueError(f"SRSWR: number of draws must be >= 1, got {design.n}")
-        return np.full(n_frame, 1.0 - (1.0 - 1.0 / n_frame) ** design.n)
-    if isinstance(design, SRSWOR):
-        _validate_fixed_size(design.n, n_frame, "SRSWOR")
-        return np.full(n_frame, design.n / n_frame)
-    if isinstance(design, Poisson):
-        if not (0.0 < design.rate <= 1.0):
-            raise ValueError(f"Poisson rate must be in (0, 1], got {design.rate!r}")
-        return np.full(n_frame, design.rate)
-    if isinstance(design, StratifiedSRSWOR):
-        allocation = allocate_strata(design.allocation, frame, design.n)
-        pi = np.empty(n_frame)
+class Design:
+    """A sampling design; each design kind is one subclass.
+
+    A subclass implements ``pi(frame)``, the per-unit inclusion
+    probabilities; ``draw(frame, rng)``, one sample as sorted frame
+    positions; ``space(frame)``, every sample as an id tuple with its
+    probability, uncapped; and ``space_size(frame)``, that outcome count.
+    The module functions of the same purpose validate, cap and delegate.
+    ``sampling_rate`` defaults to the mean inclusion probability, and
+    ``space_depends_on_y`` is true when the sample space moves with the
+    response values, not only with the size measures.
+    """
+
+    space_depends_on_y = False
+
+    def sampling_rate(self, frame: Frame) -> float:
+        return float(np.sum(inclusion_probs(self, frame)) / frame.n)
+
+
+@dataclass(frozen=True)
+class SRSWR(Design):
+    """Simple random sampling with replacement: n independent uniform draws."""
+    n: int
+
+    def pi(self, frame):
+        if self.n < 1:
+            raise ValueError(f"SRSWR: number of draws must be >= 1, got {self.n}")
+        return np.full(frame.n, 1.0 - (1.0 - 1.0 / frame.n) ** self.n)
+
+    def draw(self, frame, rng):
+        return sorted(int(i) for i in rng.integers(0, frame.n, size=self.n))
+
+    def space_size(self, frame):
+        return math.comb(frame.n + self.n - 1, self.n)
+
+    def space(self, frame):
+        ids = frame.ids
+        outcomes = []
+        base = Fraction(1, frame.n ** self.n)
+        for combo in itertools.combinations_with_replacement(range(frame.n), self.n):
+            multiplicity = math.factorial(self.n)
+            for _, group in itertools.groupby(combo):
+                multiplicity //= math.factorial(len(list(group)))
+            outcomes.append((tuple(ids[p] for p in combo), float(base * multiplicity)))
+        return outcomes
+
+
+@dataclass(frozen=True)
+class SRSWOR(Design):
+    """Simple random sampling without replacement, fixed size n."""
+    n: int
+
+    def pi(self, frame):
+        _validate_fixed_size(self.n, frame.n, "SRSWOR")
+        return np.full(frame.n, self.n / frame.n)
+
+    def draw(self, frame, rng):
+        return sorted(int(i) for i in rng.choice(frame.n, size=self.n, replace=False))
+
+    def space_size(self, frame):
+        return math.comb(frame.n, self.n)
+
+    def space(self, frame):
+        ids = frame.ids
+        prob = 1.0 / math.comb(frame.n, self.n)
+        return [(tuple(ids[p] for p in combo), prob)
+                for combo in itertools.combinations(range(frame.n), self.n)]
+
+
+@dataclass(frozen=True)
+class Poisson(Design):
+    """Independent Bernoulli(rate) inclusion per unit."""
+    rate: float
+
+    def pi(self, frame):
+        if not (0.0 < self.rate <= 1.0):
+            raise ValueError(f"Poisson rate must be in (0, 1], got {self.rate!r}")
+        return np.full(frame.n, self.rate)
+
+    def draw(self, frame, rng):
+        mask = rng.random(frame.n) < self.rate
+        return [i for i in range(frame.n) if mask[i]]
+
+    def space_size(self, frame):
+        return 2 ** frame.n
+
+    def space(self, frame):
+        ids = frame.ids
+        n_frame = frame.n
+        outcomes = []
+        for mask in itertools.product((0, 1), repeat=n_frame):
+            k = sum(mask)
+            prob = (self.rate ** k) * ((1.0 - self.rate) ** (n_frame - k))
+            sample = tuple(ids[p] for p in range(n_frame) if mask[p])
+            outcomes.append((sample, prob))
+        return outcomes
+
+    def sampling_rate(self, frame):
+        inclusion_probs(self, frame)  # validates the rate
+        return self.rate
+
+
+@dataclass(frozen=True)
+class StratifiedSRSWOR(Design):
+    """SRSWOR within strata; total size n split by the allocation rule."""
+    n: int
+    allocation: str = "proportional"  # "proportional" | "neyman"
+
+    def __post_init__(self):
+        if self.allocation not in ("proportional", "neyman"):
+            raise ValueError(f"unknown allocation {self.allocation!r}")
+
+    @property
+    def space_depends_on_y(self) -> bool:
+        # Neyman allocation follows the within-stratum spread of y
+        return self.allocation == "neyman"
+
+    def pi(self, frame):
+        allocation = allocate_strata(self.allocation, frame, self.n)
+        pi = np.empty(frame.n)
         for label, positions in frame.strata().items():
             pi[list(positions)] = allocation[label] / len(positions)
         return pi
-    if isinstance(design, ClusterSRSWOR):
+
+    def draw(self, frame, rng):
+        allocation = allocate_strata(self.allocation, frame, self.n)
+        chosen: list[int] = []
+        for label, positions in frame.strata().items():
+            picks = rng.choice(len(positions), size=allocation[label], replace=False)
+            chosen.extend(positions[int(i)] for i in picks)
+        return sorted(chosen)
+
+    def space_size(self, frame):
+        allocation = allocate_strata(self.allocation, frame, self.n)
+        size = 1
+        for label, positions in frame.strata().items():
+            size *= math.comb(len(positions), allocation[label])
+        return size
+
+    def space(self, frame):
+        ids = frame.ids
+        allocation = allocate_strata(self.allocation, frame, self.n)
+        strata = frame.strata()
+        per_stratum = []
+        prob = 1.0
+        for label, positions in strata.items():
+            per_stratum.append(list(itertools.combinations(positions, allocation[label])))
+            prob /= math.comb(len(positions), allocation[label])
+        outcomes = []
+        for pick in itertools.product(*per_stratum):
+            positions = sorted(p for group in pick for p in group)
+            outcomes.append((tuple(ids[p] for p in positions), prob))
+        return outcomes
+
+
+@dataclass(frozen=True)
+class ClusterSRSWOR(Design):
+    """Select m clusters by SRSWOR and observe every unit in them."""
+    m: int
+
+    def pi(self, frame):
         cluster_map = frame.clusters()
-        _validate_fixed_size(design.m, len(cluster_map), "ClusterSRSWOR")
-        return np.full(n_frame, design.m / len(cluster_map))
-    if isinstance(design, PPS):
-        _validate_fixed_size(design.n, n_frame, "PPS")
+        _validate_fixed_size(self.m, len(cluster_map), "ClusterSRSWOR")
+        return np.full(frame.n, self.m / len(cluster_map))
+
+    def pick(self, frame: Frame, rng: np.random.Generator) -> list[tuple[int, ...]]:
+        """Member positions of each selected cluster, in cluster-label order."""
+        cluster_map = frame.clusters()
+        labels = list(cluster_map)
+        picks = rng.choice(len(labels), size=self.m, replace=False)
+        return [cluster_map[labels[i]] for i in sorted(int(i) for i in picks)]
+
+    def draw(self, frame, rng):
+        return sorted(p for members in self.pick(frame, rng) for p in members)
+
+    def space_size(self, frame):
+        return math.comb(len(frame.clusters()), self.m)
+
+    def space(self, frame):
+        ids = frame.ids
+        prob = 1.0 / math.comb(len(frame.clusters()), self.m)
+        outcomes = []
+        for combo in itertools.combinations(frame.clusters().values(), self.m):
+            positions = sorted(p for members in combo for p in members)
+            outcomes.append((tuple(ids[p] for p in positions), prob))
+        return outcomes
+
+
+@dataclass(frozen=True)
+class PPS(Design):
+    """Fixed-size inclusion probabilities proportional to the size measure x.
+
+    pi_i = n * x_i / sum(x).  The joint design is conditional Poisson
+    (rejective) sampling calibrated so the marginals hit those targets.
+    """
+    n: int
+
+    def pi(self, frame):
+        _validate_fixed_size(self.n, frame.n, "PPS")
         x = np.asarray(frame.x, dtype=float)
-        pi = design.n * x / math.fsum(x)
+        pi = self.n * x / math.fsum(x)
         for record, value in zip(frame.records, pi):
             if value > 1.0 + 1e-12:
                 raise CertaintyUnitError(record.id, float(value))
         return np.minimum(pi, 1.0)
-    if isinstance(design, Systematic):
-        _validate_fixed_size(design.n, n_frame, "Systematic")
-        return np.full(n_frame, design.n / n_frame)
-    raise TypeError(f"unknown design: {design!r}")
+
+    def _split(self, frame: Frame):
+        """Split units into certainty (pi == 1) and calibrated-odds groups.
+
+        The odds calibration depends only on (n, x); it is cached so repeated
+        draws from one design do not re-run the fixed point.
+        """
+        inclusion_probs(self, frame)  # rejects n out of range and pi above one
+        return _pps_split_cached(self.n, tuple(frame.x))
+
+    def draw(self, frame, rng):
+        certain, rest, n_rest, odds = self._split(frame)
+        chosen = list(certain)
+        if n_rest > 0:
+            remaining = n_rest
+            for idx in range(len(rest)):
+                if remaining == 0:
+                    break
+                tail = odds[idx + 1:]
+                tail_esp = _esp(tail)
+                odd = odds[idx]
+                denom = tail_esp[remaining] + odd * tail_esp[remaining - 1] \
+                    if remaining <= len(tail) else odd * tail_esp[remaining - 1]
+                take_prob = odd * tail_esp[remaining - 1] / denom
+                if rng.random() < take_prob:
+                    chosen.append(rest[idx])
+                    remaining -= 1
+        return sorted(chosen)
+
+    def space_size(self, frame):
+        certain = sum(1 for p in inclusion_probs(self, frame) if p >= 1.0 - 1e-15)
+        return math.comb(frame.n - certain, self.n - certain)
+
+    def space(self, frame):
+        ids = frame.ids
+        certain, rest, n_rest, odds = self._split(frame)
+        outcomes = []
+        if n_rest == 0:
+            return [(tuple(ids[p] for p in sorted(certain)), 1.0)]
+        denom = _esp(odds)[n_rest]
+        for combo in itertools.combinations(range(len(rest)), n_rest):
+            weight = 1.0
+            for idx in combo:
+                weight *= odds[idx]
+            positions = sorted(certain + [rest[idx] for idx in combo])
+            outcomes.append((tuple(ids[p] for p in positions), float(weight / denom)))
+        return outcomes
+
+    def sampling_rate(self, frame):
+        return float(np.max(inclusion_probs(self, frame)))
+
+
+@dataclass(frozen=True)
+class Systematic(Design):
+    """Fractional-interval systematic sampling: every sample has exactly n units.
+
+    ordering="frame" walks the frame order (the sample space collapses to a
+    handful of outcomes); ordering="random" permutes the frame first.
+    """
+    n: int
+    ordering: str = "frame"  # "frame" | "random"
+
+    def __post_init__(self):
+        if self.ordering not in ("frame", "random"):
+            raise ValueError(f"unknown ordering {self.ordering!r}")
+
+    def pi(self, frame):
+        _validate_fixed_size(self.n, frame.n, "Systematic")
+        return np.full(frame.n, self.n / frame.n)
+
+    def draw(self, frame, rng):
+        n_frame = frame.n
+        order = list(range(n_frame))
+        if self.ordering == "random":
+            order = [int(i) for i in rng.permutation(n_frame)]
+        interval = n_frame / self.n
+        start = float(rng.uniform(0.0, interval))
+        # float rounding at the top end must not index past the frame
+        picks = (min(math.floor(start + j * interval), n_frame - 1) for j in range(self.n))
+        return sorted(order[p] for p in picks)
+
+    def space_size(self, frame):
+        per_order = frame.n  # at most N breakpoint intervals per ordering
+        if self.ordering == "random":
+            return math.factorial(frame.n) * per_order
+        return per_order
+
+    def space(self, frame):
+        ids = frame.ids
+        n_frame = frame.n
+        if self.ordering == "frame":
+            orders, n_orders = [range(n_frame)], 1
+        else:
+            orders, n_orders = itertools.permutations(range(n_frame)), math.factorial(n_frame)
+        collected: dict[tuple[int, ...], Fraction] = {}
+        for order in orders:
+            for sample, prob in _systematic_outcomes(list(order), self.n):
+                key = tuple(ids[p] for p in sample)
+                collected[key] = collected.get(key, Fraction(0)) + prob / n_orders
+        return [(sample, float(prob)) for sample, prob in sorted(collected.items())]
+
+
+def _sub_frame(frame: Frame, positions) -> Frame:
+    return Frame(tuple(frame.records[p] for p in positions))
+
+
+@dataclass(frozen=True)
+class TwoStageDesign(Design):
+    """Cluster first stage with an independent design inside each cluster."""
+
+    outer: ClusterSRSWOR
+    inner: Design
+
+    def __post_init__(self):
+        if isinstance(self.inner, (ClusterSRSWOR, StratifiedSRSWOR)):
+            raise ValueError("inner stage must select units, not groups")
+
+    def pi(self, frame):
+        pi = inclusion_probs(self.outer, frame)
+        for members in frame.clusters().values():
+            pi[list(members)] *= inclusion_probs(self.inner, _sub_frame(frame, members))
+        return pi
+
+    def draw(self, frame, rng):
+        positions: list[int] = []
+        for members in self.outer.pick(frame, rng):
+            inner_positions = self.inner.draw(_sub_frame(frame, members), rng)
+            positions.extend(members[p] for p in inner_positions)
+        return sorted(positions)
+
+    def space_size(self, frame):
+        # sum over cluster choices of the product of inner counts: the m-th
+        # elementary symmetric polynomial of the per-cluster counts
+        counts = [1] + [0] * self.outer.m
+        for members in frame.clusters().values():
+            inner = self.inner.space_size(_sub_frame(frame, members))
+            for k in range(self.outer.m, 0, -1):
+                counts[k] += inner * counts[k - 1]
+        return counts[self.outer.m]
+
+    def space(self, frame):
+        ids = frame.ids
+        position = {unit: p for p, unit in enumerate(ids)}
+        outer_prob = 1.0 / math.comb(len(frame.clusters()), self.outer.m)
+        outcomes = []
+        for combo in itertools.combinations(frame.clusters().values(), self.outer.m):
+            stages = [self.inner.space(_sub_frame(frame, members)) for members in combo]
+            for picks in itertools.product(*stages):
+                prob = outer_prob
+                for _, inner_prob in picks:
+                    prob *= inner_prob
+                positions = sorted(position[u] for sample, _ in picks for u in sample)
+                outcomes.append((tuple(ids[p] for p in positions), prob))
+        return outcomes
+
+
+def inclusion_probs(design: Design, frame: Frame) -> np.ndarray:
+    """Per-unit inclusion probability over the whole frame, in frame order."""
+    return design.pi(frame)
 
 
 def design_weights(pi) -> np.ndarray:
@@ -303,44 +571,7 @@ def build_sample(frame: Frame, positions, pi: np.ndarray) -> WeightedSample:
 def draw(design: Design, frame: Frame, rng: np.random.Generator) -> WeightedSample:
     """Draw one sample from the design; deterministic given the generator state."""
     pi = inclusion_probs(design, frame)
-    positions = _draw_positions(design, frame, rng)
-    return build_sample(frame, positions, pi)
-
-
-def _draw_positions(design: Design, frame: Frame, rng: np.random.Generator) -> list[int]:
-    n_frame = frame.n
-    if isinstance(design, SRSWR):
-        return sorted(int(i) for i in rng.integers(0, n_frame, size=design.n))
-    if isinstance(design, SRSWOR):
-        return sorted(int(i) for i in rng.choice(n_frame, size=design.n, replace=False))
-    if isinstance(design, Poisson):
-        mask = rng.random(n_frame) < design.rate
-        return [i for i in range(n_frame) if mask[i]]
-    if isinstance(design, StratifiedSRSWOR):
-        allocation = allocate_strata(design.allocation, frame, design.n)
-        chosen: list[int] = []
-        for label, positions in frame.strata().items():
-            picks = rng.choice(len(positions), size=allocation[label], replace=False)
-            chosen.extend(positions[int(i)] for i in picks)
-        return sorted(chosen)
-    if isinstance(design, ClusterSRSWOR):
-        cluster_map = frame.clusters()
-        labels = list(cluster_map)
-        picks = rng.choice(len(labels), size=design.m, replace=False)
-        chosen = [p for i in sorted(int(i) for i in picks) for p in cluster_map[labels[i]]]
-        return sorted(chosen)
-    if isinstance(design, PPS):
-        return _draw_cps(design, frame, rng)
-    if isinstance(design, Systematic):
-        order = list(range(n_frame))
-        if design.ordering == "random":
-            order = [int(i) for i in rng.permutation(n_frame)]
-        interval = n_frame / design.n
-        start = float(rng.uniform(0.0, interval))
-        # float rounding at the top end must not index past the frame
-        picks = (min(math.floor(start + j * interval), n_frame - 1) for j in range(design.n))
-        return sorted(order[p] for p in picks)
-    raise TypeError(f"unknown design: {design!r}")
+    return build_sample(frame, design.draw(frame, rng), pi)
 
 
 # ---------------------------------------------------------------------------
@@ -397,67 +628,13 @@ def _pps_split_cached(n: int, xs: tuple[float, ...]):
     return certain, rest, n_rest, odds
 
 
-def _pps_split(design: PPS, frame: Frame):
-    """Split units into certainty (pi == 1) and calibrated-odds groups.
-
-    The odds calibration depends only on (n, x); it is cached so repeated
-    draws from one design do not re-run the fixed point.
-    """
-    pi = inclusion_probs(design, frame)
-    certain, rest, n_rest, odds = _pps_split_cached(design.n, tuple(frame.x))
-    return pi, certain, rest, n_rest, odds
-
-
-def _draw_cps(design: PPS, frame: Frame, rng: np.random.Generator) -> list[int]:
-    _, certain, rest, n_rest, odds = _pps_split(design, frame)
-    chosen = list(certain)
-    if n_rest > 0:
-        remaining = n_rest
-        for idx in range(len(rest)):
-            if remaining == 0:
-                break
-            tail = odds[idx + 1:]
-            tail_esp = _esp(tail)
-            odd = odds[idx]
-            denom = tail_esp[remaining] + odd * tail_esp[remaining - 1] \
-                if remaining <= len(tail) else odd * tail_esp[remaining - 1]
-            take_prob = odd * tail_esp[remaining - 1] / denom
-            if rng.random() < take_prob:
-                chosen.append(rest[idx])
-                remaining -= 1
-    return sorted(chosen)
-
-
 # ---------------------------------------------------------------------------
 # Exact sample-space enumeration
 # ---------------------------------------------------------------------------
 
 def sample_space_size(design: Design, frame: Frame) -> int:
     """Number of outcomes the enumeration would produce (before merging)."""
-    n_frame = frame.n
-    if isinstance(design, SRSWR):
-        return math.comb(n_frame + design.n - 1, design.n)
-    if isinstance(design, SRSWOR):
-        return math.comb(n_frame, design.n)
-    if isinstance(design, Poisson):
-        return 2 ** n_frame
-    if isinstance(design, StratifiedSRSWOR):
-        allocation = allocate_strata(design.allocation, frame, design.n)
-        size = 1
-        for label, positions in frame.strata().items():
-            size *= math.comb(len(positions), allocation[label])
-        return size
-    if isinstance(design, ClusterSRSWOR):
-        return math.comb(len(frame.clusters()), design.m)
-    if isinstance(design, PPS):
-        certain = sum(1 for p in inclusion_probs(design, frame) if p >= 1.0 - 1e-15)
-        return math.comb(n_frame - certain, design.n - certain)
-    if isinstance(design, Systematic):
-        per_order = n_frame  # at most N breakpoint intervals per ordering
-        if design.ordering == "random":
-            return math.factorial(n_frame) * per_order
-        return per_order
-    raise TypeError(f"unknown design: {design!r}")
+    return design.space_size(frame)
 
 
 def sample_space(design: Design, frame: Frame, cap: int | None = None
@@ -472,90 +649,7 @@ def sample_space(design: Design, frame: Frame, cap: int | None = None
     count = sample_space_size(design, frame)
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
-
-    ids = frame.ids
-    n_frame = frame.n
-
-    if isinstance(design, SRSWOR):
-        prob = 1.0 / math.comb(n_frame, design.n)
-        return [(tuple(ids[p] for p in combo), prob)
-                for combo in itertools.combinations(range(n_frame), design.n)]
-
-    if isinstance(design, SRSWR):
-        outcomes = []
-        base = Fraction(1, n_frame ** design.n)
-        for combo in itertools.combinations_with_replacement(range(n_frame), design.n):
-            multiplicity = math.factorial(design.n)
-            for _, group in itertools.groupby(combo):
-                multiplicity //= math.factorial(len(list(group)))
-            outcomes.append((tuple(ids[p] for p in combo), float(base * multiplicity)))
-        return outcomes
-
-    if isinstance(design, Poisson):
-        rate = design.rate
-        outcomes = []
-        for mask in itertools.product((0, 1), repeat=n_frame):
-            k = sum(mask)
-            prob = (rate ** k) * ((1.0 - rate) ** (n_frame - k))
-            sample = tuple(ids[p] for p in range(n_frame) if mask[p])
-            outcomes.append((sample, prob))
-        return outcomes
-
-    if isinstance(design, StratifiedSRSWOR):
-        allocation = allocate_strata(design.allocation, frame, design.n)
-        strata = frame.strata()
-        per_stratum = []
-        for label, positions in strata.items():
-            per_stratum.append(list(itertools.combinations(positions, allocation[label])))
-        prob = 1.0
-        for label, positions in strata.items():
-            prob /= math.comb(len(positions), allocation[label])
-        outcomes = []
-        for pick in itertools.product(*per_stratum):
-            positions = sorted(p for group in pick for p in group)
-            outcomes.append((tuple(ids[p] for p in positions), prob))
-        return outcomes
-
-    if isinstance(design, ClusterSRSWOR):
-        cluster_map = frame.clusters()
-        labels = list(cluster_map)
-        prob = 1.0 / math.comb(len(labels), design.m)
-        outcomes = []
-        for combo in itertools.combinations(labels, design.m):
-            positions = sorted(p for label in combo for p in cluster_map[label])
-            outcomes.append((tuple(ids[p] for p in positions), prob))
-        return outcomes
-
-    if isinstance(design, PPS):
-        _, certain, rest, n_rest, odds = _pps_split(design, frame)
-        outcomes = []
-        if n_rest == 0:
-            return [(tuple(ids[p] for p in sorted(certain)), 1.0)]
-        denom = _esp(odds)[n_rest]
-        for combo in itertools.combinations(range(len(rest)), n_rest):
-            weight = 1.0
-            for idx in combo:
-                weight *= odds[idx]
-            positions = sorted(certain + [rest[idx] for idx in combo])
-            outcomes.append((tuple(ids[p] for p in positions), float(weight / denom)))
-        return outcomes
-
-    if isinstance(design, Systematic):
-        if design.ordering == "frame":
-            collected: dict[tuple[int, ...], Fraction] = {}
-            for sample, prob in _systematic_outcomes(list(range(n_frame)), design.n):
-                key = tuple(ids[p] for p in sample)
-                collected[key] = collected.get(key, Fraction(0)) + prob
-            return [(sample, float(prob)) for sample, prob in sorted(collected.items())]
-        collected = {}
-        n_perms = math.factorial(n_frame)
-        for perm in itertools.permutations(range(n_frame)):
-            for sample, prob in _systematic_outcomes(list(perm), design.n):
-                key = tuple(ids[p] for p in sample)
-                collected[key] = collected.get(key, Fraction(0)) + prob / n_perms
-        return [(sample, float(prob)) for sample, prob in sorted(collected.items())]
-
-    raise TypeError(f"unknown design: {design!r}")
+    return design.space(frame)
 
 
 def _systematic_outcomes(order: list[int], n: int):
@@ -577,9 +671,4 @@ def _systematic_outcomes(order: list[int], n: int):
 
 def expected_sampling_rate(design: Design, frame: Frame) -> float:
     """Expected fraction of frame units included; max pi for PPS."""
-    pi = inclusion_probs(design, frame)
-    if isinstance(design, PPS):
-        return float(np.max(pi))
-    if isinstance(design, Poisson):
-        return design.rate
-    return float(np.sum(pi) / frame.n)
+    return design.sampling_rate(frame)

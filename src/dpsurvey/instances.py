@@ -10,7 +10,8 @@ Neyman allocation leak.
 from __future__ import annotations
 
 from .audit import AuditInstance
-from .designs import ClusterSRSWOR, PPS, SRSWOR, SRSWR, StratifiedSRSWOR, Systematic
+from .designs import (PPS, SRSWOR, SRSWR, ClusterSRSWOR, StratifiedSRSWOR, Systematic,
+                      TwoStageDesign)
 from .frames import Frame, make_frame
 from .mechanisms import BoundedMean, HTMeanFixedWeights, Proportion
 
@@ -134,6 +135,7 @@ def design_library(frame: Frame) -> list:
                Systematic(2, "frame"), Systematic(2, "random")]
     if len(frame.clusters()) >= 2:
         designs.append(ClusterSRSWOR(1))
+        designs.append(TwoStageDesign(ClusterSRSWOR(1), SRSWOR(1)))
     if len(frame.strata()) >= 2:
         designs.append(StratifiedSRSWOR(max(2, len(frame.strata())), "proportional"))
     designs.append(PPS(1))

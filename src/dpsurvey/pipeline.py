@@ -46,8 +46,8 @@ from .designs import (
     SRSWR,
     StratifiedSRSWOR,
     Systematic,
+    TwoStageDesign,
     WeightedSample,
-    build_sample,
     inclusion_probs,
 )
 from .estimators import ReleaseRefusedError, ht_mean, ht_total, unweighted_mean
@@ -106,18 +106,6 @@ class PipelineStageError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TwoStageDesign:
-    """Cluster first stage with an independent design inside each cluster."""
-
-    outer: ClusterSRSWOR
-    inner: Design
-
-    def __post_init__(self):
-        if isinstance(self.inner, (ClusterSRSWOR, StratifiedSRSWOR)):
-            raise ValueError("inner stage must select units, not groups")
-
-
-@dataclass(frozen=True)
 class ReleaseSpec:
     statistic: str
     epsilon: float
@@ -128,7 +116,7 @@ class ReleaseSpec:
 class PipelineConfig:
     frame_path: str
     universe: ValueUniverse
-    design: Design | TwoStageDesign
+    design: Design
     releases: tuple[ReleaseSpec, ...]
     mechanism_start: str
     invariant: str
@@ -458,41 +446,8 @@ def round_report(report_dict: dict, ndigits: int = 6) -> dict:
     return rounded
 
 
-def _inclusion_probs_two_stage(design: TwoStageDesign, frame: Frame) -> np.ndarray:
-    cluster_map = frame.clusters()
-    outer_pi = design.outer.m / len(cluster_map)
-    pi = np.empty(frame.n)
-    for label, positions in cluster_map.items():
-        sub = Frame(tuple(frame.records[p] for p in positions))
-        inner_pi = inclusion_probs(design.inner, sub)
-        for offset, position in enumerate(positions):
-            pi[position] = outer_pi * inner_pi[offset]
-    return pi
-
-
-def _draw_two_stage(design: TwoStageDesign, frame: Frame,
-                    rng: np.random.Generator) -> WeightedSample:
-    from .designs import _draw_positions  # stage composition reuses the primitives
-
-    pi = _inclusion_probs_two_stage(design, frame)
-    cluster_map = frame.clusters()
-    labels = list(cluster_map)
-    picks = rng.choice(len(labels), size=design.outer.m, replace=False)
-    positions: list[int] = []
-    for index in sorted(int(i) for i in picks):
-        members = cluster_map[labels[index]]
-        sub = Frame(tuple(frame.records[p] for p in members))
-        inner_positions = _draw_positions(design.inner, sub, rng)
-        positions.extend(members[p] for p in inner_positions)
-    return build_sample(frame, sorted(positions), pi)
-
-
 def _frame_weight_max(config: PipelineConfig, frame: Frame) -> float:
-    if isinstance(config.design, TwoStageDesign):
-        pi = _inclusion_probs_two_stage(config.design, frame)
-    else:
-        pi = inclusion_probs(config.design, frame)
-    return float(np.max(1.0 / pi))
+    return float(np.max(1.0 / inclusion_probs(config.design, frame)))
 
 
 def _simulate_response(config: PipelineConfig, sample: WeightedSample, frame: Frame,
@@ -651,8 +606,6 @@ def _release_stage(config: PipelineConfig, processed: WeightedSample, frame: Fra
 def _audit_stage(config: PipelineConfig, frame: Frame) -> dict | None:
     if config.audit_design_stage_epsilon is None:
         return None
-    if isinstance(config.design, TwoStageDesign):
-        return {"status": "error: two-stage designs are not audited at desk scale"}
     eps = config.audit_design_stage_epsilon
     try:
         instance = AuditInstance(
@@ -697,11 +650,8 @@ def run_pipeline(config: PipelineConfig, seed: int | None = None) -> RunReport:
                    for i, stage in enumerate(STAGES)]
 
     try:
-        if isinstance(config.design, TwoStageDesign):
-            sample = _draw_two_stage(config.design, frame, rng)
-        else:
-            from .designs import draw
-            sample = draw(config.design, frame, rng)
+        from .designs import draw  # resolved per call, so a wrapped designs.draw applies
+        sample = draw(config.design, frame, rng)
     except Exception as err:
         raise PipelineStageError("sample", err) from err
 

@@ -16,7 +16,6 @@ from .mechanisms import PrivacyLedger, _epsilon_value, release_laplace
 
 __all__ = [
     "AdjustmentCell",
-    "AdjustedWeights",
     "CalibrationError",
     "estimate_propensities_cells",
     "nonresponse_adjust",
@@ -32,33 +31,13 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True)
 class AdjustmentCell:
-    """A weighting class: a label, its member unit ids, optionally a benchmark."""
+    """A weighting class: a label and its member unit ids."""
 
     label: str
     member_ids: frozenset[int]
-    benchmark: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "member_ids", frozenset(self.member_ids))
-        if self.benchmark is not None and not (self.benchmark > 0):
-            raise ValueError(f"cell {self.label!r}: benchmark must be > 0")
-
-
-@dataclass(frozen=True)
-class AdjustedWeights:
-    """Weights after each applied adjustment step, with provenance."""
-
-    base: tuple[float, ...]
-    nonresponse: tuple[float, ...] | None = None
-    calibrated: tuple[float, ...] | None = None
-    provenance: tuple[str, ...] = ()
-
-    @property
-    def final(self) -> tuple[float, ...]:
-        for weights in (self.calibrated, self.nonresponse, self.base):
-            if weights is not None:
-                return weights
-        raise AssertionError("unreachable")
 
 
 def _cell_of_map(cells: list[AdjustmentCell], unit_ids) -> dict[int, str]:

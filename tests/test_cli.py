@@ -80,6 +80,28 @@ def test_sample_writes_csv(config_path, tmp_path):
     assert len(lines) == 3  # header + n=2 rows
 
 
+def test_sample_two_stage_is_reproducible(tmp_path):
+    frame_path = tmp_path / "clustered.csv"
+    dump_frame_csv(make_frame([0.2, 0.8, 0.4, 1.0], clusters=["a", "a", "b", "b"]),
+                   frame_path)
+    config = {
+        "frame": str(frame_path),
+        "universe": {"y_min": 0.0, "y_max": 1.0},
+        "design": {"kind": "cluster_srswor", "m": 1, "inner": {"kind": "srswor", "n": 1}},
+        "releases": [{"statistic": "mean", "epsilon": 1.0}],
+        "mechanism_start": "processed-data",
+        "invariant": "none",
+        "budget": 1.0,
+    }
+    config_path = tmp_path / "two_stage.json"
+    config_path.write_text(json.dumps(config))
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert main(["sample", str(config_path), "--seed", "5", "--out", str(out)]) == 0
+    assert outs[0].read_text().split("\n")[0] == "id,y,pi,w"
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_impute_fills_missing_values(tmp_path):
     frame = make_frame([0.4, 0.6, float("nan")])
     frame_path = tmp_path / "frame.csv"

@@ -16,6 +16,7 @@ from dpsurvey.designs import (
     Poisson,
     StratifiedSRSWOR,
     Systematic,
+    TwoStageDesign,
     allocate_strata,
     design_weights,
     draw,
@@ -281,6 +282,23 @@ def test_pps_draw_follows_enumerated_joint_design():
         assert abs(counts[sample] / trials - prob) < 5 * se, sample
 
 
+def test_two_stage_draw_follows_enumerated_joint_design():
+    # unequal clusters: a chosen pair inside cluster "a" is three times rarer
+    # than the only pair in "b", which marginals alone would not pin down
+    frame = make_frame([0] * 5, clusters=["a", "a", "a", "b", "b"])
+    design = TwoStageDesign(ClusterSRSWOR(1), SRSWOR(2))
+    space = dict(sample_space(design, frame))
+    assert space == pytest.approx({(1, 2): 1 / 6, (1, 3): 1 / 6, (2, 3): 1 / 6, (4, 5): 1 / 2})
+    trials = 10_000
+    rng = np.random.default_rng(321)
+    counts = {sample: 0 for sample in space}
+    for _ in range(trials):
+        counts[draw(design, frame, rng).ids] += 1
+    for sample, prob in space.items():
+        se = math.sqrt(prob * (1 - prob) / trials)
+        assert abs(counts[sample] / trials - prob) < 5 * se, sample
+
+
 def test_pps_certainty_unit_always_drawn():
     frame = make_frame([0] * 3, xs=[2.0, 1.0, 1.0])  # unit 1 has pi exactly 1
     assert inclusion_probs(PPS(2), frame)[0] == 1.0
@@ -307,3 +325,29 @@ def test_stratified_space_uses_allocation():
     for sample, _ in space:
         strata = [frame.record_by_id(u).stratum for u in sample]
         assert strata.count("A") == 2 and strata.count("B") == 2
+
+
+# One draw per design kind at seed 20240807 on frame_library()[2], with the
+# generator's next uniform after it, as recorded with an earlier version of the
+# package.  A change in how any design consumes the generator moves them.
+DRAW_PINS = {
+    "srswr": (SRSWR(3), (1, 1, 5), 0.4464395485894398),
+    "srswor": (SRSWOR(2), (1, 5), 0.4464395485894398),
+    "poisson": (Poisson(0.5), (1, 2, 3, 4), 0.7974502401389589),
+    "stratified_proportional": (StratifiedSRSWOR(3, "proportional"), (1, 3, 5),
+                                0.4464395485894398),
+    "stratified_neyman": (StratifiedSRSWOR(3, "neyman"), (1, 3, 5), 0.4464395485894398),
+    "cluster": (ClusterSRSWOR(1), (1, 2), 0.1609973550916508),
+    "pps": (PPS(2), (1, 4), 0.7488627517077001),
+    "systematic_frame": (Systematic(2, "frame"), (1, 3), 0.1609973550916508),
+    "systematic_random": (Systematic(2, "random"), (1, 2), 0.1227202246563549),
+    "two_stage": (TwoStageDesign(ClusterSRSWOR(1), SRSWOR(1)), (1,), 0.1609973550916508),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DRAW_PINS))
+def test_draw_is_stable_across_versions(kind):
+    design, ids, next_uniform = DRAW_PINS[kind]
+    rng = np.random.default_rng(20240807)
+    assert draw(design, frame_library()[2], rng).ids == ids
+    assert rng.random() == next_uniform

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -323,12 +324,11 @@ def test_dp_propensities_mode_charges_ledger(frame_csv):
 
 
 def test_two_stage_inclusion_probabilities_compose():
-    from dpsurvey.designs import ClusterSRSWOR, Systematic
-    from dpsurvey.pipeline import _inclusion_probs_two_stage
+    from dpsurvey.designs import ClusterSRSWOR, Systematic, inclusion_probs
 
     frame = make_frame([0.1, 0.5, 0.9, 0.3], clusters=["a", "a", "b", "b"])
     design = TwoStageDesign(ClusterSRSWOR(1), Systematic(1, "frame"))
-    pi = _inclusion_probs_two_stage(design, frame)
+    pi = inclusion_probs(design, frame)
     assert list(pi) == [0.25] * 4  # (1 of 2 clusters) * (1 of 2 within)
 
 
@@ -355,6 +355,17 @@ def test_frame_start_audit_attachment(frame_csv):
     assert report.audit is not None
     assert report.audit["status"] == "ok"
     assert report.audit["eps_effective"] < 0.1
+
+
+def test_two_stage_design_stage_audit(frame_csv):
+    text = minimal_config(
+        frame_csv, mechanism_start="frame", invariant="population",
+        design={"kind": "cluster_srswor", "m": 1, "inner": {"kind": "srswor", "n": 1}},
+        audit={"design_stage": {"epsilon": 0.1}},
+        releases=[{"statistic": "mean", "epsilon": 1.0, "audited_sensitivity": 0.5}])
+    report = run_pipeline(parse_config(text))
+    assert report.audit["status"] == "ok"
+    assert math.isfinite(report.audit["eps_effective"])
 
 
 def test_stage_errors_carry_stage_name(frame_csv, tmp_path):
