@@ -24,10 +24,10 @@ def main() -> int:
         Systematic(2, "frame"), Systematic(2, "random"),
     ]
     eps_grid = [0.05, 0.1, 0.2]
-    rows = amplification_sweep(designs, eps_grid, frame, statistic="mean", threads=2)
+    rows = amplification_sweep(designs, eps_grid, frame, statistic="mean")
     for max_pi in (0.2, 0.4, 0.6):
         rows += amplification_sweep([PPS(1)], eps_grid, pps_maxpi_frame(max_pi),
-                                    statistic="max", threads=2)
+                                    statistic="max")
 
     out = sys.argv[1] if len(sys.argv) > 1 else None
     text = write_sweep_csv(rows, out)

@@ -7,12 +7,17 @@ no closed form exists.  ``effective_epsilon`` enumerates the full output
 distribution of a composed mechanism (sampling stage, statistic, discrete
 base mechanism) and reports the exact worst-case log probability ratio.
 
+Every oracle draws its pairs from one enumeration, ``neighbors`` (one-record
+replacements via ``_mutations``); the effective-epsilon oracles share one
+outcome evaluation (``_truths``) and one worst-pair scan (``_worst_pair``).
+
 Neighbor semantics are bounded replace-one throughout: one record's
 mutable fields change, the dataset size does not.  The invariant level
 controls what the counterfactual comparison holds fixed:
 
 * ``"frame"``   - the realized frame is pinned, so inclusion probabilities
-  and weights never move; neighbors differ in one sampled record's y.
+  and weights never move; neighbors differ in one sampled unit's y, which
+  every draw of that unit shares (a unit drawn twice by SRSWR counts twice).
 * ``"population"`` / ``"none"`` - neighbors are whole frames differing in
   one record; weights are recomputed per frame, and a sample-level
   statistic is compared with the selected id-set held fixed (coupled),
@@ -27,9 +32,10 @@ boundary cells.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,65 +321,60 @@ def exact_sensitivity(instance: AuditInstance, relation: NeighborRelation) -> Se
     datasets and the sample id-set is coupled across each pair.
     """
     stat = instance.statistic
-
     if instance.design is not None and relation.invariant == "frame":
         return _frame_invariant_sensitivity(instance, relation)
 
-    if instance.design is not None:
-        if stat == "neyman_allocation":
-            best = 0.0
-            for d1, d2 in neighbors(instance, relation):
-                ys1, _ = _split_y_x(d1, instance, relation)
-                ys2, _ = _split_y_x(d2, instance, relation)
-                a1 = _allocation_vector(instance, ys1)
-                a2 = _allocation_vector(instance, ys2)
-                best = max(best, float(sum(abs(u - v) for u, v in zip(a1, a2))))
-            return Sensitivity(best)
+    if instance.design is None:
+        def distance(d1, d2):
+            ys1, _ = _split_y_x(d1, instance, relation)
+            ys2, _ = _split_y_x(d2, instance, relation)
+            return abs(_sample_statistic(stat, ys1, instance.weights, instance.n_pop)
+                       - _sample_statistic(stat, ys2, instance.weights, instance.n_pop))
+    elif stat == "neyman_allocation":
+        def distance(d1, d2):
+            a1 = _allocation_vector(instance, _split_y_x(d1, instance, relation)[0])
+            a2 = _allocation_vector(instance, _split_y_x(d2, instance, relation)[0])
+            return float(sum(abs(u - v) for u, v in zip(a1, a2)))
+    else:
         spaces = _SampleSpaces(instance, instance.design)
-        best = 0.0
-        for d1, d2 in neighbors(instance, relation):
-            best = max(best, _coupled_distance(stat, d1, d2, instance, relation, spaces))
-        return Sensitivity(best)
 
-    weights = instance.weights
+        def distance(d1, d2):
+            return _coupled_distance(stat, d1, d2, instance, relation, spaces)
+
     best = 0.0
     for d1, d2 in neighbors(instance, relation):
-        ys1, _ = _split_y_x(d1, instance, relation)
-        ys2, _ = _split_y_x(d2, instance, relation)
-        f1 = _sample_statistic(stat, ys1, weights, instance.n_pop)
-        f2 = _sample_statistic(stat, ys2, weights, instance.n_pop)
-        best = max(best, abs(f1 - f2))
+        best = max(best, distance(d1, d2))
     return Sensitivity(best)
 
 
 def _frame_invariant_sensitivity(instance: AuditInstance,
                                  relation: NeighborRelation) -> Sensitivity:
-    """Weights frozen at the reference frame; datasets are samples plus y values."""
+    """Weights frozen at the reference frame; datasets are samples plus the y
+    values of their distinct units.  A unit drawn more than once (SRSWR)
+    carries its one y value and its weight into every draw."""
     stat = instance.statistic
     samples, probs, weights = _SampleSpaces(instance, instance.design).get(
         instance.frame.y, instance.frame.x)
+    units = [tuple(dict.fromkeys(sample)) for sample in samples]
 
     cap = instance.cap if instance.cap is not None else default_enumeration_cap()
     grid = instance.y_grid
-    total = sum(len(grid) ** len(s) * len(s) * (len(grid) - 1) for s in samples)
+    total = sum(len(grid) ** len(u) * len(u) * (len(grid) - 1) for u in units)
     if total > cap:
         raise EnumerationCapExceeded(total, cap)
 
     best = 0.0
-    for sample, prob in zip(samples, probs):
+    for sample, distinct, prob in zip(samples, units, probs):
         if not sample or prob <= 0.0:
             continue
-        # with-replacement draws contribute one record per distinct unit
-        ws = [weights[p] for p in dict.fromkeys(sample)]
-        for ys in itertools.product(grid, repeat=len(sample)):
-            f1 = _sample_statistic(stat, ys, ws, instance.n_pop)
-            for slot in range(len(ys)):
-                for value in grid:
-                    if value == ys[slot]:
-                        continue
-                    mutated = ys[:slot] + (value,) + ys[slot + 1:]
-                    f2 = _sample_statistic(stat, mutated, ws, instance.n_pop)
-                    best = max(best, abs(f1 - f2))
+        slot = {pos: i for i, pos in enumerate(distinct)}
+        draws = [slot[pos] for pos in sample]
+        ws = [weights[pos] for pos in sample]
+        for ys in itertools.product(grid, repeat=len(distinct)):
+            f1 = _sample_statistic(stat, [ys[i] for i in draws], ws, instance.n_pop)
+            for mutated in _mutations(ys, instance, relation):
+                f2 = _sample_statistic(stat, [mutated[i] for i in draws], ws, instance.n_pop)
+                best = max(best, abs(f1 - f2))
     return Sensitivity(best)
 
 
@@ -482,54 +483,45 @@ def _truth_key(value) -> tuple:
     return ("v", round(value, 12))
 
 
-def _output_distribution(mechanism, instance, relation, dataset, spaces,
-                         categories) -> dict:
+def _truths(statistic: str, instance, relation, dataset, spaces):
+    """(truth key, probability) of every positive-probability sampling
+    outcome of one dataset; the statistic is evaluated once per outcome."""
     ys, xs = _split_y_x(dataset, instance, relation)
     samples, probs, weights = spaces.get(ys, xs)
-    if not _needs_weights(mechanism.statistic):
+    if not _needs_weights(statistic):
         weights = None
-    dist: dict = {}
     for positions, prob in zip(samples, probs):
         if prob <= 0.0:
             continue
-        if positions:
-            truth = _truth_key(_sample_statistic(
-                mechanism.statistic, [ys[p] for p in positions],
-                None if weights is None else [weights[p] for p in positions],
-                instance.n_pop))
-        else:
-            truth = EMPTY_EVENT
+        if not positions:
+            yield EMPTY_EVENT, prob
+            continue
+        yield _truth_key(_sample_statistic(
+            statistic, [ys[p] for p in positions],
+            None if weights is None else [weights[p] for p in positions],
+            instance.n_pop)), prob
+
+
+def _output_distribution(mechanism, instance, relation, dataset, spaces,
+                         categories) -> dict:
+    dist: dict = {}
+    for truth, prob in _truths(mechanism.statistic, instance, relation, dataset, spaces):
         if isinstance(mechanism.base, RandomizedResponse):
             event_probs = mechanism.base.event_probs(truth, categories)
+        elif truth == EMPTY_EVENT:
+            event_probs = {EMPTY_EVENT: 1.0}
         else:
-            if truth == EMPTY_EVENT:
-                event_probs = {EMPTY_EVENT: 1.0}
-            else:
-                event_probs = mechanism.base.event_probs(truth[1])
+            event_probs = mechanism.base.event_probs(truth[1])
         for event, p_event in event_probs.items():
             dist[event] = dist.get(event, 0.0) + prob * p_event
     return dist
 
 
-def _collect_categories(mechanism, instance, relation, datasets, spaces):
+def _collect_categories(statistic, instance, relation, datasets, spaces):
     """Achievable statistic values over every dataset and feasible sample."""
-    categories = set()
-    for dataset in datasets:
-        ys, xs = _split_y_x(dataset, instance, relation)
-        samples, probs, weights = spaces.get(ys, xs)
-        if not _needs_weights(mechanism.statistic):
-            weights = None
-        for positions, prob in zip(samples, probs):
-            if prob <= 0.0:
-                continue
-            if not positions:
-                categories.add(EMPTY_EVENT)
-                continue
-            categories.add(_truth_key(_sample_statistic(
-                mechanism.statistic, [ys[p] for p in positions],
-                None if weights is None else [weights[p] for p in positions],
-                instance.n_pop)))
-    return tuple(sorted(categories))
+    return tuple(sorted({truth for dataset in datasets
+                         for truth, _ in _truths(statistic, instance, relation,
+                                                 dataset, spaces)}))
 
 
 def _pair_epsilon(dist1: dict, dist2: dict):
@@ -547,9 +539,40 @@ def _pair_epsilon(dist1: dict, dist2: dict):
     return best
 
 
+def _worst_pair(pairs, distributions: dict):
+    """(eps, witness) over ordered neighbor pairs of datasets.
+
+    ``distributions`` maps each dataset to its event probabilities.  The
+    witness ``(d1, d2, event)`` is the lexicographically smallest maximizer,
+    so it does not depend on the pair order; an event possible under only
+    one dataset of a pair is an infinite loss.  With no event at all the
+    witness is None.
+    """
+    best_eps, witness = -1.0, None
+    for d1, d2 in pairs:
+        value, event = _pair_epsilon(distributions[d1], distributions[d2])
+        if event is None:
+            continue
+        key = (d1, d2, event)
+        if value > best_eps or (value == best_eps and key < witness):
+            best_eps, witness = value, key
+    return best_eps, witness
+
+
+def _epsilon_report(eps_nominal: float, pairs, distributions: dict,
+                    categories=None) -> EffectiveEpsilonReport:
+    best_eps, witness = _worst_pair(pairs, distributions)
+    if witness is None:
+        return EffectiveEpsilonReport(eps_nominal, 0.0, "ok", None, None,
+                                      len(pairs), categories)
+    d1, d2, event = witness
+    status = "infinite" if math.isinf(best_eps) else "ok"
+    return EffectiveEpsilonReport(eps_nominal, best_eps, status, (d1, d2), event,
+                                  len(pairs), categories)
+
+
 def effective_epsilon(mechanism: SampledReleaseMechanism, instance: AuditInstance,
-                      relation: NeighborRelation, threads: int = 1
-                      ) -> EffectiveEpsilonReport:
+                      relation: NeighborRelation) -> EffectiveEpsilonReport:
     """Exact worst-case privacy loss of the composed mechanism.
 
     Enumerates P(event | dataset) for every dataset reachable from the
@@ -557,68 +580,27 @@ def effective_epsilon(mechanism: SampledReleaseMechanism, instance: AuditInstanc
     pairs and events.  An event possible under one dataset but impossible
     under its neighbor is an infinite loss and is reported as a hard
     failure with the witnessing event, distinct from any numeric overflow.
-    The reported witness is the lexicographically smallest maximizer, so
-    single- and multi-threaded runs return identical results.
+    The reported witness is the lexicographically smallest maximizer, so it
+    does not depend on the order in which pairs are scanned.
     """
     if relation.invariant == "frame" and mechanism.design is not None:
         raise ValueError("sampling inside the mechanism requires frame-level neighbors; "
                          "use invariant 'population' or 'none'")
     pairs = list(neighbors(instance, relation))
-    datasets = []
-    seen = set()
-    for d1, d2 in pairs:
-        for d in (d1, d2):
-            if d not in seen:
-                seen.add(d)
-                datasets.append(d)
+    datasets = dict.fromkeys(d for pair in pairs for d in pair)
 
     spaces = _SampleSpaces(instance, mechanism.design, mechanism.condition_on_unit)
     categories = None
     if isinstance(mechanism.base, RandomizedResponse):
-        categories = _collect_categories(mechanism, instance, relation, datasets, spaces)
+        categories = _collect_categories(mechanism.statistic, instance, relation,
+                                         datasets, spaces)
 
     distributions = {
         dataset: _output_distribution(mechanism, instance, relation, dataset,
                                       spaces, categories)
         for dataset in datasets
     }
-
-    def scan(chunk):
-        best_eps = -1.0
-        witness = None
-        for d1, d2 in chunk:
-            value, event = _pair_epsilon(distributions[d1], distributions[d2])
-            if event is None:
-                continue
-            key = (d1, d2, event)
-            if value > best_eps or (value == best_eps and witness is not None
-                                    and key < witness):
-                best_eps = value
-                witness = key
-        return best_eps, witness
-
-    if threads <= 1 or len(pairs) < 2:
-        best_eps, witness = scan(pairs)
-    else:
-        chunk_size = max(1, math.ceil(len(pairs) / threads))
-        chunks = [pairs[i:i + chunk_size] for i in range(0, len(pairs), chunk_size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, chunks))
-        best_eps, witness = -1.0, None
-        for value, key in results:
-            if key is None:
-                continue
-            if value > best_eps or (value == best_eps and witness is not None
-                                    and key < witness):
-                best_eps, witness = value, key
-
-    if witness is None:
-        return EffectiveEpsilonReport(mechanism.eps_nominal, 0.0, "ok", None, None,
-                                      len(pairs), categories)
-    d1, d2, event = witness
-    status = "infinite" if math.isinf(best_eps) else "ok"
-    return EffectiveEpsilonReport(mechanism.eps_nominal, best_eps, status,
-                                  (d1, d2), event, len(pairs), categories)
+    return _epsilon_report(mechanism.eps_nominal, pairs, distributions, categories)
 
 
 def reevaluate_witness(mechanism: SampledReleaseMechanism, instance: AuditInstance,
@@ -652,7 +634,7 @@ def design_label(design: Design) -> str:
 
 def amplification_sweep(designs, eps_values, frame: Frame, *, statistic: str = "max",
                         y_grid=(0.0, 1.0), relation: NeighborRelation | None = None,
-                        n_pop: int | None = None, threads: int = 1,
+                        n_pop: int | None = None,
                         base_datasets=None, cap: int | None = None) -> list[dict]:
     """Effective epsilon for every design x epsilon cell; errors stay in-table.
 
@@ -675,7 +657,7 @@ def amplification_sweep(designs, eps_values, frame: Frame, *, statistic: str = "
                     base_datasets=base_datasets, cap=cap)
                 mechanism = SampledReleaseMechanism(
                     statistic=statistic, base=RandomizedResponse(float(eps)), design=design)
-                report = effective_epsilon(mechanism, instance, relation, threads=threads)
+                report = effective_epsilon(mechanism, instance, relation)
                 row["eps_effective"] = report.eps_effective
                 row["status"] = report.status
             except (EnumerationCapExceeded, ValueError) as err:
@@ -685,17 +667,23 @@ def amplification_sweep(designs, eps_values, frame: Frame, *, statistic: str = "
 
 
 def write_sweep_csv(rows, target) -> str:
-    """Serialize sweep rows as CSV (design,epsilon,rate_or_maxpi,eps_effective,status)."""
-    lines = ["design,epsilon,rate_or_maxpi,eps_effective,status"]
+    """Serialize sweep rows as CSV (design,epsilon,rate_or_maxpi,eps_effective,status).
+
+    Fields are quoted where needed: design labels and error messages can
+    contain commas.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["design", "epsilon", "rate_or_maxpi", "eps_effective", "status"])
     for row in rows:
-        lines.append(",".join([
-            str(row["design"]),
+        writer.writerow([
+            row["design"],
             repr(float(row["epsilon"])),
             "" if row["rate_or_maxpi"] == "" else repr(float(row["rate_or_maxpi"])),
             "" if row["eps_effective"] == "" else repr(float(row["eps_effective"])),
-            str(row["status"]).replace(",", ";"),
-        ]))
-    text = "\n".join(lines) + "\n"
+            row["status"],
+        ])
+    text = buffer.getvalue()
     if target is not None:
         if hasattr(target, "write"):
             target.write(text)
@@ -714,27 +702,23 @@ def hot_deck_mean_sensitivity(n_records: int, n_missing: int, y_grid) -> Sensiti
 
     The donor assignment is enumerated alongside the neighbor pairs and held
     fixed across each pair (the coupling an attacker faces when donors are
-    realized).  With a single donor serving every missing record, replacing
-    that donor moves its own slot plus all copies: (1 + n_missing) / n * R.
+    realized): each assignment is a flat weighted mean whose weights are the
+    donors' multiplicities.  With a single donor serving every missing
+    record, replacing that donor moves its own slot plus all copies:
+    (1 + n_missing) / n * R.
     """
     if n_missing < 0 or n_records < 1 or n_missing >= n_records:
         raise ValueError("need 0 <= n_missing < n_records with n_records >= 1")
-    grid = tuple(float(v) for v in y_grid)
     n_observed = n_records - n_missing
+    relation = NeighborRelation("none", "y-only")
     best = 0.0
-    assignments = itertools.product(range(n_observed), repeat=n_missing)
-    for assignment in assignments:
+    for assignment in itertools.product(range(n_observed), repeat=n_missing):
         multiplicity = [1] * n_observed
         for donor in assignment:
             multiplicity[donor] += 1
-        for base in itertools.product(grid, repeat=n_observed):
-            f1 = math.fsum(m * y for m, y in zip(multiplicity, base)) / n_records
-            for slot in range(n_observed):
-                for value in grid:
-                    if value == base[slot]:
-                        continue
-                    f2 = f1 + multiplicity[slot] * (value - base[slot]) / n_records
-                    best = max(best, abs(f1 - f2))
+        instance = AuditInstance(name="hot-deck", statistic="ht_mean", y_grid=y_grid,
+                                 weights=multiplicity, n_pop=n_records)
+        best = max(best, exact_sensitivity(instance, relation).delta_f)
     return Sensitivity(best)
 
 
@@ -777,27 +761,9 @@ def imputation_composition_epsilon(eps1, eps2, *, y_grid=(0.0, 1.0), n_records: 
                 dist[(cell1, cell2)] = dist.get((cell1, cell2), 0.0) + p1 * p2
         return dist
 
-    best = -1.0
-    witness = None
-    bases = list(itertools.product(grid, repeat=n_observed))
-    dists = {base: joint_distribution(base) for base in bases}
-    n_pairs = 0
-    for base in bases:
-        for slot in range(n_observed):
-            for value in grid:
-                if value == base[slot]:
-                    continue
-                other = base[:slot] + (value,) + base[slot + 1:]
-                n_pairs += 1
-                value_eps, event = _pair_epsilon(dists[base], dists[other])
-                if event is None:
-                    continue
-                key = (base, other, event)
-                if value_eps > best or (value_eps == best and witness and key < witness):
-                    best = value_eps
-                    witness = key
-    status = "infinite" if math.isinf(best) else "ok"
-    if witness is None:
-        return EffectiveEpsilonReport(eps1 + eps2, 0.0, "ok", None, None, n_pairs)
-    d1, d2, event = witness
-    return EffectiveEpsilonReport(eps1 + eps2, best, status, (d1, d2), event, n_pairs)
+    instance = AuditInstance(name="imputation-composition", statistic="mean",
+                             y_grid=grid, size=n_observed)
+    pairs = list(neighbors(instance, NeighborRelation("none", "y-only")))
+    datasets = dict.fromkeys(d for pair in pairs for d in pair)
+    distributions = {dataset: joint_distribution(dataset) for dataset in datasets}
+    return _epsilon_report(eps1 + eps2, pairs, distributions)

@@ -127,8 +127,7 @@ def _cmd_audit_amplification(args) -> int:
         raise ValueError("--rate is required for the poisson design")
     frame = load_frame_csv(args.frame) if args.frame else four_unit_frame()
     design = _DESIGN_BUILDERS[args.design](args)
-    rows = amplification_sweep([design], args.eps, frame,
-                               statistic=args.statistic, threads=args.threads)
+    rows = amplification_sweep([design], args.eps, frame, statistic=args.statistic)
     _write_text(write_sweep_csv(rows, None), args.out)
     return 0
 
@@ -191,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     amp.add_argument("--statistic", default="max",
                      choices=["max", "mean", "proportion", "total"])
     amp.add_argument("--frame", default=None, help="frame CSV (default: bundled 4-unit)")
-    amp.add_argument("--threads", type=int, default=1)
     amp.add_argument("--seed", type=int, default=None)
     amp.add_argument("--out", default=None)
     amp.set_defaults(func=_cmd_audit_amplification)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -566,6 +567,9 @@ def _resolve_sensitivity(config: PipelineConfig, spec: ReleaseSpec,
     if spec.statistic in ("mean", "proportion"):
         n_resp = processed.size
         delta = 1.0 / n_resp if spec.statistic == "proportion" else value_range / n_resp
+        if config.mechanism_start == "responding-sample":
+            # a unit drawn more than once (SRSWR) fills one row per draw with its y
+            delta *= max(Counter(processed.ids).values())
         return delta, "analytic-equal-weights"
     # weighted statistics
     if config.invariant != "frame":
@@ -573,7 +577,10 @@ def _resolve_sensitivity(config: PipelineConfig, spec: ReleaseSpec,
             f"refusing to release {spec.statistic!r}: weights are data under the "
             f"{config.invariant!r} invariant and no audited sensitivity was "
             f"supplied; {hint}")
-    w_max = max(_frame_weight_max(config, frame), max(processed.w))
+    unit_weight = Counter()
+    for unit, w in zip(processed.ids, processed.w):
+        unit_weight[unit] += w
+    w_max = max(_frame_weight_max(config, frame), max(unit_weight.values()))
     if spec.statistic == "ht_mean":
         return w_max * value_range / frame.n, "analytic-fixed-weights"
     return w_max * value_range, "analytic-fixed-weights"

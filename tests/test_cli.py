@@ -1,9 +1,14 @@
+import csv
+import io
 import json
 
 import pytest
 
+from dpsurvey.audit import amplification_sweep
 from dpsurvey.cli import main
+from dpsurvey.designs import Systematic
 from dpsurvey.frames import dump_frame_csv, make_frame
+from dpsurvey.instances import four_unit_frame
 
 
 @pytest.fixture
@@ -150,13 +155,26 @@ def test_audit_amplification_poisson(tmp_path):
     assert fields[4] == "ok"
 
 
-def test_audit_amplification_threads_match(tmp_path):
+def test_audit_amplification_is_reproducible(tmp_path):
     out1 = tmp_path / "a1.csv"
-    out4 = tmp_path / "a4.csv"
+    out2 = tmp_path / "a2.csv"
     args = ["audit-amplification", "--design", "srswor", "-n", "2", "--eps", "0.1"]
-    assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
-    assert main(args + ["--threads", "4", "--out", str(out4)]) == 0
-    assert out1.read_bytes() == out4.read_bytes()
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_audit_amplification_quotes_design_labels(tmp_path):
+    # the systematic label contains commas; the CSV must still have 5 fields
+    out = tmp_path / "amp.csv"
+    assert main(["audit-amplification", "--design", "systematic", "-n", "2",
+                 "--eps", "0.1", "--out", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert all(len(row) == 5 for row in rows)
+    header, row = rows
+    assert row[0] == "systematic[n=2,ordering=frame]"
+    expected = amplification_sweep([Systematic(2, "frame")], [0.1], four_unit_frame())
+    assert float(row[3]) == expected[0]["eps_effective"]
 
 
 def test_audit_amplification_requires_rate_for_poisson(capsys):

@@ -383,3 +383,23 @@ def test_y_outside_universe_rejected(tmp_path):
     with pytest.raises(PipelineStageError) as excinfo:
         run_pipeline(config)
     assert excinfo.value.stage == "load-frame"
+
+
+def test_repeated_draws_of_one_unit_scale_the_closed_form(tmp_path):
+    # SRSWR(2) on three units draws unit 2 twice for seed 1: one record's
+    # change moves both of its rows, so the fixed-weight bound is the unit's
+    # summed weight (2 * 1.8 * R / N) and the mean bound doubles
+    frame = make_frame([0.0, 1.0, 0.0])
+    path = tmp_path / "frame.csv"
+    dump_frame_csv(frame, path)
+    from dpsurvey.designs import SRSWR, draw
+
+    assert draw(SRSWR(2), frame, np.random.default_rng(1)).ids == (2, 2)
+    text = minimal_config(str(path), design={"kind": "srswr", "n": 2},
+                          response={"model": "full"},
+                          releases=[{"statistic": "ht_mean", "epsilon": 0.5},
+                                    {"statistic": "mean", "epsilon": 0.5}])
+    report = run_pipeline(parse_config(text), seed=1)
+    ht, mean = report.releases
+    assert abs(ht["delta_f"] - 1.2) <= 1e-12
+    assert abs(mean["delta_f"] - 1.0) <= 1e-12
