@@ -271,11 +271,10 @@ class _SampleSpaces:
         frame = _frame_for(self.instance, ys, xs)
         pi = inclusion_probs(self.design, frame)
         space = sample_space(self.design, frame, cap=self.instance.cap)
-        id_to_pos = {record.id: pos for pos, record in enumerate(frame.records)}
-        positions = [tuple(id_to_pos[u] for u in sample) for sample, _ in space]
+        positions = [tuple(frame.positions(sample)) for sample, _ in space]
         probs = [p for _, p in space]
         if self.condition_on_unit is not None:
-            target = id_to_pos[self.condition_on_unit]
+            (target,) = frame.positions([self.condition_on_unit])
             kept = [i for i, pos in enumerate(positions) if target in pos]
             mass = math.fsum(probs[i] for i in kept)
             if mass <= 0.0:
@@ -711,6 +710,12 @@ def hot_deck_mean_sensitivity(n_records: int, n_missing: int, y_grid) -> Sensiti
         raise ValueError("need 0 <= n_missing < n_records with n_records >= 1")
     n_observed = n_records - n_missing
     relation = NeighborRelation("none", "y-only")
+    # every donor assignment enumerates the same pairs; cap their total first
+    pairs = _pair_count(AuditInstance(name="hot-deck", statistic="ht_mean", y_grid=y_grid,
+                                      size=n_observed, n_pop=n_records), relation)
+    total, cap = n_observed ** n_missing * pairs, default_enumeration_cap()
+    if total > cap:
+        raise EnumerationCapExceeded(total, cap)
     best = 0.0
     for assignment in itertools.product(range(n_observed), repeat=n_missing):
         multiplicity = [1] * n_observed

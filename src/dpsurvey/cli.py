@@ -79,19 +79,19 @@ def _cmd_impute(args) -> int:
         raise ValueError("a seed is required (--seed or config.seed)")
     rng = np.random.default_rng(int(seed))
     universe = config.universe
-    data = np.array([[record.y] for record in frame.records])
+    data = np.array(frame.y_array).reshape(-1, 1)
     params = fit_dp_mean_model(data, [(universe.y_min, universe.y_max)],
                                config.imputation_epsilon, rng,
                                complete_cases=config.imputation_complete_cases)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["id", "y", "imputed"])
-    for record, row in zip(frame.records, data):
-        if record.y_missing:
-            filled = impute_parametric(row, params, record_rng(int(seed), record.id))
-            writer.writerow([record.id, repr(float(filled[0])), 1])
+    for unit, y, row in zip(frame.ids, frame.y, data):
+        if np.isnan(y):
+            filled = impute_parametric(row, params, record_rng(int(seed), unit))
+            writer.writerow([unit, repr(float(filled[0])), 1])
         else:
-            writer.writerow([record.id, repr(record.y), 0])
+            writer.writerow([unit, repr(y), 0])
     _write_text(buffer.getvalue(), args.out)
     return 0
 

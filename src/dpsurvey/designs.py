@@ -37,6 +37,7 @@ __all__ = [
     "WeightedSample",
     "EnumerationCapExceeded",
     "CertaintyUnitError",
+    "PPSCalibrationError",
     "default_enumeration_cap",
     "inclusion_probs",
     "design_weights",
@@ -69,6 +70,14 @@ class EnumerationCapExceeded(Exception):
         self.count = count
         self.cap = cap
         super().__init__(f"intractable enumeration: {count} outcomes exceed cap {cap}")
+
+
+class PPSCalibrationError(RuntimeError):
+    """Conditional-Poisson calibration failed; ``residual`` is the last max error."""
+
+    def __init__(self, reason: str, residual: float):
+        self.residual = residual
+        super().__init__(f"conditional Poisson calibration {reason} (residual {residual:.3e})")
 
 
 class CertaintyUnitError(ValueError):
@@ -320,11 +329,12 @@ class PPS(Design):
 
     def pi(self, frame):
         _validate_fixed_size(self.n, frame.n, "PPS")
-        x = np.asarray(frame.x, dtype=float)
+        x = frame.x_array
         pi = self.n * x / math.fsum(x)
-        for record, value in zip(frame.records, pi):
-            if value > 1.0 + 1e-12:
-                raise CertaintyUnitError(record.id, float(value))
+        over = pi > 1.0 + 1e-12
+        if over.any():
+            i = int(np.argmax(over))
+            raise CertaintyUnitError(int(frame.id_array[i]), float(pi[i]))
         return np.minimum(pi, 1.0)
 
     def _split(self, frame: Frame):
@@ -428,10 +438,6 @@ class Systematic(Design):
         return [(sample, float(prob)) for sample, prob in sorted(collected.items())]
 
 
-def _sub_frame(frame: Frame, positions) -> Frame:
-    return Frame(tuple(frame.records[p] for p in positions))
-
-
 @dataclass(frozen=True)
 class TwoStageDesign(Design):
     """Cluster first stage with an independent design inside each cluster."""
@@ -446,13 +452,13 @@ class TwoStageDesign(Design):
     def pi(self, frame):
         pi = inclusion_probs(self.outer, frame)
         for members in frame.clusters().values():
-            pi[list(members)] *= inclusion_probs(self.inner, _sub_frame(frame, members))
+            pi[list(members)] *= inclusion_probs(self.inner, frame.select(members))
         return pi
 
     def draw(self, frame, rng):
         positions: list[int] = []
         for members in self.outer.pick(frame, rng):
-            inner_positions = self.inner.draw(_sub_frame(frame, members), rng)
+            inner_positions = self.inner.draw(frame.select(members), rng)
             positions.extend(members[p] for p in inner_positions)
         return sorted(positions)
 
@@ -461,7 +467,7 @@ class TwoStageDesign(Design):
         # elementary symmetric polynomial of the per-cluster counts
         counts = [1] + [0] * self.outer.m
         for members in frame.clusters().values():
-            inner = self.inner.space_size(_sub_frame(frame, members))
+            inner = self.inner.space_size(frame.select(members))
             for k in range(self.outer.m, 0, -1):
                 counts[k] += inner * counts[k - 1]
         return counts[self.outer.m]
@@ -472,7 +478,7 @@ class TwoStageDesign(Design):
         outer_prob = 1.0 / math.comb(len(frame.clusters()), self.outer.m)
         outcomes = []
         for combo in itertools.combinations(frame.clusters().values(), self.outer.m):
-            stages = [self.inner.space(_sub_frame(frame, members)) for members in combo]
+            stages = [self.inner.space(frame.select(members)) for members in combo]
             for picks in itertools.product(*stages):
                 prob = outer_prob
                 for _, inner_prob in picks:
@@ -516,7 +522,7 @@ def allocate_strata(allocation: str, frame: Frame, n: int) -> dict[str, int]:
     elif allocation == "neyman":
         weights = {}
         for label, positions in strata.items():
-            ys = [frame.records[p].y for p in positions]
+            ys = frame.y_array[list(positions)].tolist()
             if any(math.isnan(v) for v in ys):
                 raise ValueError(f"stratum {label!r}: Neyman allocation needs observed y")
             mean = math.fsum(ys) / len(ys)
@@ -560,12 +566,11 @@ def allocate_strata(allocation: str, frame: Frame, n: int) -> dict[str, int]:
 
 def build_sample(frame: Frame, positions, pi: np.ndarray) -> WeightedSample:
     """Assemble a WeightedSample for the given frame positions (repeats allowed)."""
-    positions = list(positions)
-    ids = tuple(frame.records[p].id for p in positions)
-    pis = tuple(float(pi[p]) for p in positions)
-    ws = tuple(1.0 / float(pi[p]) for p in positions)
-    ys = tuple(frame.records[p].y for p in positions)
-    return WeightedSample(ids, pis, ws, ys)
+    positions = np.asarray(positions, dtype=np.intp)
+    pis = np.asarray(pi, dtype=float)[positions]
+    return WeightedSample(tuple(frame.id_array[positions].tolist()), tuple(pis.tolist()),
+                          tuple((1.0 / pis).tolist()),
+                          tuple(frame.y_array[positions].tolist()))
 
 
 def draw(design: Design, frame: Frame, rng: np.random.Generator) -> WeightedSample:
@@ -605,13 +610,16 @@ def _cps_calibrate(target_pi: np.ndarray, n: int, tol: float = 1e-14) -> np.ndar
     """Find working odds whose conditional-on-size-n marginals match target_pi."""
     target = np.asarray(target_pi, dtype=float)
     odds = target / (1.0 - target)
-    for _ in range(10_000):
+    for iteration in range(10_000):
         current = _cps_inclusion(odds, n)
-        error = np.max(np.abs(current - target))
+        error = float(np.max(np.abs(current - target)))
+        if not math.isfinite(error):
+            # the elementary symmetric polynomials overflowed; more iterations cannot help
+            raise PPSCalibrationError(f"overflowed at iteration {iteration}", error)
         if error < tol:
             return odds
         odds = odds * (target / current)
-    raise RuntimeError(f"conditional Poisson calibration did not converge (error {error:.3e})")
+    raise PPSCalibrationError("did not converge", error)
 
 
 @functools.lru_cache(maxsize=256)

@@ -1,18 +1,28 @@
 """Sampling frames: the register of units a sample is drawn from.
 
-A frame is an ordered list of records (ordering matters for systematic
-sampling).  Each record carries a response value ``y`` (NaN when missing),
-a positive size measure ``x``, stratum and cluster labels, and a response
-propensity.  Frames round-trip through CSV with the fixed header
-``id,y,x,stratum,cluster,propensity``.
+A frame holds its units as columns in frame order (ordering matters for
+systematic sampling): read-only numpy arrays of ids, response values ``y``
+(NaN when missing), positive size measures ``x`` and response propensities,
+plus stratum and cluster labels.  An id -> position index is built once, so
+``positions`` and ``record_by_id`` cost O(1) per id.  A frame is immutable;
+its stratum and cluster groupings and the tuple views ``ids``/``y``/``x``
+are computed once, on first use.  Frames round-trip through CSV with the
+fixed header ``id,y,x,stratum,cluster,propensity``; loading reads the file
+in one pass into columns and checks whole columns at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
-from dataclasses import dataclass, field
+import sys
+from array import array
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 __all__ = [
     "FrameRecord",
@@ -36,86 +46,126 @@ class FrameRecord:
     propensity: float = 1.0
 
     def __post_init__(self):
-        if not (self.x > 0 and math.isfinite(self.x)):
-            raise ValueError(f"record {self.id}: size measure x must be positive, got {self.x!r}")
-        if not (0.0 < self.propensity <= 1.0):
-            raise ValueError(
-                f"record {self.id}: propensity must be in (0, 1], got {self.propensity!r}")
-        if not (math.isfinite(self.y) or math.isnan(self.y)):
-            raise ValueError(f"record {self.id}: y must be finite or NaN (missing), got {self.y!r}")
+        fault = _first_fault(np.array([self.y]), np.array([self.x]), np.array([self.propensity]))
+        if fault is not None:
+            raise ValueError(f"record {self.id}: {fault[1]}")
 
     @property
     def y_missing(self) -> bool:
         return math.isnan(self.y)
 
 
-@dataclass(frozen=True)
+def _first_fault(y: np.ndarray, x: np.ndarray, propensity: np.ndarray):
+    """(position, message) of the first record with an invalid field, or None."""
+    bad_x = ~((x > 0) & np.isfinite(x))
+    bad_p = ~((propensity > 0.0) & (propensity <= 1.0))
+    bad = bad_x | bad_p | np.isinf(y)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if bad_x[i]:
+        return i, f"size measure x must be positive, got {x[i].item()!r}"
+    if bad_p[i]:
+        return i, f"propensity must be in (0, 1], got {propensity[i].item()!r}"
+    return i, f"y must be finite or NaN (missing), got {y[i].item()!r}"
+
+
+def _column(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _group(labels) -> dict[str, tuple[int, ...]]:
+    groups: dict[str, list[int]] = {}
+    for position, label in enumerate(labels):
+        groups.setdefault(label, []).append(position)
+    return {label: tuple(groups[label]) for label in sorted(groups)}
+
+
 class Frame:
-    """Ordered register of units with unique ids."""
+    """Ordered register of units with unique ids, held as read-only columns.
 
-    records: tuple[FrameRecord, ...]
+    A column left out takes its default: y missing, x and propensity 1,
+    stratum and cluster "0".  ``lines`` (a CSV line number per unit) only
+    locates errors.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        if not self.records:
+    def __init__(self, ids, y=None, x=None, strata=None, clusters=None, propensity=None,
+                 *, lines=None):
+        self.id_array = _column(ids, np.int64)
+        n = len(self.id_array)
+        if n == 0:
             raise ValueError("frame must contain at least one record")
-        ids = [record.id for record in self.records]
-        if len(set(ids)) != len(ids):
-            raise ValueError("frame record ids must be unique")
+        self.y_array = _column(np.full(n, math.nan) if y is None else y, float)
+        self.x_array = _column(np.ones(n) if x is None else x, float)
+        self.propensity_array = _column(np.ones(n) if propensity is None else propensity, float)
+        self.stratum_labels = ("0",) * n if strata is None else tuple(map(str, strata))
+        self.cluster_labels = ("0",) * n if clusters is None else tuple(map(str, clusters))
+        if {len(self.y_array), len(self.x_array), len(self.propensity_array),
+                len(self.stratum_labels), len(self.cluster_labels)} != {n}:
+            raise ValueError("all frame columns must have the same length")
+        self._index = dict(zip(self.id_array.tolist(), range(n)))
+        fault = _first_fault(self.y_array, self.x_array, self.propensity_array)
+        if fault is None and len(self._index) != n:
+            _, first = np.unique(self.id_array, return_index=True)
+            fault = int(np.setdiff1d(np.arange(n), first)[0]), "frame record ids must be unique"
+        if fault is not None:
+            where = "" if lines is None else f"frame CSV line {lines[fault[0]]}: "
+            raise ValueError(f"{where}record {self.id_array[fault[0]]}: {fault[1]}")
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.id_array)
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(record.id for record in self.records)
+    # tuple views of the columns, built once
+    ids = cached_property(lambda self: tuple(self.id_array.tolist()))
+    y = cached_property(lambda self: tuple(self.y_array.tolist()))
+    x = cached_property(lambda self: tuple(self.x_array.tolist()))
+    records = cached_property(lambda self: tuple(map(
+        FrameRecord, self.ids, self.y, self.x, self.stratum_labels, self.cluster_labels,
+        self.propensity_array.tolist())))
 
-    @property
-    def y(self) -> tuple[float, ...]:
-        return tuple(record.y for record in self.records)
-
-    @property
-    def x(self) -> tuple[float, ...]:
-        return tuple(record.x for record in self.records)
+    def positions(self, unit_ids) -> list[int]:
+        """Frame positions of the given ids, in the given order."""
+        try:
+            return [self._index[unit] for unit in unit_ids]
+        except KeyError as err:
+            raise KeyError(f"no record with id {err.args[0]} in frame") from None
 
     def record_by_id(self, unit_id: int) -> FrameRecord:
-        for record in self.records:
-            if record.id == unit_id:
-                return record
-        raise KeyError(f"no record with id {unit_id} in frame")
+        (p,) = self.positions([unit_id])
+        return FrameRecord(self.id_array[p].item(), self.y_array[p].item(),
+                           self.x_array[p].item(), self.stratum_labels[p],
+                           self.cluster_labels[p], self.propensity_array[p].item())
+
+    _strata = cached_property(lambda self: _group(self.stratum_labels))
+    _clusters = cached_property(lambda self: _group(self.cluster_labels))
 
     def strata(self) -> dict[str, tuple[int, ...]]:
         """Stratum label -> frame positions, labels in sorted order."""
-        groups: dict[str, list[int]] = {}
-        for position, record in enumerate(self.records):
-            groups.setdefault(record.stratum, []).append(position)
-        return {label: tuple(groups[label]) for label in sorted(groups)}
+        return dict(self._strata)
 
     def clusters(self) -> dict[str, tuple[int, ...]]:
         """Cluster label -> frame positions, labels in sorted order."""
-        groups: dict[str, list[int]] = {}
-        for position, record in enumerate(self.records):
-            groups.setdefault(record.cluster, []).append(position)
-        return {label: tuple(groups[label]) for label in sorted(groups)}
+        return dict(self._clusters)
+
+    def select(self, positions) -> "Frame":
+        """The sub-frame of the records at the given positions, in that order."""
+        positions = list(positions)
+        return Frame(self.id_array[positions], self.y_array[positions], self.x_array[positions],
+                     [self.stratum_labels[p] for p in positions],
+                     [self.cluster_labels[p] for p in positions], self.propensity_array[positions])
 
     def with_y(self, values) -> "Frame":
         """Copy of the frame with y replaced position-wise."""
-        values = tuple(float(v) for v in values)
-        if len(values) != self.n:
-            raise ValueError(f"expected {self.n} y values, got {len(values)}")
-        return Frame(tuple(
-            FrameRecord(r.id, v, r.x, r.stratum, r.cluster, r.propensity)
-            for r, v in zip(self.records, values)))
+        return Frame(self.id_array, list(map(float, values)), self.x_array,
+                     self.stratum_labels, self.cluster_labels, self.propensity_array)
 
     def with_x(self, values) -> "Frame":
         """Copy of the frame with x replaced position-wise."""
-        values = tuple(float(v) for v in values)
-        if len(values) != self.n:
-            raise ValueError(f"expected {self.n} x values, got {len(values)}")
-        return Frame(tuple(
-            FrameRecord(r.id, r.y, v, r.stratum, r.cluster, r.propensity)
-            for r, v in zip(self.records, values)))
+        return Frame(self.id_array, self.y_array, list(map(float, values)),
+                     self.stratum_labels, self.cluster_labels, self.propensity_array)
 
 
 @dataclass(frozen=True)
@@ -141,9 +191,6 @@ class ValueUniverse:
     def value_range(self) -> float:
         return self.y_max - self.y_min
 
-    def contains_y(self, value: float) -> bool:
-        return self.y_min <= value <= self.y_max
-
     def clamp_y(self, value: float) -> float:
         return min(self.y_max, max(self.y_min, value))
 
@@ -151,17 +198,8 @@ class ValueUniverse:
 def make_frame(ys, xs=None, strata=None, clusters=None, propensities=None, ids=None) -> Frame:
     """Build a frame from parallel sequences, filling defaults."""
     ys = list(ys)
-    n = len(ys)
-    xs = [1.0] * n if xs is None else list(xs)
-    strata = ["0"] * n if strata is None else [str(s) for s in strata]
-    clusters = ["0"] * n if clusters is None else [str(c) for c in clusters]
-    propensities = [1.0] * n if propensities is None else list(propensities)
-    ids = list(range(1, n + 1)) if ids is None else list(ids)
-    if not (len(xs) == len(strata) == len(clusters) == len(propensities) == len(ids) == n):
-        raise ValueError("all frame columns must have the same length")
-    return Frame(tuple(
-        FrameRecord(int(i), float(y), float(x), s, c, float(p))
-        for i, y, x, s, c, p in zip(ids, ys, xs, strata, clusters, propensities)))
+    return Frame(range(1, len(ys) + 1) if ids is None else list(ids), ys, xs, strata, clusters,
+                 propensities)
 
 
 def load_frame_csv(source) -> Frame:
@@ -172,24 +210,44 @@ def load_frame_csv(source) -> Frame:
         return _parse_frame(handle)
 
 
+# Cell parser per CSV column; a frame has few distinct labels, so each is
+# interned once.
+_PARSERS = (int, lambda cell: float(cell) if cell.strip() else math.nan, float,
+            lambda cell: sys.intern(cell.strip()), lambda cell: sys.intern(cell.strip()), float)
+# Rows are parsed in chunks, so the CSV strings of at most this many rows are
+# alive at once.
+_CHUNK_ROWS = 8192
+
+
 def _parse_frame(handle) -> Frame:
     reader = csv.reader(handle)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("frame CSV is empty") from None
+    header = next(reader, [])
     if [h.strip() for h in header] != CSV_HEADER:
         raise ValueError(f"frame CSV header must be {','.join(CSV_HEADER)!r}, got {header!r}")
-    records = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise ValueError(f"frame CSV line {line_no}: expected {len(CSV_HEADER)} fields")
-        id_s, y_s, x_s, stratum, cluster, prop_s = (cell.strip() for cell in row)
-        y = float("nan") if y_s == "" else float(y_s)
-        records.append(FrameRecord(int(id_s), y, float(x_s), stratum, cluster, float(prop_s)))
-    return Frame(tuple(records))
+    # typed arrays hold 8 bytes per number, not a Python object
+    lines = array("q")
+    columns = [array("q"), array("d"), array("d"), [], [], array("d")]
+    line_no = 2
+    while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+        kept = [(n, row) for n, row in enumerate(rows, start=line_no) if "".join(row).strip()]
+        line_no += len(rows)
+        short = next((n for n, row in kept if len(row) != len(CSV_HEADER)), None)
+        if short is not None:
+            raise ValueError(f"frame CSV line {short}: expected {len(CSV_HEADER)} fields")
+        lines.extend(n for n, _ in kept)
+        for k, (name, parse, column) in enumerate(zip(CSV_HEADER, _PARSERS, columns)):
+            cells = [row[k] for _, row in kept]
+            try:
+                column.extend(map(parse, cells))
+            except ValueError:
+                for (n, _), cell in zip(kept, cells):
+                    try:
+                        parse(cell)
+                    except ValueError:
+                        raise ValueError(
+                            f"frame CSV line {n}: cannot parse {name} {cell!r}") from None
+                raise
+    return Frame(*columns, lines=lines)
 
 
 def dump_frame_csv(frame: Frame, target=None) -> str:
@@ -197,10 +255,11 @@ def dump_frame_csv(frame: Frame, target=None) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for record in frame.records:
-        y_cell = "" if record.y_missing else repr(record.y)
-        writer.writerow([record.id, y_cell, repr(record.x),
-                         record.stratum, record.cluster, repr(record.propensity)])
+    for unit, y, x, stratum, cluster, propensity in zip(
+            frame.ids, frame.y, frame.x, frame.stratum_labels, frame.cluster_labels,
+            frame.propensity_array.tolist()):
+        writer.writerow([unit, "" if math.isnan(y) else repr(y), repr(x),
+                         stratum, cluster, repr(propensity)])
     text = buffer.getvalue()
     if target is not None:
         if hasattr(target, "write"):

@@ -455,11 +455,10 @@ def _simulate_response(config: PipelineConfig, sample: WeightedSample, frame: Fr
                        rng: np.random.Generator):
     if config.response_model == "full":
         return [True] * sample.size
-    flags = []
-    for unit in sample.ids:
-        record = frame.record_by_id(unit)
-        flags.append(bool(rng.random() < record.propensity))
-    return flags
+    # one uniform per sampled unit, in sample order: the same stream as a
+    # scalar rng.random() per unit
+    propensity = frame.propensity_array[frame.positions(sample.ids)]
+    return (rng.random(sample.size) < propensity).tolist()
 
 
 def _respondent_sample(sample: WeightedSample, flags) -> WeightedSample:
@@ -524,8 +523,8 @@ def _impute_stage(config: PipelineConfig, respondents: WeightedSample, frame: Fr
         return respondents.with_y(new_y)
 
     # dp_regression: predict y from the frame's size measure x
-    xs = [frame.record_by_id(unit).x for unit in respondents.ids]
-    data = np.array([[x, v] for x, v in zip(xs, respondents.y)])
+    xs = frame.x_array[frame.positions(respondents.ids)]
+    data = np.column_stack([xs, respondents.y])
     x_bounds = (min(universe.x_values), max(universe.x_values))
     params = fit_dp_regression(
         data, predictors=(0,), target=1,
@@ -642,13 +641,14 @@ def run_pipeline(config: PipelineConfig, seed: int | None = None) -> RunReport:
         frame = load_frame_csv(config.frame_path)
     except OSError as err:
         raise PipelineStageError("load-frame", err) from err
-    for record in frame.records:
-        if not record.y_missing and not config.universe.contains_y(record.y):
-            raise PipelineStageError(
-                "load-frame",
-                ValueError(f"record {record.id}: y={record.y} outside the "
-                           f"declared universe [{config.universe.y_min}, "
-                           f"{config.universe.y_max}]"))
+    universe = config.universe
+    outside = (frame.y_array < universe.y_min) | (frame.y_array > universe.y_max)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise PipelineStageError(
+            "load-frame",
+            ValueError(f"record {frame.id_array[i]}: y={frame.y_array[i].item()} outside "
+                       f"the declared universe [{universe.y_min}, {universe.y_max}]"))
 
     inside_from = {"frame": "sample", "responding-sample": "adjust",
                    "processed-data": "release"}[config.mechanism_start]

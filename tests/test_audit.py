@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from dpsurvey.designs import (
     EnumerationCapExceeded,
     Poisson,
     Systematic,
+    default_enumeration_cap,
 )
 from dpsurvey.frames import make_frame
 from dpsurvey.instances import (
@@ -338,6 +340,19 @@ def test_sweep_csv_shape():
 
 def test_hot_deck_sensitivity_grows_linearly_with_missing_count():
     for k in (0, 1, 2):
+        sens = hot_deck_mean_sensitivity(4, k, (0.0, 1.0))
+        assert sens.delta_f == pytest.approx((1 + k) / 4, abs=1e-12)
+
+
+def test_hot_deck_total_enumeration_is_capped_before_it_starts():
+    # 6^6 donor assignments x (2^6 * 6) pairs each is about 18M pairs
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapExceeded) as excinfo:
+        hot_deck_mean_sensitivity(12, 6, (0, 1))
+    assert time.perf_counter() - start < 5.0
+    assert excinfo.value.count == 6 ** 6 * 2 ** 6 * 6
+    assert excinfo.value.cap == default_enumeration_cap()
+    for k in (0, 1, 2, 3):
         sens = hot_deck_mean_sensitivity(4, k, (0.0, 1.0))
         assert sens.delta_f == pytest.approx((1 + k) / 4, abs=1e-12)
 

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from dpsurvey.designs import (
     CertaintyUnitError,
     ClusterSRSWOR,
     EnumerationCapExceeded,
+    PPSCalibrationError,
     Poisson,
     StratifiedSRSWOR,
     Systematic,
@@ -306,6 +308,20 @@ def test_pps_certainty_unit_always_drawn():
     assert all(1 in sample for sample, _ in space)
     for seed in range(10):
         assert 1 in draw(PPS(2), frame, np.random.default_rng(seed)).ids
+
+
+def test_pps_calibration_overflow_fails_fast_with_a_typed_error():
+    # e_550 of 1100 unit odds overflows a double; the calibration must stop at
+    # the first non-finite iterate instead of iterating on NaN
+    frame = make_frame([0.0] * 1100)
+    assert np.all(np.isfinite(inclusion_probs(PPS(550), frame)))
+    start = time.perf_counter()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PPSCalibrationError) as excinfo:
+            draw(PPS(550), frame, np.random.default_rng(1))
+    assert time.perf_counter() - start < 10.0
+    assert isinstance(excinfo.value, RuntimeError)
+    assert math.isnan(excinfo.value.residual)
 
 
 def test_cluster_sampling_observes_whole_clusters():

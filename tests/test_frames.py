@@ -1,5 +1,8 @@
+import csv
 import io
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,3 +98,104 @@ def test_csv_round_trip_is_lossless(ys):
     frame = make_frame(ys)
     loaded = load_frame_csv(io.StringIO(dump_frame_csv(frame)))
     assert loaded.y == frame.y
+
+
+LABEL_CHARS = st.one_of(st.sampled_from(',"\'; é中'),
+                        st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")))
+# loading strips the whitespace around a label, so generated labels have none
+LABELS = st.text(LABEL_CHARS, max_size=6).map(str.strip)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def frame_columns(draw, min_size=1):
+    """Valid columns (ids unordered, some y missing) as a dict of make_frame keywords."""
+    n = draw(st.integers(min_size, 8))
+
+    def column(strategy):
+        return draw(st.lists(strategy, min_size=n, max_size=n))
+
+    return {
+        "ids": draw(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=n, max_size=n,
+                             unique=True)),
+        "ys": column(st.one_of(st.just(math.nan), FLOATS)),
+        "xs": column(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        "strata": column(LABELS),
+        "clusters": column(LABELS),
+        "propensities": column(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+    }
+
+
+def csv_text(columns) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["id", "y", "x", "stratum", "cluster", "propensity"])
+    writer.writerows(zip(columns["ids"], ["" if math.isnan(y) else repr(y) for y in columns["ys"]],
+                         map(repr, columns["xs"]), columns["strata"], columns["clusters"],
+                         map(repr, columns["propensities"])))
+    return buffer.getvalue()
+
+
+@given(frame_columns())
+@settings(max_examples=100, deadline=None)
+def test_csv_round_trip_keeps_every_column_and_the_row_order(columns):
+    frame = make_frame(**columns)
+    text = dump_frame_csv(frame)
+    assert text == csv_text(columns)
+    loaded = load_frame_csv(io.StringIO(text))
+    assert loaded.ids == tuple(columns["ids"])
+    np.testing.assert_array_equal(loaded.y_array, columns["ys"])  # NaN matches NaN
+    assert loaded.x == tuple(columns["xs"])
+    assert loaded.propensity_array.tolist() == columns["propensities"]
+    assert loaded.stratum_labels == tuple(columns["strata"])
+    assert loaded.cluster_labels == tuple(columns["clusters"])
+    assert dump_frame_csv(loaded) == text
+
+
+INVALID_FIELDS = [("xs", 0.0), ("xs", -1.5), ("xs", math.inf), ("xs", math.nan),
+                  ("propensities", 0.0), ("propensities", 1.5), ("propensities", math.nan),
+                  ("ys", math.inf), ("ys", -math.inf), ("ids", None)]
+
+
+@given(frame_columns(min_size=2), st.sampled_from(INVALID_FIELDS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_invalid_field_names_the_record(columns, invalid, data):
+    key, value = invalid
+    position = data.draw(st.integers(1, len(columns["ids"]) - 1))
+    if key == "ids":  # repeat an earlier id
+        value = columns["ids"][data.draw(st.integers(0, position - 1))]
+    columns[key][position] = value
+    offender = f"record {columns['ids'][position]}:"
+    with pytest.raises(ValueError, match=offender):
+        make_frame(**columns)
+    with pytest.raises(ValueError, match=f"^frame CSV line {position + 2}: {offender}"):
+        load_frame_csv(io.StringIO(csv_text(columns)))
+
+
+@given(frame_columns(), st.integers())
+@settings(max_examples=50, deadline=None)
+def test_record_by_id_finds_every_id_and_rejects_unknown_ones(columns, unit):
+    frame = make_frame(**columns)
+    for position, unit_id in enumerate(columns["ids"]):
+        record = frame.record_by_id(unit_id)
+        assert (record.id, record.stratum) == (unit_id, columns["strata"][position])
+    if unit not in columns["ids"]:
+        with pytest.raises(KeyError):
+            frame.record_by_id(unit)
+
+
+def plain_grouping(labels):
+    groups = {}
+    for position, label in enumerate(labels):
+        groups.setdefault(label, []).append(position)
+    return [(label, tuple(groups[label])) for label in sorted(groups)]
+
+
+@given(frame_columns())
+@settings(max_examples=50, deadline=None)
+def test_strata_and_clusters_match_a_plain_grouping(columns):
+    frame = make_frame(**columns)
+    assert list(frame.strata().items()) == plain_grouping(columns["strata"])
+    assert list(frame.clusters().items()) == plain_grouping(columns["clusters"])
+    frame.strata().clear()  # callers get their own copy
+    assert list(frame.strata().items()) == plain_grouping(columns["strata"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -403,3 +404,54 @@ def test_repeated_draws_of_one_unit_scale_the_closed_form(tmp_path):
     ht, mean = report.releases
     assert abs(ht["delta_f"] - 1.2) <= 1e-12
     assert abs(mean["delta_f"] - 1.0) <= 1e-12
+
+
+# sha256 of run_pipeline(...).to_json() for each config below at its seed, as
+# recorded with an earlier version of the package.  A change in how any stage
+# consumes the generator, or in the report bytes, moves them.
+REPORT_PINS = {
+    "propensity_stratified_dp_regression":
+        "af102207af5910e8c672a40d980ba1f2298debe76ab3f4d05d979dead6452914",
+    "pps":
+        "d20788c336a1837b3c8f5c9387d215bfe24b631bab4e29d55298aa936580a670",
+    "srswr_cells_benchmarks":
+        "519508f51c6030db625d6a6ac7136dabb86f2983da2efe757e2e3e260e7a7467",
+}
+
+
+def report_pin_configs(tmp_path) -> dict:
+    frame = make_frame([0.2, float("nan"), 0.4, 1.0, 0.0, float("nan"), 0.6, 0.9],
+                       xs=[1.0, 2.0, 2.0, 1.0, 2.0, 1.0, 1.0, 2.0],
+                       strata=["A", "A", "A", "A", "B", "B", "B", "B"],
+                       propensities=[0.9, 0.8, 1.0, 0.7, 1.0, 0.95, 0.6, 0.85],
+                       ids=[14, 3, 9, 1, 22, 7, 5, 11])
+    path = tmp_path / "pins.csv"
+    dump_frame_csv(frame, path)
+    universe = {"y_min": 0.0, "y_max": 1.0, "x_values": [1.0, 2.0]}
+    return {
+        "propensity_stratified_dp_regression": (minimal_config(
+            str(path), universe=universe,
+            design={"kind": "stratified_srswor", "n": 6},
+            response={"model": "propensity"},
+            imputation={"method": "dp_regression", "epsilon": 0.4},
+            releases=[{"statistic": "ht_mean", "epsilon": 0.3},
+                      {"statistic": "mean", "epsilon": 0.3}]), 11),
+        "pps": (minimal_config(
+            str(path), universe=universe, design={"kind": "pps", "n": 3},
+            imputation={"method": "dp_mean", "epsilon": 0.5},
+            releases=[{"statistic": "ht_total", "epsilon": 0.5}]), 12),
+        "srswr_cells_benchmarks": (minimal_config(
+            str(path), universe=universe, design={"kind": "srswr", "n": 5},
+            response={"model": "propensity"},
+            adjustment={"cells": {"a": [14, 3, 9, 1], "b": [22, 7, 5, 11]},
+                        "benchmarks": {"a": 4.0, "b": 4.0}},
+            imputation={"method": "dp_mean", "epsilon": 0.5},
+            releases=[{"statistic": "ht_mean", "epsilon": 0.5}]), 13),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PINS))
+def test_run_report_is_stable_across_versions(name, tmp_path):
+    text, seed = report_pin_configs(tmp_path)[name]
+    report = run_pipeline(parse_config(text), seed=seed).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_PINS[name]
