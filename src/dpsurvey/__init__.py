@@ -65,7 +65,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .weighting import (
-    AdjustmentCell,
     CalibrationError,
     estimate_propensities_cells,
     nonresponse_adjust,

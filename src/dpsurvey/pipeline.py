@@ -123,7 +123,7 @@ class PipelineConfig:
     invariant: str
     budget: float
     response_model: str = "full"            # "full" | "propensity"
-    cells: dict | None = None               # label -> tuple of unit ids
+    cell_of: dict | None = None             # unit id -> adjustment cell label
     benchmarks: dict | None = None          # label -> population total
     regularize_bounds: tuple[float, float] | None = None
     dp_propensity_epsilon: float | None = None
@@ -289,27 +289,34 @@ def parse_config(text: str) -> PipelineConfig:
             raise ConfigError("response.model",
                               f"must be 'full' or 'propensity', got {response_model!r}")
 
-    cells = benchmarks = regularize = dp_prop_eps = None
+    cell_of = benchmarks = regularize = dp_prop_eps = None
     if "adjustment" in top:
         adj = _expect_mapping(top["adjustment"], "adjustment")
         _check_keys(adj, {"cells", "benchmarks", "regularize", "dp_propensities"},
                     set(), "adjustment")
         if "cells" in adj:
             cells_raw = _expect_mapping(adj["cells"], "adjustment.cells")
-            cells = {}
+            cell_of = {}
             for label, ids in cells_raw.items():
                 if not isinstance(ids, list) or not ids:
                     raise ConfigError(f"adjustment.cells.{label}",
                                       "expected a non-empty list of unit ids")
-                cells[str(label)] = tuple(
-                    _integer(u, f"adjustment.cells.{label}[{j}]") for j, u in enumerate(ids))
+                for j, unit in enumerate(ids):
+                    # paths are formatted only for the entry being rejected
+                    if isinstance(unit, bool) or not isinstance(unit, int):
+                        _integer(unit, f"adjustment.cells.{label}[{j}]")
+                    owner = cell_of.setdefault(unit, label)
+                    if owner != label:
+                        raise ConfigError(f"adjustment.cells.{label}[{j}]",
+                                          f"unit {unit} is already in cell {owner!r}; "
+                                          f"cells must be disjoint")
         if "benchmarks" in adj:
-            if cells is None:
+            if cell_of is None:
                 raise ConfigError("adjustment.benchmarks", "benchmarks require cells")
             bench_raw = _expect_mapping(adj["benchmarks"], "adjustment.benchmarks")
             benchmarks = {}
             for label, total in bench_raw.items():
-                if label not in cells:
+                if label not in cells_raw:
                     raise ConfigError(f"adjustment.benchmarks.{label}", "no such cell")
                 benchmarks[str(label)] = _number(
                     total, f"adjustment.benchmarks.{label}", positive=True)
@@ -322,7 +329,7 @@ def parse_config(text: str) -> PipelineConfig:
                 raise ConfigError("adjustment.regularize", "lower must be <= upper")
             regularize = (lower, upper)
         if "dp_propensities" in adj:
-            if cells is None:
+            if cell_of is None:
                 raise ConfigError("adjustment.dp_propensities", "requires cells")
             dp = _expect_mapping(adj["dp_propensities"], "adjustment.dp_propensities")
             _check_keys(dp, {"epsilon"}, {"epsilon"}, "adjustment.dp_propensities")
@@ -378,7 +385,7 @@ def parse_config(text: str) -> PipelineConfig:
     return PipelineConfig(
         frame_path=top["frame"], universe=universe, design=design,
         releases=tuple(releases), mechanism_start=start, invariant=invariant,
-        budget=budget, response_model=response_model, cells=cells,
+        budget=budget, response_model=response_model, cell_of=cell_of,
         benchmarks=benchmarks, regularize_bounds=regularize,
         dp_propensity_epsilon=dp_prop_eps, imputation_method=imputation_method,
         imputation_epsilon=imputation_eps, imputation_complete_cases=imputation_cc,
@@ -476,31 +483,27 @@ def _adjust_stage(config: PipelineConfig, full_sample: WeightedSample,
     weights = respondents.w
     if config.regularize_bounds is not None:
         weights = weighting.regularize_weights(weights, *config.regularize_bounds)
-    if config.cells is not None:
-        sampled = set(full_sample.ids)
-        # cells the realized sample never touched have nothing to adjust
-        cells = [weighting.AdjustmentCell(label, frozenset(ids))
-                 for label, ids in config.cells.items()
-                 if sampled & set(ids)]
+    if config.cell_of is not None:
+        # only the cells the realized sample touches are adjusted
+        labels = [config.cell_of.get(unit) for unit in full_sample.ids]
+        if None in labels:
+            missing = [unit for unit, label in zip(full_sample.ids, labels) if label is None]
+            raise ValueError(f"units {missing} are not covered by any adjustment cell")
         if config.dp_propensity_epsilon is not None:
             propensities = weighting.dp_estimate_propensities_cells(
-                full_sample.ids, flags, cells, config.dp_propensity_epsilon, rng,
-                ledger=ledger)
+                labels, flags, config.dp_propensity_epsilon, rng, ledger=ledger)
         else:
-            propensities = weighting.estimate_propensities_cells(
-                full_sample.ids, flags, cells)
-        cell_of = {unit: cell.label for cell in cells for unit in cell.member_ids}
-        labels = [cell_of[unit] for unit in respondents.ids]
-        weights = weighting.nonresponse_adjust(weights, propensities, labels)
+            propensities = weighting.estimate_propensities_cells(labels, flags)
+        respondent_labels = [label for label, flag in zip(labels, flags) if flag]
+        weights = weighting.nonresponse_adjust(weights, propensities, respondent_labels)
         if config.benchmarks is not None:
-            weights = weighting.poststratify(weights, labels, config.benchmarks)
+            weights = weighting.poststratify(weights, respondent_labels, config.benchmarks)
     return respondents.with_weights(weights)
 
 
 def _impute_stage(config: PipelineConfig, respondents: WeightedSample, frame: Frame,
                   ledger: PrivacyLedger, rng: np.random.Generator,
                   seed: int) -> WeightedSample:
-    missing = [math.isnan(v) for v in respondents.y]
     if config.imputation_method is None:
         return respondents
     universe = config.universe
@@ -515,26 +518,22 @@ def _impute_stage(config: PipelineConfig, respondents: WeightedSample, frame: Fr
         params = fit_dp_mean_model(
             data, [(universe.y_min, universe.y_max)], config.imputation_epsilon, rng,
             complete_cases=config.imputation_complete_cases, ledger=ledger)
-        new_y = list(respondents.y)
-        for i, unit in enumerate(respondents.ids):
-            if missing[i]:
-                row = impute_parametric(data[i], params, record_rng(seed, unit))
-                new_y[i] = float(row[0])
-        return respondents.with_y(new_y)
-
-    # dp_regression: predict y from the frame's size measure x
-    xs = frame.x_array[frame.positions(respondents.ids)]
-    data = np.column_stack([xs, respondents.y])
-    x_bounds = (min(universe.x_values), max(universe.x_values))
-    params = fit_dp_regression(
-        data, predictors=(0,), target=1,
-        bounds=[x_bounds, (universe.y_min, universe.y_max)],
-        eps1=config.imputation_epsilon, rng=rng, ledger=ledger)
+        y_column = 0
+    else:
+        # dp_regression: predict y from the frame's size measure x
+        xs = frame.x_array[frame.positions(respondents.ids)]
+        data = np.column_stack([xs, respondents.y])
+        x_bounds = (min(universe.x_values), max(universe.x_values))
+        params = fit_dp_regression(
+            data, predictors=(0,), target=1,
+            bounds=[x_bounds, (universe.y_min, universe.y_max)],
+            eps1=config.imputation_epsilon, rng=rng, ledger=ledger)
+        y_column = 1
     new_y = list(respondents.y)
-    for i, unit in enumerate(respondents.ids):
-        if missing[i]:
+    for i, (unit, y) in enumerate(zip(respondents.ids, respondents.y)):
+        if math.isnan(y):
             row = impute_parametric(data[i], params, record_rng(seed, unit))
-            new_y[i] = float(row[1])
+            new_y[i] = float(row[y_column])
     return respondents.with_y(new_y)
 
 

@@ -10,12 +10,10 @@ so the adjustment is always well-defined and reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .mechanisms import PrivacyLedger, _epsilon_value, release_laplace
 
 __all__ = [
-    "AdjustmentCell",
     "CalibrationError",
     "estimate_propensities_cells",
     "nonresponse_adjust",
@@ -29,56 +27,33 @@ class CalibrationError(ValueError):
     """Post-stratification could not be carried out for some cell."""
 
 
-@dataclass(frozen=True)
-class AdjustmentCell:
-    """A weighting class: a label and its member unit ids."""
-
-    label: str
-    member_ids: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "member_ids", frozenset(self.member_ids))
-
-
-def _cell_of_map(cells: list[AdjustmentCell], unit_ids) -> dict[int, str]:
-    mapping: dict[int, str] = {}
-    for cell in cells:
-        for unit in cell.member_ids:
-            if unit in mapping:
-                raise ValueError(f"unit {unit} belongs to cells {mapping[unit]!r} and {cell.label!r}")
-            mapping[unit] = cell.label
-    missing = [unit for unit in unit_ids if unit not in mapping]
-    if missing:
-        raise ValueError(f"units {missing} are not covered by any adjustment cell")
-    return mapping
+def _cell_counts(cell_labels, respond_flags) -> tuple[dict[str, int], dict[str, int]]:
+    """Sampled and responded counts per cell, keyed in sorted label order."""
+    cell_labels = list(cell_labels)
+    respond_flags = list(respond_flags)
+    if len(cell_labels) != len(respond_flags):
+        raise ValueError("cell labels and response flags must align")
+    sampled = dict.fromkeys(sorted(set(cell_labels)), 0)
+    responded = dict.fromkeys(sampled, 0)
+    for label, flag in zip(cell_labels, respond_flags):
+        sampled[label] += 1
+        responded[label] += bool(flag)
+    return sampled, responded
 
 
-def estimate_propensities_cells(sample_ids, respond_flags, cells) -> dict[str, float]:
+def estimate_propensities_cells(cell_labels, respond_flags) -> dict[str, float]:
     """Respondents / sampled per cell, collapsing zero-respondent cells.
 
-    A cell containing no *sampled* unit is a configuration error.  A cell
-    whose sampled units all failed to respond is merged into the next cell
-    in label order (the last cell merges backward) until every group has a
-    respondent, so the returned propensities are always in (0, 1].
+    ``cell_labels`` holds the cell label of each sampled unit, aligned with
+    ``respond_flags``.  A cell whose sampled units all failed to respond is
+    merged into the next cell in label order (the last cell merges backward)
+    until every group has a respondent, so the returned propensities are
+    always in (0, 1].
     """
-    sample_ids = list(sample_ids)
-    respond_flags = list(respond_flags)
-    if len(sample_ids) != len(respond_flags):
-        raise ValueError("sample ids and response flags must align")
-    cells = sorted(cells, key=lambda c: c.label)
-    cell_of = _cell_of_map(cells, sample_ids)
-
-    sampled: dict[str, int] = {cell.label: 0 for cell in cells}
-    responded: dict[str, int] = {cell.label: 0 for cell in cells}
-    for unit, flag in zip(sample_ids, respond_flags):
-        sampled[cell_of[unit]] += 1
-        responded[cell_of[unit]] += bool(flag)
-    for label, count in sampled.items():
-        if count == 0:
-            raise ValueError(f"cell {label!r} contains no sampled units; fix the cell map")
+    sampled, responded = _cell_counts(cell_labels, respond_flags)
 
     # Groups of original labels that share one propensity after collapsing.
-    groups: list[list[str]] = [[cell.label] for cell in cells]
+    groups: list[list[str]] = [[label] for label in sampled]
     if sum(responded.values()) == 0:
         raise ValueError("no respondents in any cell; nonresponse adjustment impossible")
     while True:
@@ -128,11 +103,11 @@ def poststratify(weights, cell_labels, benchmarks) -> tuple[float, ...]:
     cell_labels = list(cell_labels)
     if len(weights) != len(cell_labels):
         raise ValueError("weights and cell labels must align")
-    totals: dict[str, float] = {}
+    members: dict[str, list[float]] = {}
     for weight, label in zip(weights, cell_labels):
-        totals[label] = 0.0
-    for label in totals:
-        totals[label] = math.fsum(w for w, lb in zip(weights, cell_labels) if lb == label)
+        members.setdefault(label, []).append(weight)
+    # fsum is exactly rounded, so the grouping order cannot move a total
+    totals = {label: math.fsum(ws) for label, ws in members.items()}
     ratios: dict[str, tuple[float, float]] = {}
     for label, benchmark in benchmarks.items():
         if not (benchmark > 0):
@@ -160,25 +135,19 @@ def regularize_weights(weights, lower: float, upper: float) -> tuple[float, ...]
     return tuple(min(upper, max(lower, float(w))) for w in weights)
 
 
-def dp_estimate_propensities_cells(sample_ids, respond_flags, cells, eps, rng,
+def dp_estimate_propensities_cells(cell_labels, respond_flags, eps, rng,
                                    ledger: PrivacyLedger | None = None) -> dict[str, float]:
     """Experimental: cell propensities from Laplace-noised cell counts.
 
-    Releases noisy sampled counts and noisy respondent counts (replacing one
-    record can move it across cells and flip its response, so each count
-    vector has L1 sensitivity 2), then post-processes the ratio into (0, 1].
-    Charges the full ``eps`` to the ledger.
+    ``cell_labels`` and ``respond_flags`` are aligned per sampled unit, as in
+    ``estimate_propensities_cells``.  Releases noisy sampled counts and noisy
+    respondent counts, cell by cell in label order (replacing one record can
+    move it across cells and flip its response, so each count vector has L1
+    sensitivity 2), then post-processes the ratio into (0, 1].  Charges the
+    full ``eps`` to the ledger.
     """
     eps_value = _epsilon_value(eps)
-    sample_ids = list(sample_ids)
-    respond_flags = list(respond_flags)
-    cells = sorted(cells, key=lambda c: c.label)
-    cell_of = _cell_of_map(cells, sample_ids)
-    sampled = {cell.label: 0 for cell in cells}
-    responded = {cell.label: 0 for cell in cells}
-    for unit, flag in zip(sample_ids, respond_flags):
-        sampled[cell_of[unit]] += 1
-        responded[cell_of[unit]] += bool(flag)
+    sampled, responded = _cell_counts(cell_labels, respond_flags)
 
     eps_each = eps_value / 2.0
     propensities = {}

@@ -48,6 +48,18 @@ def test_validate_bad_config_exits_1(tmp_path, frame_csv, capsys):
     assert err["error"] == "ConfigError"
 
 
+def test_validate_overlapping_cells_exits_1(tmp_path, config_path, capsys):
+    with open(config_path) as handle:
+        config = json.load(handle)
+    config["adjustment"] = {"cells": {"a": [1, 2], "b": [2, 3, 4]}}
+    bad = tmp_path / "overlap.json"
+    bad.write_text(json.dumps(config))
+    assert main(["validate-config", str(bad)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "adjustment.cells.b[0]" in err["message"]
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["run"])  # missing config argument

@@ -324,6 +324,43 @@ def test_dp_propensities_mode_charges_ledger(frame_csv):
     assert report.ledger_total == 1.0
 
 
+def test_overlapping_cells_are_a_config_error(frame_csv):
+    text = minimal_config(
+        frame_csv, adjustment={"cells": {"c1": [1, 2, 3], "c2": [4, 3, 5, 6]}})
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.path == "adjustment.cells.c2[1]"
+    assert "already in cell 'c1'" in str(excinfo.value)
+
+
+def test_sampled_unit_outside_every_cell_fails_in_adjust(frame_csv):
+    text = minimal_config(
+        frame_csv, design={"kind": "srswor", "n": 6},
+        adjustment={"cells": {"c1": [1, 2, 3], "c2": [4, 6]}})
+    with pytest.raises(PipelineStageError) as excinfo:
+        run_pipeline(parse_config(text))
+    assert excinfo.value.stage == "adjust"
+    assert "units [5] are not covered by any adjustment cell" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("design", [{"kind": "srswor", "n": 4}, {"kind": "srswr", "n": 5},
+                                    {"kind": "stratified_srswor", "n": 4}])
+def test_repeated_and_absent_cell_ids_leave_the_report_unchanged(frame_csv, design):
+    # a repeated id inside one cell is accepted, and ids (or whole cells)
+    # absent from the frame are never touched by a run
+    def report(cells):
+        text = minimal_config(
+            frame_csv, design=design, response={"model": "propensity"},
+            adjustment={"cells": cells, "dp_propensities": {"epsilon": 0.4},
+                        "regularize": {"lower": 0.5, "upper": 3.0}},
+            releases=[{"statistic": "ht_mean", "epsilon": 0.6}])
+        return run_pipeline(parse_config(text)).to_json()
+
+    plain = report({"c1": [1, 2, 3], "c2": [4, 5, 6]})
+    assert report({"c1": [1, 2, 2, 3, 1], "c2": [4, 5, 6, 6]}) == plain
+    assert report({"c1": [1, 2, 3, 70], "c2": [4, 5, 6, 71], "c0": [99]}) == plain
+
+
 def test_two_stage_inclusion_probabilities_compose():
     from dpsurvey.designs import ClusterSRSWOR, Systematic, inclusion_probs
 
@@ -416,6 +453,8 @@ REPORT_PINS = {
         "d20788c336a1837b3c8f5c9387d215bfe24b631bab4e29d55298aa936580a670",
     "srswr_cells_benchmarks":
         "519508f51c6030db625d6a6ac7136dabb86f2983da2efe757e2e3e260e7a7467",
+    "srswor_cells_dp_propensities_regularize":
+        "3a9fd3cf7449b154bca4f95d46430a8fe3acf46b74e430eac71babfbe3f99f64",
 }
 
 
@@ -447,6 +486,16 @@ def report_pin_configs(tmp_path) -> dict:
                         "benchmarks": {"a": 4.0, "b": 4.0}},
             imputation={"method": "dp_mean", "epsilon": 0.5},
             releases=[{"statistic": "ht_mean", "epsilon": 0.5}]), 13),
+        # cells listed out of label order: the noisy cell counts are drawn
+        # in label order
+        "srswor_cells_dp_propensities_regularize": (minimal_config(
+            str(path), universe=universe, design={"kind": "srswor", "n": 6},
+            response={"model": "propensity"},
+            adjustment={"cells": {"c": [22, 7], "a": [14, 3, 9, 1], "b": [5, 11]},
+                        "dp_propensities": {"epsilon": 0.3},
+                        "regularize": {"lower": 0.5, "upper": 3.0}},
+            imputation={"method": "dp_mean", "epsilon": 0.2},
+            releases=[{"statistic": "ht_mean", "epsilon": 0.5}]), 14),
     }
 
 

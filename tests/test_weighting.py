@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dpsurvey.audit import AuditInstance, NeighborRelation, exact_sensitivity
 from dpsurvey.mechanisms import PrivacyLedger
 from dpsurvey.weighting import (
-    AdjustmentCell,
     CalibrationError,
     dp_estimate_propensities_cells,
     estimate_propensities_cells,
@@ -19,20 +18,14 @@ from dpsurvey.weighting import (
 )
 
 
-def cells(*specs):
-    return [AdjustmentCell(label, frozenset(ids)) for label, ids in specs]
-
-
 def test_propensity_ratio():
-    ids = list(range(1, 11))
     flags = [True] * 8 + [False] * 2
-    out = estimate_propensities_cells(ids, flags, cells(("c", ids)))
+    out = estimate_propensities_cells(["c"] * 10, flags)
     assert out == {"c": 0.8}
 
 
 def test_full_response_gives_unit_propensities():
-    ids = [1, 2, 3, 4]
-    out = estimate_propensities_cells(ids, [True] * 4, cells(("a", [1, 2]), ("b", [3, 4])))
+    out = estimate_propensities_cells(["a", "a", "b", "b"], [True] * 4)
     assert out == {"a": 1.0, "b": 1.0}
     assert nonresponse_adjust([2.0, 2.0, 3.0, 3.0], out, ["a", "a", "b", "b"]) == \
         (2.0, 2.0, 3.0, 3.0)
@@ -40,26 +33,25 @@ def test_full_response_gives_unit_propensities():
 
 def test_zero_respondent_cell_collapses_into_neighbor():
     # cell "a": 0 of 5 responding; merged into "b", never p-hat = 0
-    ids = list(range(1, 11))
     flags = [False] * 5 + [True] * 4 + [False]
-    out = estimate_propensities_cells(
-        ids, flags, cells(("a", ids[:5]), ("b", ids[5:])))
+    out = estimate_propensities_cells(["a"] * 5 + ["b"] * 5, flags)
     assert out["a"] == out["b"] == pytest.approx(0.4)
     # oracle: re-estimating on the merged cell gives the same rate
-    merged = estimate_propensities_cells(ids, flags, cells(("ab", ids)))
+    merged = estimate_propensities_cells(["ab"] * 10, flags)
     assert out["a"] == merged["ab"]
 
 
 def test_last_cell_collapses_backward():
-    ids = [1, 2, 3, 4]
     flags = [True, True, False, False]
-    out = estimate_propensities_cells(ids, flags, cells(("a", [1, 2]), ("b", [3, 4])))
+    out = estimate_propensities_cells(["a", "a", "b", "b"], flags)
     assert out["a"] == out["b"] == pytest.approx(0.5)
 
 
-def test_empty_sampled_cell_is_config_error():
-    with pytest.raises(ValueError):
-        estimate_propensities_cells([1, 2], [True, True], cells(("a", [1, 2]), ("b", [9])))
+def test_cell_labels_and_flags_must_align():
+    with pytest.raises(ValueError, match="align"):
+        estimate_propensities_cells(["a", "b"], [True])
+    with pytest.raises(ValueError, match="align"):
+        dp_estimate_propensities_cells(["a", "b"], [True], 1.0, np.random.default_rng(0))
 
 
 def test_nonresponse_adjust_division():
@@ -181,12 +173,15 @@ def test_adjusted_weights_never_shrink_audited_sensitivity():
 
 
 def test_dp_propensities_stay_in_unit_interval_and_charge_ledger():
-    ids = list(range(1, 9))
+    labels = ["a"] * 4 + ["b"] * 4
     flags = [True, True, False, True, True, False, True, True]
     ledger = PrivacyLedger()
     out = dp_estimate_propensities_cells(
-        ids, flags, cells(("a", ids[:4]), ("b", ids[4:])), 1.0,
-        np.random.default_rng(3), ledger=ledger)
+        labels, flags, 1.0, np.random.default_rng(3), ledger=ledger)
     assert set(out) == {"a", "b"}
     assert all(0.0 < p <= 1.0 for p in out.values())
     assert ledger.total() == 1.0
+    # noise is drawn cell by cell in label order, whatever the sample order
+    reordered = dp_estimate_propensities_cells(
+        labels[::-1], flags[::-1], 1.0, np.random.default_rng(3))
+    assert reordered == out
