@@ -640,8 +640,6 @@ def amplification_sweep(designs, eps_values, frame: Frame, *, statistic: str = "
     ``rate_or_maxpi`` records the design's expected sampling rate (max
     inclusion probability for PPS), the quantity amplification scales with.
     """
-    from .designs import expected_sampling_rate
-
     relation = relation or NeighborRelation("population", "y-only")
     rows = []
     for design in designs:
@@ -649,7 +647,7 @@ def amplification_sweep(designs, eps_values, frame: Frame, *, statistic: str = "
             row = {"design": design_label(design), "epsilon": float(eps),
                    "rate_or_maxpi": "", "eps_effective": "", "status": "ok"}
             try:
-                row["rate_or_maxpi"] = expected_sampling_rate(design, frame)
+                row["rate_or_maxpi"] = design.sampling_rate(frame)
                 instance = AuditInstance(
                     name=f"sweep-{design_label(design)}", statistic=statistic,
                     y_grid=y_grid, design=design, frame=frame, n_pop=n_pop,

@@ -44,8 +44,6 @@ __all__ = [
     "allocate_strata",
     "draw",
     "sample_space",
-    "sample_space_size",
-    "expected_sampling_rate",
     "build_sample",
 ]
 
@@ -640,11 +638,6 @@ def _pps_split_cached(n: int, xs: tuple[float, ...]):
 # Exact sample-space enumeration
 # ---------------------------------------------------------------------------
 
-def sample_space_size(design: Design, frame: Frame) -> int:
-    """Number of outcomes the enumeration would produce (before merging)."""
-    return design.space_size(frame)
-
-
 def sample_space(design: Design, frame: Frame, cap: int | None = None
                  ) -> list[tuple[tuple[int, ...], float]]:
     """Enumerate every possible sample with its selection probability.
@@ -654,7 +647,7 @@ def sample_space(design: Design, frame: Frame, cap: int | None = None
     structure are enumerated with exact Fractions before conversion.
     """
     cap = default_enumeration_cap() if cap is None else cap
-    count = sample_space_size(design, frame)
+    count = design.space_size(frame)
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
     return design.space(frame)
@@ -675,8 +668,3 @@ def _systematic_outcomes(order: list[int], n: int):
         mid = (lo + hi) / 2
         positions = sorted(order[math.floor(mid + j * interval)] for j in range(n))
         yield tuple(positions), (hi - lo) / interval
-
-
-def expected_sampling_rate(design: Design, frame: Frame) -> float:
-    """Expected fraction of frame units included; max pi for PPS."""
-    return design.sampling_rate(frame)

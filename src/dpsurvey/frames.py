@@ -7,18 +7,18 @@ plus stratum and cluster labels.  An id -> position index is built once, so
 ``positions`` and ``record_by_id`` cost O(1) per id.  A frame is immutable;
 its stratum and cluster groupings and the tuple views ``ids``/``y``/``x``
 are computed once, on first use.  Frames round-trip through CSV with the
-fixed header ``id,y,x,stratum,cluster,propensity``; loading reads the file
-in one pass into columns and checks whole columns at a time.
+fixed header ``id,y,x,stratum,cluster,propensity``; loading parses the rows
+with one numpy ``loadtxt`` call and checks whole columns at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
+import re
 import sys
-from array import array
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -122,9 +122,6 @@ class Frame:
     ids = cached_property(lambda self: tuple(self.id_array.tolist()))
     y = cached_property(lambda self: tuple(self.y_array.tolist()))
     x = cached_property(lambda self: tuple(self.x_array.tolist()))
-    records = cached_property(lambda self: tuple(map(
-        FrameRecord, self.ids, self.y, self.x, self.stratum_labels, self.cluster_labels,
-        self.propensity_array.tolist())))
 
     def positions(self, unit_ids) -> list[int]:
         """Frame positions of the given ids, in the given order."""
@@ -203,51 +200,50 @@ def make_frame(ys, xs=None, strata=None, clusters=None, propensities=None, ids=N
 
 
 def load_frame_csv(source) -> Frame:
-    """Read a frame from a CSV path or file object with the fixed header."""
+    """Read a frame from a CSV path or a file object, which an error re-reads from its start."""
     if hasattr(source, "read"):
         return _parse_frame(source)
     with open(source, newline="") as handle:
         return _parse_frame(handle)
 
 
-# Cell parser per CSV column; a frame has few distinct labels, so each is
-# interned once.
-_PARSERS = (int, lambda cell: float(cell) if cell.strip() else math.nan, float,
-            lambda cell: sys.intern(cell.strip()), lambda cell: sys.intern(cell.strip()), float)
-# Rows are parsed in chunks, so the CSV strings of at most this many rows are
-# alive at once.
-_CHUNK_ROWS = 8192
+_DTYPE = [("id", "i8"), ("y", "f8"), ("x", "f8"), ("stratum", "O"), ("cluster", "O"),
+          ("propensity", "f8")]
+# a blank y is missing; a frame has few distinct labels, so each is held once
+_CONVERTERS = {1: lambda cell: cell.strip() or "nan",
+               **dict.fromkeys((3, 4), lambda cell: sys.intern(cell.strip()))}
 
 
 def _parse_frame(handle) -> Frame:
-    reader = csv.reader(handle)
-    header = next(reader, [])
+    header = next(csv.reader(handle), [])
     if [h.strip() for h in header] != CSV_HEADER:
         raise ValueError(f"frame CSV header must be {','.join(CSV_HEADER)!r}, got {header!r}")
-    # typed arrays hold 8 bytes per number, not a Python object
-    lines = array("q")
-    columns = [array("q"), array("d"), array("d"), [], [], array("d")]
-    line_no = 2
-    while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
-        kept = [(n, row) for n, row in enumerate(rows, start=line_no) if "".join(row).strip()]
-        line_no += len(rows)
-        short = next((n for n, row in kept if len(row) != len(CSV_HEADER)), None)
-        if short is not None:
-            raise ValueError(f"frame CSV line {short}: expected {len(CSV_HEADER)} fields")
-        lines.extend(n for n, _ in kept)
-        for k, (name, parse, column) in enumerate(zip(CSV_HEADER, _PARSERS, columns)):
-            cells = [row[k] for _, row in kept]
-            try:
-                column.extend(map(parse, cells))
-            except ValueError:
-                for (n, _), cell in zip(kept, cells):
-                    try:
-                        parse(cell)
-                    except ValueError:
-                        raise ValueError(
-                            f"frame CSV line {n}: cannot parse {name} {cell!r}") from None
-                raise
-    return Frame(*columns, lines=lines)
+    columns = None
+    try:
+        with warnings.catch_warnings():
+            # a header-only file fails in Frame, as a frame with no records
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(handle, dtype=_DTYPE, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1, converters=_CONVERTERS)
+        columns = [rows[name] for name in CSV_HEADER]
+        return Frame(*columns)
+    except ValueError as err:
+        fault = err
+    # Only a fault reads the file again, to name its CSV record.  The header is
+    # record 1, and a blank line is an empty record that numpy skips.
+    handle.seek(0)
+    records = [(line, row) for line, row in enumerate(csv.reader(handle), start=1) if row][1:]
+    if columns is not None:  # a column check in Frame
+        return Frame(*columns, lines=[line for line, _ in records])
+    # numpy counts data rows from 0 in a conversion error, from 1 in a field-count error
+    found = re.search(r"at row (\d+)(?:, column (\d+))?", str(fault))
+    if found is None:
+        raise fault
+    line, fields = records[int(found[1]) - (found[2] is None)]
+    if found[2] is None:
+        raise ValueError(f"frame CSV line {line}: expected {len(CSV_HEADER)} fields")
+    k = int(found[2]) - 1
+    raise ValueError(f"frame CSV line {line}: cannot parse {CSV_HEADER[k]} {fields[k]!r}")
 
 
 def dump_frame_csv(frame: Frame, target=None) -> str:

@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -55,9 +57,9 @@ def test_csv_round_trip_preserves_missing_y():
     text = dump_frame_csv(frame)
     loaded = load_frame_csv(io.StringIO(text))
     assert loaded.ids == frame.ids
-    assert loaded.records[1].y_missing
-    assert loaded.records[0].y == 0.25
-    assert loaded.records[2].propensity == 0.75
+    assert math.isnan(loaded.y_array[1])
+    assert loaded.y_array[0] == 0.25
+    assert loaded.propensity_array[2] == 0.75
     assert dump_frame_csv(loaded) == text
 
 
@@ -69,6 +71,33 @@ def test_csv_rejects_wrong_header():
 def test_csv_rejects_short_rows():
     with pytest.raises(ValueError):
         load_frame_csv(io.StringIO("id,y,x,stratum,cluster,propensity\n1,0.5\n"))
+
+
+# Errors name the CSV record: the header is line 1 and a blank line counts.
+CSV_ERRORS = [
+    ("1,0.5,1,a,b,1\n\n2,0.5,zz,a,b,1\n", "frame CSV line 4: cannot parse x 'zz'"),
+    ("1,0.5,1,a,b,1\n2,w,1,a,b,1\n", "frame CSV line 3: cannot parse y 'w'"),
+    ("1,0.5,1,a,b,\n", "frame CSV line 2: cannot parse propensity ''"),
+    ("1,0.5,1,a,b,1\n2,0.5\n", "frame CSV line 3: expected 6 fields"),
+    ("1,0.5,1,a,b,1,9\n", "frame CSV line 2: expected 6 fields"),
+    ('1,0.5,1,"a\nb",c,1\n2,0.5,0,a,b,1\n',
+     "frame CSV line 3: record 2: size measure x must be positive, got 0.0"),
+    ('1,0.5,1,"a\n\nb",c,1\n\n2,0.5,x,a,b,1\n', "frame CSV line 4: cannot parse x 'x'"),
+    ("1,0.5,1,a,b,1\n\n1,0.5,1,a,b,1\n",
+     "frame CSV line 4: record 1: frame record ids must be unique"),
+    ("", "frame must contain at least one record"),
+    # a row of blanks or empty fields is a record with no id, not a blank line
+    ("1,0.5,1,a,b,1\n   \n2,0.5,1,a,b,1\n", "frame CSV line 3: expected 6 fields"),
+    ("1,0.5,1,a,b,1\n,,,,,\n2,0.5,1,a,b,1\n", "frame CSV line 3: cannot parse id ''"),
+]
+
+
+@pytest.mark.parametrize("rows, message", CSV_ERRORS)
+def test_csv_errors_name_the_csv_line(rows, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_frame_csv(io.StringIO("id,y,x,stratum,cluster,propensity\n" + rows))
 
 
 def test_universe_validation():
@@ -100,7 +129,7 @@ def test_csv_round_trip_is_lossless(ys):
     assert loaded.y == frame.y
 
 
-LABEL_CHARS = st.one_of(st.sampled_from(',"\'; é中'),
+LABEL_CHARS = st.one_of(st.sampled_from(',"\'#; é中'),
                         st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")))
 # loading strips the whitespace around a label, so generated labels have none
 LABELS = st.text(LABEL_CHARS, max_size=6).map(str.strip)
