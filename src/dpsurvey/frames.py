@@ -199,14 +199,6 @@ def make_frame(ys, xs=None, strata=None, clusters=None, propensities=None, ids=N
                  propensities)
 
 
-def load_frame_csv(source) -> Frame:
-    """Read a frame from a CSV path or a file object, which an error re-reads from its start."""
-    if hasattr(source, "read"):
-        return _parse_frame(source)
-    with open(source, newline="") as handle:
-        return _parse_frame(handle)
-
-
 _DTYPE = [("id", "i8"), ("y", "f8"), ("x", "f8"), ("stratum", "O"), ("cluster", "O"),
           ("propensity", "f8")]
 # a blank y is missing; a frame has few distinct labels, so each is held once
@@ -214,8 +206,16 @@ _CONVERTERS = {1: lambda cell: cell.strip() or "nan",
                **dict.fromkeys((3, 4), lambda cell: sys.intern(cell.strip()))}
 
 
-def _parse_frame(handle) -> Frame:
-    header = next(csv.reader(handle), [])
+def load_frame_csv(source) -> Frame:
+    """Read a frame from a CSV path or a file object, from its current position."""
+    if not hasattr(source, "read"):
+        with open(source, newline="") as handle:
+            return load_frame_csv(handle)
+    try:
+        start = source.tell()
+    except OSError:  # a pipe; an error reads the rows again, so hold them
+        source, start = io.StringIO(source.read(), newline=""), 0
+    header = next(csv.reader(source), [])
     if [h.strip() for h in header] != CSV_HEADER:
         raise ValueError(f"frame CSV header must be {','.join(CSV_HEADER)!r}, got {header!r}")
     columns = None
@@ -223,16 +223,19 @@ def _parse_frame(handle) -> Frame:
         with warnings.catch_warnings():
             # a header-only file fails in Frame, as a frame with no records
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(handle, dtype=_DTYPE, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1, converters=_CONVERTERS)
+            # numpy < 2 reads an id such as 2.5 as a float and truncates it, warning only
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            # numpy < 2 defaults to encoding="bytes", which hands the converters bytes
+            rows = np.loadtxt(source, dtype=_DTYPE, delimiter=",", quotechar='"', comments=None,
+                              ndmin=1, converters=_CONVERTERS, encoding=None)
         columns = [rows[name] for name in CSV_HEADER]
         return Frame(*columns)
     except ValueError as err:
         fault = err
     # Only a fault reads the file again, to name its CSV record.  The header is
     # record 1, and a blank line is an empty record that numpy skips.
-    handle.seek(0)
-    records = [(line, row) for line, row in enumerate(csv.reader(handle), start=1) if row][1:]
+    source.seek(start)
+    records = [(line, row) for line, row in enumerate(csv.reader(source), start=1) if row][1:]
     if columns is not None:  # a column check in Frame
         return Frame(*columns, lines=[line for line, _ in records])
     # numpy counts data rows from 0 in a conversion error, from 1 in a field-count error

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import re
 import warnings
 
@@ -77,6 +78,7 @@ def test_csv_rejects_short_rows():
 CSV_ERRORS = [
     ("1,0.5,1,a,b,1\n\n2,0.5,zz,a,b,1\n", "frame CSV line 4: cannot parse x 'zz'"),
     ("1,0.5,1,a,b,1\n2,w,1,a,b,1\n", "frame CSV line 3: cannot parse y 'w'"),
+    ("1,0.5,1,a,b,1\n2.5,0.5,1,a,b,1\n", "frame CSV line 3: cannot parse id '2.5'"),
     ("1,0.5,1,a,b,\n", "frame CSV line 2: cannot parse propensity ''"),
     ("1,0.5,1,a,b,1\n2,0.5\n", "frame CSV line 3: expected 6 fields"),
     ("1,0.5,1,a,b,1,9\n", "frame CSV line 2: expected 6 fields"),
@@ -89,15 +91,55 @@ CSV_ERRORS = [
     # a row of blanks or empty fields is a record with no id, not a blank line
     ("1,0.5,1,a,b,1\n   \n2,0.5,1,a,b,1\n", "frame CSV line 3: expected 6 fields"),
     ("1,0.5,1,a,b,1\n,,,,,\n2,0.5,1,a,b,1\n", "frame CSV line 3: cannot parse id ''"),
+    # an id must fit in int64
+    ("99999999999999999999,0.5,1,a,b,1\n",
+     "frame CSV line 2: cannot parse id '99999999999999999999'"),
 ]
 
 
 @pytest.mark.parametrize("rows, message", CSV_ERRORS)
 def test_csv_errors_name_the_csv_line(rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_frame_csv(io.StringIO("id,y,x,stratum,cluster,propensity\n" + rows))
+
+
+def test_header_only_csv_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            load_frame_csv(io.StringIO("id,y,x,stratum,cluster,propensity\n" + rows))
+        with pytest.raises(ValueError, match="^frame must contain at least one record$"):
+            load_frame_csv(io.StringIO("id,y,x,stratum,cluster,propensity\n"))
+
+
+def pipe_with(text):
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode())
+    os.close(write_end)
+    return open(read_end, newline="")
+
+
+def test_csv_loads_from_a_pipe_and_from_the_handle_position():
+    text = "id,y,x,stratum,cluster,propensity\n1,0.5,1,a,b,1\n2,0.5,zz,a,b,1\n"
+    error = "^frame CSV line 3: cannot parse x 'zz'$"
+    with pipe_with(text.replace("zz", "2")) as pipe:
+        assert load_frame_csv(pipe).x == (1.0, 2.0)
+    with pipe_with(text) as pipe, pytest.raises(ValueError, match=error):
+        load_frame_csv(pipe)
+    handle = io.StringIO("preamble\n" + text)
+    handle.readline()
+    with pytest.raises(ValueError, match=error):
+        load_frame_csv(handle)
+
+
+def test_csv_converters_get_text_whatever_numpy_defaults_to(monkeypatch):
+    loadtxt = np.loadtxt
+
+    def loadtxt_with_numpy1_default(*args, encoding="bytes", **kwargs):
+        # before numpy 2, "bytes" was the default and handed the converters bytes
+        return loadtxt(*args, encoding=encoding, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_with_numpy1_default)
+    loaded = load_frame_csv(io.StringIO("id,y,x,stratum,cluster,propensity\n1,,1,中,b,1\n"))
+    assert loaded.stratum_labels == ("中",)
 
 
 def test_universe_validation():
@@ -199,6 +241,27 @@ def test_invalid_field_names_the_record(columns, invalid, data):
         make_frame(**columns)
     with pytest.raises(ValueError, match=f"^frame CSV line {position + 2}: {offender}"):
         load_frame_csv(io.StringIO(csv_text(columns)))
+
+
+# an unparsable value per column (the propensity is quoted, as it holds a comma)
+UNPARSABLE = {"id": "2.5", "y": "zz", "x": "1e", "propensity": "1,5"}
+
+
+@given(frame_columns(), st.sampled_from([*UNPARSABLE, None]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_unparsable_or_short_record_names_its_csv_line(columns, column, data):
+    rows = list(csv.reader(io.StringIO(csv_text(columns))))
+    line = data.draw(st.integers(2, len(rows)))
+    if column is None:
+        del rows[line - 1][-1]
+        message = "expected 6 fields"
+    else:
+        rows[line - 1][rows[0].index(column)] = UNPARSABLE[column]
+        message = f"cannot parse {column} {UNPARSABLE[column]!r}"
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'frame CSV line {line}: {message}')}$"):
+        load_frame_csv(io.StringIO(buffer.getvalue()))
 
 
 @given(frame_columns(), st.integers())
