@@ -30,7 +30,7 @@ from .designs import (
     inclusion_probs,
     sample_space,
 )
-from .estimators import HTEstimate, ReleaseRefusedError, dp_ht_mean, ht_mean, ht_total, unweighted_mean
+from .estimators import HTEstimate, ReleaseRefusedError, ht_mean, ht_total, unweighted_mean
 from .frames import Frame, FrameRecord, ValueUniverse, dump_frame_csv, load_frame_csv, make_frame
 from .imputation import (
     ImputationParams,

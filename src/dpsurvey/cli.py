@@ -26,7 +26,7 @@ from .frames import load_frame_csv
 from .imputation import fit_dp_mean_model, impute_parametric, record_rng
 from .instances import formula_agreement_instances, four_unit_frame
 from .mechanisms import analytic_sensitivity
-from .pipeline import ConfigError, parse_config_file, run_pipeline
+from .pipeline import parse_config_file, run_pipeline
 
 
 def _error_json(err: Exception) -> str:
@@ -37,12 +37,7 @@ def _error_json(err: Exception) -> str:
 def _cmd_run(args) -> int:
     config = parse_config_file(args.config)
     report = run_pipeline(config, seed=args.seed)
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(report.to_json(), args.out)
     return 0
 
 
@@ -202,9 +197,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        sys.stderr.write(_error_json(err) + "\n")
-        return 1
     except Exception as err:
         sys.stderr.write(_error_json(err) + "\n")
         return 1

@@ -1,10 +1,9 @@
-"""Survey-weighted point estimation and its DP release.
+"""Survey-weighted point estimation.
 
-The inverse-probability weighted mean (Horvitz-Thompson) is released with
-Laplace noise calibrated from the fixed-weight closed form when the
-neighbor relation pins the weights (frame invariance), and otherwise only
-with an explicitly supplied audited sensitivity: guessing a fixed-weight
-bound under data-dependent weights silently under-protects.
+Horvitz-Thompson mean and total over the distinct sampled units, and the
+unweighted mean.  Noisy release is the pipeline's job: its release stage
+takes each sensitivity from ``pipeline._resolve_sensitivity`` and raises
+``ReleaseRefusedError`` where no sound one is available.
 """
 
 from __future__ import annotations
@@ -13,16 +12,6 @@ import math
 from dataclasses import dataclass
 
 from .designs import WeightedSample
-from .frames import ValueUniverse
-from .mechanisms import (
-    HTMeanFixedWeights,
-    PrivacyLedger,
-    Sensitivity,
-    _delta_value,
-    _epsilon_value,
-    analytic_sensitivity,
-    release_laplace,
-)
 
 __all__ = [
     "HTEstimate",
@@ -30,7 +19,6 @@ __all__ = [
     "ht_mean",
     "ht_total",
     "unweighted_mean",
-    "dp_ht_mean",
 ]
 
 
@@ -90,41 +78,3 @@ def unweighted_mean(values) -> HTEstimate:
     if any(math.isnan(v) for v in values):
         raise ValueError("missing y values present; impute before estimating")
     return HTEstimate(math.fsum(values) / len(values), "unweighted_mean", len(values))
-
-
-def dp_ht_mean(sample: WeightedSample, n_pop: int, universe: ValueUniverse,
-               neighbor, eps, rng, *, w_max: float | None = None,
-               audited: Sensitivity | float | None = None,
-               ledger: PrivacyLedger | None = None,
-               label: str = "ht_mean") -> float:
-    """Laplace release of the weighted mean.
-
-    Under a frame-invariant neighbor relation the weights are fixed and the
-    closed-form bound max(w) * range / n_pop applies; ``w_max`` defaults to
-    the largest weight in the sample and callers with frame-level knowledge
-    should pass the frame maximum.  Under any other relation an ``audited``
-    sensitivity must be supplied or the release is refused.
-    """
-    estimate = ht_mean(sample, n_pop)
-    value_range = universe.value_range()
-
-    invariant = getattr(neighbor, "invariant", neighbor)
-    if audited is not None:
-        delta = _delta_value(audited)
-        source = "audited"
-    elif invariant == "frame":
-        if w_max is None:
-            w_max = max(sample.w)
-        delta = analytic_sensitivity(
-            HTMeanFixedWeights(w_max=w_max, value_range=value_range, n_pop=n_pop)).delta_f
-        source = "fixed-weights"
-    else:
-        raise ReleaseRefusedError(
-            f"refusing to release {label}: the {invariant!r} neighbor relation makes "
-            "the weights data-dependent and no audited sensitivity was supplied; "
-            "supply one from the audit oracle or switch to a frame-invariant pipeline")
-
-    eps_value = _epsilon_value(eps)
-    if ledger is not None:
-        ledger.charge(f"{label}[{source}]", eps_value, delta)
-    return release_laplace(estimate.value, delta, eps_value, rng)

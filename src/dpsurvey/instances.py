@@ -82,6 +82,12 @@ def formula_agreement_instances() -> list[tuple[AuditInstance, object]]:
             AuditInstance(name=f"ht-fixed-{len(weights)}w-N{n_pop}", statistic="ht_mean",
                           y_grid=BINARY, weights=weights, n_pop=n_pop),
             HTMeanFixedWeights(w_max=max(weights), value_range=1.0, n_pop=n_pop)))
+    # a total is the fixed-weight mean over a population of one
+    for weights in ((2.0, 3.0, 5.0), (1.0, 2.0, 4.0)):
+        pairs.append((
+            AuditInstance(name=f"ht-total-{len(weights)}w-max{max(weights):g}",
+                          statistic="ht_total", y_grid=BINARY, weights=weights),
+            HTMeanFixedWeights(w_max=max(weights), value_range=1.0, n_pop=1)))
     return pairs
 
 

@@ -142,7 +142,8 @@ class HTMeanFixedWeights:
     """Inverse-probability weighted mean with weights treated as fixed.
 
     Sensitivity w_max * value_range / n_pop: replacing one record moves the
-    weighted sum by at most the largest weight times the value range.
+    weighted sum by at most the largest weight times the value range.  The
+    weighted total is the case n_pop = 1.
     """
 
     w_max: float

@@ -60,7 +60,15 @@ from .imputation import (
     impute_parametric,
     record_rng,
 )
-from .mechanisms import PrivacyLedger, laplace_scale, release_laplace
+from .mechanisms import (
+    BoundedMean,
+    HTMeanFixedWeights,
+    PrivacyLedger,
+    Proportion,
+    analytic_sensitivity,
+    laplace_scale,
+    release_laplace,
+)
 
 __all__ = [
     "ConfigError",
@@ -352,7 +360,10 @@ def parse_config(text: str) -> PipelineConfig:
             imputation_eps = _number(imp["epsilon"], "imputation.epsilon", positive=True)
         elif "epsilon" in imp:
             raise ConfigError("imputation.epsilon", "hot_deck is not a DP mechanism")
-        imputation_cc = bool(imp.get("complete_cases", True))
+        imputation_cc = imp.get("complete_cases", True)
+        if not isinstance(imputation_cc, bool):
+            raise ConfigError("imputation.complete_cases",
+                              f"expected a boolean, got {imputation_cc!r}")
 
     audit_eps = None
     if "audit" in top:
@@ -543,7 +554,9 @@ def _resolve_sensitivity(config: PipelineConfig, spec: ReleaseSpec,
 
     Closed forms are only sound when the quantities they depend on are
     pinned by the declared invariants; otherwise an audited sensitivity
-    must come from the config.
+    must come from the config.  Every closed form is the one
+    ``analytic_sensitivity`` gives for its descriptor, the form the audit
+    oracle checks.
     """
     value_range = config.universe.value_range()
     if spec.audited_sensitivity is not None:
@@ -564,7 +577,9 @@ def _resolve_sensitivity(config: PipelineConfig, spec: ReleaseSpec,
             f"sensitivity data-dependent; {hint}")
     if spec.statistic in ("mean", "proportion"):
         n_resp = processed.size
-        delta = 1.0 / n_resp if spec.statistic == "proportion" else value_range / n_resp
+        statistic = (Proportion(n_resp) if spec.statistic == "proportion"
+                     else BoundedMean(value_range, n_resp))
+        delta = analytic_sensitivity(statistic).delta_f
         if config.mechanism_start == "responding-sample":
             # a unit drawn more than once (SRSWR) fills one row per draw with its y
             delta *= max(Counter(processed.ids).values())
@@ -579,9 +594,10 @@ def _resolve_sensitivity(config: PipelineConfig, spec: ReleaseSpec,
     for unit, w in zip(processed.ids, processed.w):
         unit_weight[unit] += w
     w_max = max(_frame_weight_max(config, frame), max(unit_weight.values()))
-    if spec.statistic == "ht_mean":
-        return w_max * value_range / frame.n, "analytic-fixed-weights"
-    return w_max * value_range, "analytic-fixed-weights"
+    # a total is a mean over a population of one
+    n_pop = frame.n if spec.statistic == "ht_mean" else 1
+    statistic = HTMeanFixedWeights(w_max, value_range, n_pop)
+    return analytic_sensitivity(statistic).delta_f, "analytic-fixed-weights"
 
 
 def _release_stage(config: PipelineConfig, processed: WeightedSample, frame: Frame,

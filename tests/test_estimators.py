@@ -1,14 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 
-from dpsurvey.audit import NeighborRelation, exact_sensitivity
 from dpsurvey.designs import WeightedSample, build_sample, inclusion_probs, sample_space
-from dpsurvey.estimators import ReleaseRefusedError, dp_ht_mean, ht_mean, ht_total, unweighted_mean
-from dpsurvey.frames import ValueUniverse
-from dpsurvey.instances import design_library, frame_library, pps_reference_instance
-from dpsurvey.mechanisms import BoundedMean, HTMeanFixedWeights, PrivacyLedger, analytic_sensitivity
+from dpsurvey.estimators import ht_mean, ht_total, unweighted_mean
+from dpsurvey.instances import design_library, frame_library
+from dpsurvey.mechanisms import BoundedMean, HTMeanFixedWeights, analytic_sensitivity
 
 
 def sample_with(weights, ys):
@@ -64,60 +61,6 @@ def test_design_unbiasedness_by_enumeration():
                 sample = build_sample(frame, [position[u] for u in ids], pi)
                 total += prob * ht_mean(sample, frame.n).value
             assert total == pytest.approx(population_mean, abs=1e-10), (design, frame.n)
-
-
-def test_dp_ht_mean_fixed_weight_noise_scale():
-    universe = ValueUniverse(0.0, 1.0)
-    sample = sample_with([5.0, 2.0], [1.0, 0.0])
-    ledger = PrivacyLedger()
-    dp_ht_mean(sample, 10, universe, NeighborRelation("frame", "y-only"), 1.0,
-               np.random.default_rng(0), ledger=ledger)
-    charge = ledger.charges[0]
-    assert charge.delta_f == 0.5          # max(w) * R / N = 5 * 1 / 10
-    assert charge.epsilon == 1.0          # so the noise scale is b = 0.5
-
-
-def test_dp_ht_mean_degenerate_universe_is_exact():
-    universe = ValueUniverse(0.7, 0.7)
-    sample = sample_with([2.0, 2.0], [0.7, 0.7])
-    out = dp_ht_mean(sample, 4, universe, NeighborRelation("frame", "y-only"), 1.0,
-                     np.random.default_rng(0))
-    assert out == ht_mean(sample, 4).value
-
-
-def test_dp_ht_mean_refuses_data_dependent_weights():
-    universe = ValueUniverse(0.0, 1.0, x_values=(1.0, 2.0))
-    sample = sample_with([3.0], [1.0])
-    with pytest.raises(ReleaseRefusedError):
-        dp_ht_mean(sample, 3, universe, NeighborRelation("population", "full-record"),
-                   1.0, np.random.default_rng(0))
-
-
-def test_dp_ht_mean_audited_path_uses_larger_scale():
-    # on the PPS reference instance the audited sensitivity strictly exceeds
-    # the frame-invariant closed form, so the audited noise scale is larger
-    instance = pps_reference_instance()
-    audited = exact_sensitivity(instance, NeighborRelation("population", "full-record"))
-    fixed = exact_sensitivity(instance, NeighborRelation("frame", "y-only"))
-    assert audited.delta_f > fixed.delta_f
-
-    universe = ValueUniverse(0.0, 1.0, x_values=(1.0, 2.0))
-    sample = sample_with([3.0], [1.0])
-    ledger = PrivacyLedger()
-    dp_ht_mean(sample, 3, universe, NeighborRelation("population", "full-record"), 1.0,
-               np.random.default_rng(0), audited=audited, ledger=ledger)
-    assert ledger.charges[0].delta_f == audited.delta_f
-    assert ledger.charges[0].delta_f / 1.0 > fixed.delta_f / 1.0
-
-
-def test_dp_ht_mean_huge_epsilon_is_nearly_exact():
-    universe = ValueUniverse(0.0, 1.0)
-    sample = sample_with([2.0, 4.0, 4.0], [0.3, 0.8, 0.5])
-    exact = ht_mean(sample, 8).value
-    for seed in range(100):
-        noisy = dp_ht_mean(sample, 8, universe, NeighborRelation("frame", "y-only"),
-                           1e6, np.random.default_rng(seed))
-        assert abs(noisy - exact) < 1e-3 * universe.value_range()
 
 
 def test_ht_mean_lies_in_weighted_value_bounds():

@@ -69,6 +69,20 @@ def test_budget_includes_imputation_epsilon(frame_csv):
     assert parse_config(text).imputation_epsilon == 0.4
 
 
+@pytest.mark.parametrize("flag", ["false", 0, None])
+def test_complete_cases_must_be_a_json_boolean(frame_csv, flag):
+    def config(value):
+        return minimal_config(
+            frame_csv, releases=[{"statistic": "mean", "epsilon": 0.6}],
+            imputation={"method": "dp_mean", "epsilon": 0.4, "complete_cases": value},
+            budget=1.0)
+
+    assert parse_config(config(False)).imputation_complete_cases is False
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(config(flag))
+    assert excinfo.value.path == "imputation.complete_cases"
+
+
 def test_unknown_key_rejected_with_path(frame_csv):
     raw = json.loads(minimal_config(frame_csv))
     raw["adjustment"] = {"cells": {"c": [1, 2, 3, 4, 5, 6]}, "bogus": 1}
@@ -161,6 +175,25 @@ def test_frame_invariant_uses_fixed_weight_formula(frame_csv):
     entry = report.releases[0]
     assert entry["delta_f_source"] == "analytic-fixed-weights"
     assert entry["delta_f"] == pytest.approx((6 / 3) * 1.0 / 6)  # max(w) R / N
+
+
+def test_degenerate_universe_releases_the_exact_estimate(tmp_path):
+    # y_min == y_max: no record can change the estimate, so the release is exact
+    frame = make_frame([0.7] * 6)
+    path = tmp_path / "flat.csv"
+    dump_frame_csv(frame, path)
+    text = minimal_config(str(path), universe={"y_min": 0.7, "y_max": 0.7})
+    report = run_pipeline(parse_config(text))
+    from dpsurvey.designs import SRSWOR, draw
+    from dpsurvey.estimators import ht_mean
+
+    sample = draw(SRSWOR(3), frame, np.random.default_rng(7))
+    entry = report.releases[0]
+    assert entry["delta_f"] == 0.0
+    assert entry["delta_f_source"] == "degenerate-universe"
+    assert entry["value"] == ht_mean(sample, frame.n).value
+    assert report.ledger_charges == (
+        {"label": "release[ht_mean]", "epsilon": 1.0, "delta_f": 0.0},)
 
 
 def test_pps_design_fixed_weight_vs_refusal(tmp_path):
