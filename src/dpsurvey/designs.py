@@ -336,51 +336,43 @@ class PPS(Design):
         return np.minimum(pi, 1.0)
 
     def _split(self, frame: Frame):
-        """Split units into certainty (pi == 1) and calibrated-odds groups.
+        """Certainty units, the other units, their sample size and calibrated odds.
 
-        The odds calibration depends only on (n, x); it is cached so repeated
-        draws from one design do not re-run the fixed point.
+        inclusion_probs rejects n out of range and pi above one; the odds
+        calibration is cached by (n, pi) so repeated draws skip the fixed point.
         """
-        inclusion_probs(self, frame)  # rejects n out of range and pi above one
-        return _pps_split_cached(self.n, tuple(frame.x))
+        return _pps_split_cached(self.n, inclusion_probs(self, frame).tobytes())
 
     def draw(self, frame, rng):
         certain, rest, n_rest, odds = self._split(frame)
         chosen = list(certain)
-        if n_rest > 0:
-            remaining = n_rest
-            for idx in range(len(rest)):
+        remaining = n_rest
+        # unit i is taken with probability o_i e_{r-1}(tail) / e_r(odds[i:]), where
+        # tail = odds[i + 1:] and e_r(tail) is exactly 0 once r exceeds its length
+        for start, end, table in _tail_blocks(odds, n_rest):
+            for i in range(start, end):
                 if remaining == 0:
-                    break
-                tail = odds[idx + 1:]
-                tail_esp = _esp(tail)
-                odd = odds[idx]
-                denom = tail_esp[remaining] + odd * tail_esp[remaining - 1] \
-                    if remaining <= len(tail) else odd * tail_esp[remaining - 1]
-                take_prob = odd * tail_esp[remaining - 1] / denom
-                if rng.random() < take_prob:
-                    chosen.append(rest[idx])
+                    return sorted(chosen)
+                tail = table[:, end - 1 - i]
+                take = odds[i] * tail[remaining - 1]
+                if rng.random() < take / (tail[remaining] + take):
+                    chosen.append(rest[i])
                     remaining -= 1
         return sorted(chosen)
 
     def space_size(self, frame):
-        certain = sum(1 for p in inclusion_probs(self, frame) if p >= 1.0 - 1e-15)
+        certain = np.count_nonzero(inclusion_probs(self, frame) >= _CERTAIN)
         return math.comb(frame.n - certain, self.n - certain)
 
     def space(self, frame):
         ids = frame.ids
         certain, rest, n_rest, odds = self._split(frame)
-        outcomes = []
-        if n_rest == 0:
-            return [(tuple(ids[p] for p in sorted(certain)), 1.0)]
-        denom = _esp(odds)[n_rest]
-        for combo in itertools.combinations(range(len(rest)), n_rest):
-            weight = 1.0
-            for idx in combo:
-                weight *= odds[idx]
-            positions = sorted(certain + [rest[idx] for idx in combo])
-            outcomes.append((tuple(ids[p] for p in positions), float(weight / denom)))
-        return outcomes
+        combos = list(itertools.combinations(range(len(rest)), n_rest))
+        weights = [math.prod(odds[idx] for idx in combo) for combo in combos]
+        total = math.fsum(weights)  # e_n(odds), summed exactly from its terms
+        return [(tuple(ids[p] for p in sorted(certain + [rest[idx] for idx in combo])),
+                 float(weight / total))
+                for combo, weight in zip(combos, weights)]
 
     def sampling_rate(self, frame):
         return float(np.max(inclusion_probs(self, frame)))
@@ -581,56 +573,102 @@ def draw(design: Design, frame: Frame, rng: np.random.Generator) -> WeightedSamp
 # Conditional Poisson (rejective) machinery for fixed-size PPS
 # ---------------------------------------------------------------------------
 
-def _esp(values) -> list[float]:
-    """Elementary symmetric polynomial values e_0..e_m of the inputs."""
-    coeffs = [1.0] + [0.0] * len(values)
-    for i, v in enumerate(values, start=1):
-        for k in range(i, 0, -1):
-            coeffs[k] += v * coeffs[k - 1]
-    return coeffs
+# e_k(odds), the k-th elementary symmetric polynomial, weighs the size-k samples.
+# Rows e_0..e_n grow one unit at a time by the positive update e_k += o e_{k-1},
+# one numpy pass per k over a block of units.  Values grow by at most about
+# 2**_CPS_GROWTH_BITS inside a block, and the row carried between blocks is
+# rescaled by an exact power of two: only ratios at one scale are ever read.
+
+_CERTAIN = 1.0 - 1e-15  # a PPS target at or above this is a certainty unit
+_CPS_GROWTH_BITS = 400
+_CPS_BLOCK_FLOATS = 1 << 20  # block rows are capped near this many floats per table
 
 
-def _cps_inclusion(odds: np.ndarray, n: int) -> np.ndarray:
-    """Marginal inclusion probabilities of conditional Poisson sampling."""
-    full = _esp(odds)
-    total = full[n]
-    pi = np.empty(len(odds))
-    for i, odd in enumerate(odds):
-        # e_k of the other units via synthetic deletion
-        reduced = [1.0]
-        for k in range(1, n):
-            reduced.append(full[k] - odd * reduced[k - 1])
-        pi[i] = odd * reduced[n - 1] / total
-    return pi
+def _rescaled(row: np.ndarray) -> np.ndarray:
+    """The row divided by the power of two that puts its maximum in [0.5, 1)."""
+    return np.ldexp(row, -math.frexp(float(row.max()))[1])
 
 
-def _cps_calibrate(target_pi: np.ndarray, n: int, tol: float = 1e-14) -> np.ndarray:
-    """Find working odds whose conditional-on-size-n marginals match target_pi."""
-    target = np.asarray(target_pi, dtype=float)
-    odds = target / (1.0 - target)
-    for iteration in range(10_000):
-        current = _cps_inclusion(odds, n)
-        error = float(np.max(np.abs(current - target)))
-        if not math.isfinite(error):
-            # the elementary symmetric polynomials overflowed; more iterations cannot help
-            raise PPSCalibrationError(f"overflowed at iteration {iteration}", error)
-        if error < tol:
-            return odds
-        odds = odds * (target / current)
-    raise PPSCalibrationError("did not converge", error)
+def _esp_columns(start: np.ndarray, odds: np.ndarray) -> np.ndarray:
+    """Column j holds e_0..e_n of the units behind ``start`` plus odds[:j]."""
+    table = np.empty((len(start), len(odds) + 1))
+    table[0] = start[0]
+    for k in range(1, len(start)):
+        np.multiply(odds, table[k - 1, :-1], out=table[k, 1:])
+        table[k, 0] = start[k]
+        np.cumsum(table[k], out=table[k])
+    return table
 
 
-@functools.lru_cache(maxsize=256)
-def _pps_split_cached(n: int, xs: tuple[float, ...]):
-    pi = n * np.asarray(xs) / math.fsum(xs)
-    certain = [i for i in range(len(xs)) if pi[i] >= 1.0 - 1e-15]
-    rest = [i for i in range(len(xs)) if pi[i] < 1.0 - 1e-15]
-    n_rest = n - len(certain)
-    if n_rest < 0:
-        raise ValueError("PPS: more certainty units than the sample size")
-    odds = None
-    if n_rest > 0 and rest:
-        odds = _cps_calibrate(pi[rest], n_rest)
+def _tail_blocks(odds: np.ndarray, n: int):
+    """Yield (start, end, table) for each block of units, in unit order.
+
+    table[:, j] holds e_0..e_n of odds[end - j:] up to a power-of-two scale.
+    Blocks end where the cumulative growth crosses a multiple of the bound, or
+    after ``cap`` units.  A backward pass keeps only each block's boundary row,
+    and each block is rebuilt from it when reached: O((blocks + cap) * n) memory.
+    """
+    cap = max(math.isqrt(len(odds)) + 1, _CPS_BLOCK_FLOATS // (n + 1))
+    band = np.cumsum(np.log2(1.0 + odds)) // _CPS_GROWTH_BITS
+    edges = sorted({*range(0, len(odds), cap), *(np.flatnonzero(np.diff(band)) + 1).tolist()})
+    blocks = list(zip(edges, edges[1:] + [len(odds)]))
+    rows = [np.eye(1, n + 1)[0]]
+    for start, end in reversed(blocks[1:]):
+        rows.append(_rescaled(_esp_columns(rows[-1], odds[start:end][::-1])[:, -1]))
+    for start, end in blocks:
+        yield start, end, _esp_columns(rows.pop(), odds[start:end][::-1])
+
+
+def _cps_masses(odds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per unit, the weight of the size-n samples that hold it and that do not.
+
+    Both sum positive terms e_a(head) e_b(tail) at one scale per unit, so
+    pi = inc / (inc + exc) and logit(pi) = log(inc / exc) stay precise near 1.
+    """
+    inc, exc = np.empty(len(odds)), np.empty(len(odds))
+    head = np.eye(1, n + 1)[0]
+    for start, end, table in _tail_blocks(odds, n):
+        heads = _esp_columns(head, odds[start:end])
+        head = _rescaled(heads[:, -1])
+        heads, tails = heads[:, :-1], table[::-1, -2::-1]  # tails[c, j]: e_{n-c}(odds[start+j+1:])
+        inc[start:end] = odds[start:end] * np.einsum("kj,kj->j", heads[:-1], tails[1:])
+        exc[start:end] = np.einsum("kj,kj->j", heads, tails)
+    return inc, exc
+
+
+def _cps_calibrate(target_pi: np.ndarray, n: int) -> np.ndarray:
+    """Find working odds whose conditional-on-size-n marginals match target_pi.
+
+    A fixed point on log odds, lambda += logit(target) - logit(pi), stepping from
+    the best iterate; a step that does not cut the largest error by a tenth is
+    halved.  Once the error stops falling it is at the rounding floor, accepted
+    when within a tolerance that grows with the unit count.
+    """
+    goal = np.log(target_pi) - np.log1p(-target_pi)
+    log_odds, base, direction, best, step = goal, goal, 0.0, math.inf, 1.0
+    for _ in range(1000):
+        inc, exc = _cps_masses(np.exp(log_odds), n)
+        residual = float(np.max(np.abs(inc / (inc + exc) - target_pi)))
+        if residual < 0.9 * best:
+            best, base, step = residual, log_odds, min(1.0, 2.0 * step)
+            direction = goal - np.log(inc / exc)
+        elif best <= max(1e-14, 8 * len(goal) * np.finfo(float).eps):
+            return np.exp(base)
+        elif step < 1e-6:
+            break
+        else:
+            step /= 2.0
+        log_odds = base + step * direction
+    raise PPSCalibrationError("did not converge", best)
+
+
+@functools.lru_cache(maxsize=4)
+def _pps_split_cached(n: int, pi_bytes: bytes):
+    pi = np.frombuffer(pi_bytes)
+    certain = np.flatnonzero(pi >= _CERTAIN).tolist()
+    rest = np.flatnonzero(pi < _CERTAIN).tolist()
+    n_rest = n - len(certain)  # >= 0: the targets sum to n and each is at most one
+    odds = _cps_calibrate(pi[rest], n_rest) if n_rest else np.zeros(len(rest))
     return certain, rest, n_rest, odds
 
 

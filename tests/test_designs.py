@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dpsurvey import designs
 from dpsurvey.designs import (
     PPS,
     SRSWOR,
@@ -311,17 +312,85 @@ def test_pps_certainty_unit_always_drawn():
 
 
 def test_pps_calibration_overflow_fails_fast_with_a_typed_error():
-    # e_550 of 1100 unit odds overflows a double; the calibration must stop at
-    # the first non-finite iterate instead of iterating on NaN
-    frame = make_frame([0.0] * 1100)
-    assert np.all(np.isfinite(inclusion_probs(PPS(550), frame)))
+    # e_550 of 1100 unit odds overflows a double, which once ended the
+    # calibration in a NaN; the scaled tables now draw, with finite
+    # conditional-Poisson marginals that sum to n
+    for n_frame, n in ((1100, 550), (2000, 1000)):
+        frame = make_frame([0.0] * n_frame)
+        assert draw(PPS(n), frame, np.random.default_rng(1)).size == n
+        inc, exc = designs._cps_masses(PPS(n)._split(frame)[3], n)
+        marginals = inc / (inc + exc)
+        assert np.all(np.isfinite(marginals))
+        assert abs(math.fsum(marginals) - n) < 1e-9
+    # targets that do not sum to the sample size cannot be met: a typed error
+    # with the finite residual, not a spin
     start = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(PPSCalibrationError) as excinfo:
-            draw(PPS(550), frame, np.random.default_rng(1))
-    assert time.perf_counter() - start < 10.0
+    with pytest.raises(PPSCalibrationError) as excinfo:
+        designs._cps_calibrate(np.array([0.5, 0.5, 0.5]), 1)
+    assert time.perf_counter() - start < 1.0
     assert isinstance(excinfo.value, RuntimeError)
-    assert math.isnan(excinfo.value.residual)
+    assert math.isfinite(excinfo.value.residual) and excinfo.value.residual > 0.1
+
+
+def test_pps_near_certainty_unit_calibrates():
+    frame = make_frame([0.0] * 8, xs=[0.999] + [2.001 / 7] * 7)
+    sample = draw(PPS(3), frame, np.random.default_rng(5))
+    assert len(sample.ids) == 3 and 1 in sample.ids
+
+
+@given(st.integers(min_value=3, max_value=10), st.data(),
+       st.floats(min_value=2.0, max_value=9.0))
+@settings(max_examples=150, deadline=None)
+def test_pps_calibration_near_certainty_matches_enumeration(n_frame, data, digits):
+    # one target pi = 1 - 10**-digits; the others share the rest of n below one
+    n = data.draw(st.integers(min_value=2, max_value=n_frame - 1))
+    near_one = 1.0 - 10.0 ** -digits
+    shares = data.draw(st.lists(st.floats(min_value=0.05, max_value=1.0),
+                                min_size=n_frame - 1, max_size=n_frame - 1))
+    others = [(n - near_one) * v / math.fsum(shares) for v in shares]
+    assume(max(others) < 1.0 - 1e-3)
+    frame = make_frame([0.0] * n_frame, xs=[near_one] + others)
+    # the logit fixed point converges here: a PPSCalibrationError fails the test
+    start = time.perf_counter()
+    space = sample_space(PPS(n), frame)
+    assert time.perf_counter() - start < 1.0
+    marginals = marginals_from_space(space, frame)
+    assert np.max(np.abs(marginals - inclusion_probs(PPS(n), frame))) < 1e-12
+
+
+def _tail_recursion_draw(odds, n, rng):
+    """Reference selection: e_k of every tail from scratch, O(N^2 n) per draw."""
+    chosen, remaining = [], n
+    for i, odd in enumerate(odds):
+        if remaining == 0:
+            break
+        tail = [1.0] + [0.0] * n
+        for v in odds[i + 1:]:
+            for k in range(n, 0, -1):
+                tail[k] += v * tail[k - 1]
+        take = odd * tail[remaining - 1]
+        if rng.random() < take / (tail[remaining] + take):
+            chosen.append(i)
+            remaining -= 1
+    return chosen
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_pps_table_draw_matches_the_per_unit_tail_recursion(blocked, monkeypatch):
+    if blocked:
+        # blocks of ~sqrt(N) units, and a growth bound that splits them further
+        monkeypatch.setattr(designs, "_CPS_BLOCK_FLOATS", 1)
+        monkeypatch.setattr(designs, "_CPS_GROWTH_BITS", 2)
+    for seed in range(40):
+        gen = np.random.default_rng(seed)
+        n_frame = int(gen.integers(5, 40))
+        frame = make_frame([0.0] * n_frame, xs=gen.choice([1.0, 2.0, 3.0, 4.0], n_frame))
+        n = int(gen.integers(1, n_frame // 3 + 2))
+        certain, rest, n_rest, odds = PPS(n)._split(frame)
+        assert not certain and n_rest == n
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert PPS(n).draw(frame, rng) == _tail_recursion_draw(odds.tolist(), n, reference)
+        assert rng.random() == reference.random()
 
 
 def test_cluster_sampling_observes_whole_clusters():
