@@ -1,0 +1,99 @@
+"""Time the audit oracle's phases as the frame size N grows.
+
+Runs the benchmark's two audit shapes for N = 3..max_N:
+
+* ``epsilon``: effective_epsilon of RandomizedResponse(1.0) after
+  Poisson(0.25) sampling of the mean, y in {0, 1};
+* ``sensitivity``: exact_sensitivity of ht_mean under SRSWOR(2),
+  y in {0, 0.5, 1};
+
+both with population-invariant y-only neighbors.  Each row prints the
+dataset, sampling-outcome, pair and truth-category counts beside the time
+of each phase: the sample space, the truth tables and mass histograms, and
+the pair scan, then the end-to-end call.
+
+Usage: python scripts/run_oracle_scale.py [max_N]   (default 6)
+"""
+
+import sys
+from time import perf_counter
+
+from dpsurvey.audit import (
+    AuditInstance,
+    NeighborRelation,
+    RandomizedResponse,
+    SampledReleaseMechanism,
+    _distributions,
+    _epsilon_report,
+    _groups,
+    _histograms,
+    _max_change,
+    _pairs,
+    _truth_matrix,
+    effective_epsilon,
+    exact_sensitivity,
+)
+from dpsurvey.designs import SRSWOR, EnumerationCapExceeded, Poisson, sample_space
+from dpsurvey.frames import make_frame
+
+RELATION = NeighborRelation("population", "y-only")
+
+
+def timed(fn, *args):
+    start = perf_counter()
+    result = fn(*args)
+    return result, perf_counter() - start
+
+
+def epsilon_row(n: int) -> tuple:
+    design = Poisson(0.25)
+    instance = AuditInstance(name="scale-epsilon", statistic="mean", y_grid=(0.0, 1.0),
+                             design=design, frame=make_frame([0.0] * n))
+    mechanism = SampledReleaseMechanism("mean", RandomizedResponse(1.0), design)
+    space, space_s = timed(sample_space, design, instance.frame)
+    start = perf_counter()
+    table = _pairs(instance, RELATION)
+    hist, categories = _histograms(mechanism, instance, RELATION, table)
+    events, dist, of = _distributions(mechanism.base, hist, categories)
+    tables_s = perf_counter() - start
+    _, scan_s = timed(_epsilon_report, 1.0, table, dist, of, events, categories)
+    _, total_s = timed(effective_epsilon, mechanism, instance, RELATION)
+    return (len(table.codes), len(space), table.n_pairs, len(categories),
+            space_s, tables_s, scan_s, total_s)
+
+
+def sensitivity_row(n: int) -> tuple:
+    design = SRSWOR(2)
+    instance = AuditInstance(name="scale-sensitivity", statistic="ht_mean",
+                             y_grid=(0.0, 0.5, 1.0), design=design,
+                             frame=make_frame([0.0] * n), n_pop=n)
+    space, space_s = timed(sample_space, design, instance.frame)
+    start = perf_counter()
+    table = _pairs(instance, RELATION)
+    groups = _groups(table, instance, RELATION, design)
+    truth = _truth_matrix(instance.statistic, table, groups, instance.n_pop)
+    tables_s = perf_counter() - start
+    _, scan_s = timed(_max_change, table, truth)
+    _, total_s = timed(exact_sensitivity, instance, RELATION)
+    return (len(table.codes), len(space), table.n_pairs, "-",
+            space_s, tables_s, scan_s, total_s)
+
+
+def main(argv) -> int:
+    max_n = int(argv[1]) if len(argv) > 1 else 6
+    print(f"{'shape':<12}{'N':>3}{'datasets':>10}{'outcomes':>10}{'pairs':>9}"
+          f"{'categories':>12}{'space_s':>10}{'tables_s':>10}{'scan_s':>10}{'total_s':>10}")
+    for shape, row in (("epsilon", epsilon_row), ("sensitivity", sensitivity_row)):
+        for n in range(3, max_n + 1):
+            try:
+                datasets, outcomes, pairs, categories, *times = row(n)
+            except EnumerationCapExceeded as err:  # DPSURVEY_ENUM_CAP raises the cap
+                print(f"{shape:<12}{n:>3}  {err}")
+                break
+            print(f"{shape:<12}{n:>3}{datasets:>10}{outcomes:>10}{pairs:>9}{categories:>12}"
+                  + "".join(f"{t:>10.4f}" for t in times))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

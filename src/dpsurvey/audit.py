@@ -7,9 +7,18 @@ no closed form exists.  ``effective_epsilon`` enumerates the full output
 distribution of a composed mechanism (sampling stage, statistic, discrete
 base mechanism) and reports the exact worst-case log probability ratio.
 
-Every oracle draws its pairs from one enumeration, ``neighbors`` (one-record
-replacements via ``_mutations``); the effective-epsilon oracles share one
-outcome evaluation (``_truths``) and one worst-pair scan (``_worst_pair``).
+Both run on one enumeration core of numpy tables.  A dataset is a row of
+codes into the sorted distinct record values, and the neighbor pairs come
+from ``_PairTable`` in bounded chunks of row indices (``neighbors`` only
+decodes them).  Datasets sharing a sampling stage form a group
+(``_groups``), and on each sample of a group's space the statistic is
+evaluated once per distinct in-sample value pattern (``_outcome_truths``).
+``exact_sensitivity`` takes the largest change over the samples both
+datasets of a pair can draw.  ``effective_epsilon`` sums each dataset's
+outcome probabilities into one mass histogram over the sorted truth
+categories, mixes it with the base mechanism's per-category event
+probabilities once per distinct histogram, and scans the pairs with the
+loss ln(max(p, q) / min(p, q)).
 
 Neighbor semantics are bounded replace-one throughout: one record's
 mutable fields change, the dataset size does not.  The invariant level
@@ -71,6 +80,7 @@ __all__ = [
 ]
 
 EMPTY_EVENT = ("empty",)
+_CHUNK = 512  # pair rows per numpy pass of a scan
 
 
 @dataclass(frozen=True)
@@ -154,7 +164,7 @@ class AuditInstance:
 
 
 # ---------------------------------------------------------------------------
-# Dataset families and neighbor enumeration
+# Dataset and pair tables
 # ---------------------------------------------------------------------------
 
 def _slot_values(instance: AuditInstance, relation: NeighborRelation):
@@ -166,28 +176,96 @@ def _slot_values(instance: AuditInstance, relation: NeighborRelation):
     return instance.y_grid
 
 
-def _base_datasets(instance: AuditInstance, relation: NeighborRelation):
-    if instance.base_datasets is not None:
-        return [tuple(d) for d in instance.base_datasets]
-    values = _slot_values(instance, relation)
-    n = instance.n_slots
-    return [ds for ds in itertools.product(values, repeat=n)]
-
-
-def _mutations(dataset: tuple, instance: AuditInstance, relation: NeighborRelation):
-    """Every dataset reachable by replacing one record's mutable fields."""
-    values = _slot_values(instance, relation)
-    for slot in range(len(dataset)):
-        for value in values:
-            if value != dataset[slot]:
-                yield dataset[:slot] + (value,) + dataset[slot + 1:]
-
-
 def _pair_count(instance: AuditInstance, relation: NeighborRelation) -> int:
     values = _slot_values(instance, relation)
     n_bases = (len(instance.base_datasets) if instance.base_datasets is not None
                else len(values) ** instance.n_slots)
     return n_bases * instance.n_slots * (len(values) - 1)
+
+
+def _place_values(radix: int, width: int) -> np.ndarray:
+    """Mixed-radix digit weights, most significant first (Python ints past int64)."""
+    dtype = np.int64 if radix ** width < 2 ** 63 else object
+    return np.array([radix ** k for k in range(width - 1, -1, -1)], dtype=dtype)
+
+
+def _distinct_rows(rows: np.ndarray):
+    """(first, inverse): a row index per distinct row, and each row's distinct number."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)  # numpy 2.0 shapes the inverse like its input
+
+
+class _PairTable:
+    """Distinct datasets and every ordered neighbor pair between them.
+
+    A dataset is a row of ``codes``, indices into ``values`` (the sorted
+    distinct record values), so rows are in the order of the datasets as
+    tuples.  Pairs come in chunks, in enumeration order (base, slot, value):
+    pair (b, s, j) replaces slot s of base b by ``universe[j]``.  A dataset's
+    row is the rank of its mixed-radix key among ``keys``: every key when
+    every assignment is a base, else the keys of the bases and their moves.
+    """
+
+    def __init__(self, universe: tuple, n_slots: int, bases: list | None = None):
+        self.values = sorted(set(universe).union(*(bases or ())))
+        code = {value: c for c, value in enumerate(self.values)}
+        self.ys = [v[0] if isinstance(v, tuple) else v for v in self.values]
+        self.universe, self.bases = universe, bases
+        self.raw = np.array([code[v] for v in universe], dtype=np.intp)
+        self.place = _place_values(len(self.values), n_slots)
+        if bases is None:  # itertools.product order over the universe
+            every = np.arange(len(self.raw) ** n_slots)[:, None]
+            self.base_codes = self.raw[every // _place_values(len(self.raw), n_slots)
+                                       % len(self.raw)]
+        else:
+            self.base_codes = np.array([[code[v] for v in b] for b in bases],
+                                       dtype=np.intp).reshape(len(bases), n_slots)
+        self.base_keys = self.base_codes.astype(self.place.dtype) @ self.place
+        self.keys = np.arange(len(self.values) ** n_slots) if bases is None else None
+        if bases is not None:  # return_index: a bare np.unique imports numpy.ma (numpy 2)
+            self.keys, _ = np.unique(np.concatenate(
+                [self.base_keys] + [moved for *_, moved in self.chunks()]), return_index=True)
+        self.codes = (self.keys[:, None] // self.place % len(self.values)).astype(np.intp)
+        # a slot holding code c has one move per universe entry of another code
+        other = len(self.raw) - np.bincount(self.raw, minlength=len(self.values))
+        self.n_pairs = int(other[self.base_codes].sum())
+
+    def chunks(self):
+        """(base, slot, choice, first row, second row) arrays per chunk of pairs."""
+        step = max(1, _CHUNK // max(1, self.base_codes.shape[1] * len(self.raw)))
+        for start in range(0, len(self.base_codes), step):
+            base, slot, choice = np.nonzero(
+                self.raw != self.base_codes[start:start + step, :, None])
+            base += start
+            shift = (self.raw[choice] - self.base_codes[base, slot]).astype(self.place.dtype)
+            moved = self.base_keys[base] + shift * self.place[slot]
+            if self.keys is None:  # collecting the keys of an explicit-base table
+                yield base, slot, choice, None, moved
+            else:
+                yield (base, slot, choice, np.searchsorted(self.keys, self.base_keys[base]),
+                       np.searchsorted(self.keys, moved))
+
+    def dataset(self, row) -> tuple:
+        return tuple(self.values[c] for c in self.codes[row].tolist())
+
+    def pair(self, b: int, s: int, j: int) -> tuple[tuple, tuple]:
+        """The (base, mutated) datasets of one pair, as ``neighbors`` yields them."""
+        base = (self.bases[b] if self.bases is not None else
+                tuple(self.values[c] for c in self.base_codes[b].tolist()))
+        return base, base[:s] + (self.universe[j],) + base[s + 1:]
+
+
+def _pairs(instance: AuditInstance, relation: NeighborRelation, bases=None) -> _PairTable:
+    """The instance's pair table; the cap is checked before anything is built."""
+    cap = instance.cap if instance.cap is not None else default_enumeration_cap()
+    count = _pair_count(instance, relation)
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap)
+    if bases is None and instance.base_datasets is not None:
+        bases = [tuple(d) for d in instance.base_datasets]
+    return _PairTable(_slot_values(instance, relation), instance.n_slots, bases)
 
 
 def neighbors(instance: AuditInstance, relation: NeighborRelation):
@@ -196,13 +274,10 @@ def neighbors(instance: AuditInstance, relation: NeighborRelation):
     For design instances the datasets are frame-level value assignments.
     The pair count is n_bases * n_slots * (|universe| - 1).
     """
-    cap = instance.cap if instance.cap is not None else default_enumeration_cap()
-    count = _pair_count(instance, relation)
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap)
-    for base in _base_datasets(instance, relation):
-        for mutated in _mutations(base, instance, relation):
-            yield base, mutated
+    table = _pairs(instance, relation)
+    for base, slot, choice, _, _ in table.chunks():
+        for b, s, j in zip(base.tolist(), slot.tolist(), choice.tolist()):
+            yield table.pair(b, s, j)
 
 
 def _split_y_x(dataset: tuple, instance: AuditInstance, relation: NeighborRelation):
@@ -216,7 +291,7 @@ def _split_y_x(dataset: tuple, instance: AuditInstance, relation: NeighborRelati
 
 
 # ---------------------------------------------------------------------------
-# Statistic evaluation
+# Sampling stages and truth tables
 # ---------------------------------------------------------------------------
 
 def _sample_statistic(stat: str, ys, ws, n_pop: int | None) -> float:
@@ -244,65 +319,100 @@ def _frame_for(instance: AuditInstance, ys, xs) -> Frame:
     return frame
 
 
-class _SampleSpaces:
-    """Sampling-stage outcomes and design weights per concrete frame content.
+def _sampling_stage(instance: AuditInstance, design: Design | None, ys, xs,
+                    condition_on_unit: int | None = None, flat_weights=None):
+    """(positions, probs, weights) of the sampling stage on one dataset.
 
-    Both depend on x always and on y only when the design's sample space
-    does (Neyman allocation), so datasets sharing that key share one entry.
-    ``condition_on_unit`` keeps only the outcomes containing that unit,
-    renormalized; it is applied once per entry.  Without a design the
-    stage is the identity: every record, probability one, unit weights.
+    Outcomes and design weights depend on x always and on y only when the
+    design's sample space does (Neyman allocation).  ``condition_on_unit``
+    keeps only the outcomes containing that unit, renormalized.  Without a
+    design the stage is the identity: every record, probability one, and
+    ``flat_weights`` (unit weights by default).
     """
-
-    def __init__(self, instance: AuditInstance, design: Design | None,
-                 condition_on_unit: int | None = None):
-        self.instance = instance
-        self.design = design
-        self.condition_on_unit = condition_on_unit
-        self._cache: dict = {}
-
-    def get(self, ys, xs):
-        """(positions, probs, weights) of the sampling stage on one dataset."""
-        if self.design is None:
-            return [tuple(range(len(ys)))], [1.0], (1.0,) * len(ys)
-        key = (xs, ys if self.design.space_depends_on_y else None)
-        if key in self._cache:
-            return self._cache[key]
-        frame = _frame_for(self.instance, ys, xs)
-        pi = inclusion_probs(self.design, frame)
-        space = sample_space(self.design, frame, cap=self.instance.cap)
-        positions = [tuple(frame.positions(sample)) for sample, _ in space]
-        probs = [p for _, p in space]
-        if self.condition_on_unit is not None:
-            (target,) = frame.positions([self.condition_on_unit])
-            kept = [i for i, pos in enumerate(positions) if target in pos]
-            mass = math.fsum(probs[i] for i in kept)
-            if mass <= 0.0:
-                raise ValueError(
-                    f"unit {self.condition_on_unit} is never sampled; cannot condition")
-            positions = [positions[i] for i in kept]
-            probs = [probs[i] / mass for i in kept]
-        self._cache[key] = positions, probs, tuple(1.0 / float(v) for v in pi)
-        return self._cache[key]
+    if design is None:
+        return [tuple(range(len(ys)))], [1.0], flat_weights or (1.0,) * len(ys)
+    frame = _frame_for(instance, ys, xs)
+    pi = inclusion_probs(design, frame)
+    space = sample_space(design, frame, cap=instance.cap)
+    positions = [tuple(frame.positions(sample)) for sample, _ in space]
+    probs = [p for _, p in space]
+    if condition_on_unit is not None:
+        (target,) = frame.positions([condition_on_unit])
+        kept = [i for i, pos in enumerate(positions) if target in pos]
+        mass = math.fsum(probs[i] for i in kept)
+        if mass <= 0.0:
+            raise ValueError(f"unit {condition_on_unit} is never sampled; cannot condition")
+        positions = [positions[i] for i in kept]
+        probs = [probs[i] / mass for i in kept]
+    return positions, probs, tuple(1.0 / float(v) for v in pi)
 
 
-def _coupled_distance(stat: str, d1: tuple, d2: tuple, instance: AuditInstance,
-                      relation: NeighborRelation, spaces: _SampleSpaces) -> float:
-    """max over feasible id-sets of |f_s(d1) - f_s(d2)| with s held fixed."""
-    ys1, xs1 = _split_y_x(d1, instance, relation)
-    ys2, xs2 = _split_y_x(d2, instance, relation)
-    pos1, _, w1 = spaces.get(ys1, xs1)
-    pos2, _, w2 = spaces.get(ys2, xs2)
-    common = set(pos1) & set(pos2)
+def _groups(table: _PairTable, instance, relation, design: Design | None, **stage):
+    """[(rows, (positions, probs, weights))]: the datasets that share one
+    sampling stage, which is built once per group (``stage`` holds the
+    options of ``_sampling_stage``)."""
+    n = len(table.codes)
+    if design is None or not (design.space_depends_on_y or relation.mutable == "full-record"):
+        ys, xs = _split_y_x(table.dataset(0), instance, relation) if n else ((), None)
+        return [(np.arange(n), _sampling_stage(instance, design, ys, xs, **stage))] if n else []
+    keyed: dict = {}
+    for row in range(n):
+        ys, xs = _split_y_x(table.dataset(row), instance, relation)
+        key = (xs, ys if design.space_depends_on_y else None)
+        keyed.setdefault(key, (ys, xs, []))[2].append(row)
+    return [(np.array(rows, dtype=np.intp), _sampling_stage(instance, design, ys, xs, **stage))
+            for ys, xs, rows in keyed.values()]
+
+
+def _outcome_truths(stat: str, table: _PairTable, rows, sample: tuple, weights, n_pop,
+                    cache: dict, convert=float):
+    """(inverse, truths): the statistic on one sample, evaluated once per
+    distinct in-sample value pattern of the given dataset rows and passed
+    through ``convert``; row r reads ``truths[inverse[r]]``.  ``cache`` maps
+    (pattern, weights) to a converted truth."""
+    sub = table.codes[np.ix_(rows, sample)]
+    first, inverse = _distinct_rows(sub)
+    ws = None if weights is None else tuple(weights[p] for p in sample)
+    truths = []
+    for pattern in sub[first].tolist():
+        key = (tuple(pattern), ws)
+        if key not in cache:
+            cache[key] = convert(_sample_statistic(stat, [table.ys[c] for c in pattern],
+                                                   ws, n_pop))
+        truths.append(cache[key])
+    return inverse, truths
+
+
+def _truth_matrix(stat: str, table: _PairTable, groups, n_pop) -> np.ndarray:
+    """The statistic of every dataset (row) on every distinct non-empty sample
+    (column); NaN where the dataset's sampling stage lacks the sample."""
+    columns: dict = {}
+    for _, (positions, _, _) in groups:
+        columns.update((s, len(columns)) for s in positions if s and s not in columns)
+    truth = np.full((len(table.codes), len(columns)), np.nan)
+    cache: dict = {}
+    for rows, (positions, _, weights) in groups:
+        weights = weights if _needs_weights(stat) else None
+        for sample in filter(None, positions):
+            inverse, truths = _outcome_truths(stat, table, rows, sample, weights, n_pop, cache)
+            truth[rows, columns[sample]] = np.array(truths)[inverse]
+    return truth
+
+
+def _max_change(table: _PairTable, values: np.ndarray, l1: bool = False) -> float:
+    """The largest change of a dataset's row of ``values`` over the pairs: per
+    entry, or the L1 norm; NaN entries (samples only one stage has) are skipped."""
     best = 0.0
-    for s in common:
-        if not s:
-            continue
-        f1 = _sample_statistic(stat, [ys1[p] for p in s], [w1[p] for p in s], instance.n_pop)
-        f2 = _sample_statistic(stat, [ys2[p] for p in s], [w2[p] for p in s], instance.n_pop)
-        best = max(best, abs(f1 - f2))
+    for *_, first, second in table.chunks():
+        change = np.abs(values[first] - values[second])
+        best = float(np.fmax.reduce(change.sum(axis=1) if l1 else change, axis=None,
+                                    initial=best))
     return best
 
+
+# ---------------------------------------------------------------------------
+# Exact sensitivity
+# ---------------------------------------------------------------------------
 
 def _allocation_vector(instance: AuditInstance, ys) -> tuple[int, ...]:
     design = instance.design
@@ -317,43 +427,31 @@ def exact_sensitivity(instance: AuditInstance, relation: NeighborRelation) -> Se
     Flat instances evaluate the statistic on all records.  Design instances
     with frame invariance enumerate samples from the reference frame with
     frozen weights; under 'none'/'population' the frames themselves are the
-    datasets and the sample id-set is coupled across each pair.
+    datasets and the sample id-set is coupled across each pair: the change
+    is taken on every sample both datasets' spaces contain.  The Neyman
+    allocation statistic is the L1 change of the allocation vector.
     """
-    stat = instance.statistic
     if instance.design is not None and relation.invariant == "frame":
-        return _frame_invariant_sensitivity(instance, relation)
-
-    if instance.design is None:
-        def distance(d1, d2):
-            ys1, _ = _split_y_x(d1, instance, relation)
-            ys2, _ = _split_y_x(d2, instance, relation)
-            return abs(_sample_statistic(stat, ys1, instance.weights, instance.n_pop)
-                       - _sample_statistic(stat, ys2, instance.weights, instance.n_pop))
-    elif stat == "neyman_allocation":
-        def distance(d1, d2):
-            a1 = _allocation_vector(instance, _split_y_x(d1, instance, relation)[0])
-            a2 = _allocation_vector(instance, _split_y_x(d2, instance, relation)[0])
-            return float(sum(abs(u - v) for u, v in zip(a1, a2)))
-    else:
-        spaces = _SampleSpaces(instance, instance.design)
-
-        def distance(d1, d2):
-            return _coupled_distance(stat, d1, d2, instance, relation, spaces)
-
-    best = 0.0
-    for d1, d2 in neighbors(instance, relation):
-        best = max(best, distance(d1, d2))
-    return Sensitivity(best)
+        return _frame_invariant_sensitivity(instance)
+    table = _pairs(instance, relation)
+    if instance.statistic == "neyman_allocation":
+        allocations = np.array([
+            _allocation_vector(instance, _split_y_x(table.dataset(row), instance, relation)[0])
+            for row in range(len(table.codes))], dtype=float).reshape(len(table.codes), -1)
+        return Sensitivity(_max_change(table, allocations, l1=True))
+    groups = _groups(table, instance, relation, instance.design, flat_weights=instance.weights)
+    truth = _truth_matrix(instance.statistic, table, groups, instance.n_pop)
+    return Sensitivity(_max_change(table, truth))
 
 
-def _frame_invariant_sensitivity(instance: AuditInstance,
-                                 relation: NeighborRelation) -> Sensitivity:
+def _frame_invariant_sensitivity(instance: AuditInstance) -> Sensitivity:
     """Weights frozen at the reference frame; datasets are samples plus the y
     values of their distinct units.  A unit drawn more than once (SRSWR)
-    carries its one y value and its weight into every draw."""
+    carries its one y value and its weight into every draw.  Samples with
+    the same draw pattern and weights share one flat pair table."""
     stat = instance.statistic
-    samples, probs, weights = _SampleSpaces(instance, instance.design).get(
-        instance.frame.y, instance.frame.x)
+    samples, probs, weights = _sampling_stage(instance, instance.design, instance.frame.y,
+                                              instance.frame.x)
     units = [tuple(dict.fromkeys(sample)) for sample in samples]
 
     cap = instance.cap if instance.cap is not None else default_enumeration_cap()
@@ -362,18 +460,17 @@ def _frame_invariant_sensitivity(instance: AuditInstance,
     if total > cap:
         raise EnumerationCapExceeded(total, cap)
 
-    best = 0.0
+    best, seen = 0.0, set()
     for sample, distinct, prob in zip(samples, units, probs):
-        if not sample or prob <= 0.0:
-            continue
         slot = {pos: i for i, pos in enumerate(distinct)}
-        draws = [slot[pos] for pos in sample]
-        ws = [weights[pos] for pos in sample]
-        for ys in itertools.product(grid, repeat=len(distinct)):
-            f1 = _sample_statistic(stat, [ys[i] for i in draws], ws, instance.n_pop)
-            for mutated in _mutations(ys, instance, relation):
-                f2 = _sample_statistic(stat, [mutated[i] for i in draws], ws, instance.n_pop)
-                best = max(best, abs(f1 - f2))
+        draws = tuple(slot[pos] for pos in sample)
+        stage = [draws], [1.0], tuple(weights[pos] for pos in distinct)
+        if sample and prob > 0.0 and (draws, stage[2]) not in seen:
+            seen.add((draws, stage[2]))
+            table = _PairTable(grid, len(distinct))
+            groups = [(np.arange(len(table.codes)), stage)]
+            best = max(best, _max_change(table, _truth_matrix(stat, table, groups,
+                                                              instance.n_pop)))
     return Sensitivity(best)
 
 
@@ -482,92 +579,110 @@ def _truth_key(value) -> tuple:
     return ("v", round(value, 12))
 
 
-def _truths(statistic: str, instance, relation, dataset, spaces):
-    """(truth key, probability) of every positive-probability sampling
-    outcome of one dataset; the statistic is evaluated once per outcome."""
-    ys, xs = _split_y_x(dataset, instance, relation)
-    samples, probs, weights = spaces.get(ys, xs)
-    if not _needs_weights(statistic):
-        weights = None
-    for positions, prob in zip(samples, probs):
-        if prob <= 0.0:
-            continue
-        if not positions:
-            yield EMPTY_EVENT, prob
-            continue
-        yield _truth_key(_sample_statistic(
-            statistic, [ys[p] for p in positions],
-            None if weights is None else [weights[p] for p in positions],
-            instance.n_pop)), prob
+def _histograms(mechanism, instance, relation, table: _PairTable):
+    """(hist, categories): hist[d, c] is the probability that dataset d's
+    sampling stage yields truth categories[c]; categories are sorted.
 
-
-def _output_distribution(mechanism, instance, relation, dataset, spaces,
-                         categories) -> dict:
-    dist: dict = {}
-    for truth, prob in _truths(mechanism.statistic, instance, relation, dataset, spaces):
-        if isinstance(mechanism.base, RandomizedResponse):
-            event_probs = mechanism.base.event_probs(truth, categories)
-        elif truth == EMPTY_EVENT:
-            event_probs = {EMPTY_EVENT: 1.0}
-        else:
-            event_probs = mechanism.base.event_probs(truth[1])
-        for event, p_event in event_probs.items():
-            dist[event] = dist.get(event, 0.0) + prob * p_event
-    return dist
-
-
-def _collect_categories(statistic, instance, relation, datasets, spaces):
-    """Achievable statistic values over every dataset and feasible sample."""
-    return tuple(sorted({truth for dataset in datasets
-                         for truth, _ in _truths(statistic, instance, relation,
-                                                 dataset, spaces)}))
-
-
-def _pair_epsilon(dist1: dict, dist2: dict):
-    """(eps, event) of the worst event for one ordered pair; eps may be inf."""
-    best = (-1.0, None)
-    events = sorted(set(dist1) | set(dist2))
-    for event in events:
-        p = dist1.get(event, 0.0)
-        q = dist2.get(event, 0.0)
-        if p == 0.0 and q == 0.0:
-            continue
-        value = math.inf if (p == 0.0 or q == 0.0) else abs(math.log(p / q))
-        if value > best[0]:
-            best = (value, event)
-    return best
-
-
-def _worst_pair(pairs, distributions: dict):
-    """(eps, witness) over ordered neighbor pairs of datasets.
-
-    ``distributions`` maps each dataset to its event probabilities.  The
-    witness ``(d1, d2, event)`` is the lexicographically smallest maximizer,
-    so it does not depend on the pair order; an event possible under only
-    one dataset of a pair is an infinite loss.  With no event at all the
-    witness is None.
+    Outcomes of probability zero are skipped; the empty sample is the
+    category ``EMPTY_EVENT``.  One outcome column is added at a time, with
+    each cell's rounding errors carried in ``error`` (TwoSum), so a mass is
+    rounded once: equal exact masses give equal histograms, however many
+    outcomes make them up.
     """
-    best_eps, witness = -1.0, None
-    for d1, d2 in pairs:
-        value, event = _pair_epsilon(distributions[d1], distributions[d2])
-        if event is None:
-            continue
-        key = (d1, d2, event)
-        if value > best_eps or (value == best_eps and key < witness):
-            best_eps, witness = value, key
-    return best_eps, witness
+    stat, index, cache = mechanism.statistic, {}, {}
+    hist, error = np.zeros((len(table.codes), 8)), np.zeros((len(table.codes), 8))
+
+    def column(truth) -> int:
+        return index.setdefault(truth if truth == EMPTY_EVENT else _truth_key(truth), len(index))
+
+    for rows, (positions, probs, weights) in _groups(
+            table, instance, relation, mechanism.design,
+            condition_on_unit=mechanism.condition_on_unit):
+        weights = weights if _needs_weights(stat) else None
+        for sample, prob in zip(positions, probs):
+            if prob <= 0.0:
+                continue
+            if sample:
+                inverse, columns = _outcome_truths(stat, table, rows, sample, weights,
+                                                   instance.n_pop, cache, column)
+            else:
+                inverse, columns = np.zeros(len(rows), dtype=np.intp), [column(EMPTY_EVENT)]
+            columns = np.array(columns)
+            while len(index) > hist.shape[1]:
+                hist, error = (np.hstack([a, np.zeros_like(a)]) for a in (hist, error))
+            cells = rows, columns[inverse]
+            before = hist[cells]
+            hist[cells] = total = before + prob
+            part = total - before
+            error[cells] += (before - (total - part)) + (prob - part)
+    categories = tuple(sorted(index))
+    order = [index[c] for c in categories]
+    return hist[:, order] + error[:, order], categories
 
 
-def _epsilon_report(eps_nominal: float, pairs, distributions: dict,
+def _distributions(base, hist: np.ndarray, categories: tuple, rr_categories=None):
+    """(events, dist, of): dataset d's output distribution over the sorted
+    events is dist[of[d]].  The base mechanism is one row of event
+    probabilities per category (randomized response over ``rr_categories``,
+    by default ``categories``), mixed once per distinct histogram in a fixed
+    summation order, so a row does not depend on the other histograms."""
+    rows = [base.event_probs(truth, rr_categories or categories)
+            if isinstance(base, RandomizedResponse) else
+            {EMPTY_EVENT: 1.0} if truth == EMPTY_EVENT else base.event_probs(truth[1])
+            for truth in categories]
+    events = sorted(set().union(*rows))
+    matrix = np.array([[row.get(e, 0.0) for e in events] for row in rows])
+    first, of = _distinct_rows(hist)
+    dist = np.zeros((len(first), len(events)))
+    for c in range(len(categories)):
+        dist += hist[first, c, None] * matrix[c]
+    return events, dist, of
+
+
+def _loss(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """|ln(p/q)| as ln(max/min), exactly symmetric in p and q: inf where one
+    side is zero, -1 where both are (no event)."""
+    high, low = np.maximum(p, q), np.minimum(p, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loss = np.log(high / low)
+    loss[high == 0.0] = -1.0
+    return loss
+
+
+def _epsilon_report(eps_nominal, table: _PairTable, dist, of, events,
                     categories=None) -> EffectiveEpsilonReport:
-    best_eps, witness = _worst_pair(pairs, distributions)
+    """The worst pair over the table's chunks, scanned with ``_loss``.
+
+    Rows are numbered in dataset tuple order and events are sorted, so the
+    witness kept here, the smallest (first, second) among the maximizing
+    pairs with its first maximizing event, is the lexicographically smallest
+    maximizer: it does not depend on the pair order.  An event possible
+    under only one dataset of a pair is an infinite loss; with no event at
+    all the witness is None.
+    """
+    best, witness = -1.0, None
+    for base, slot, choice, first, second in table.chunks():
+        if not len(first):
+            continue
+        loss = _loss(dist[of[first]], dist[of[second]])
+        worst = loss.argmax(axis=1)
+        values = loss[np.arange(len(first)), worst]
+        top = float(values.max())
+        if top < 0.0 or top < best:
+            continue
+        tied = np.flatnonzero(values == top)
+        i = tied[np.lexsort((second[tied], first[tied]))[0]]
+        rows = (int(first[i]), int(second[i]))
+        if top > best or rows < witness[0]:
+            best, witness = top, (rows, (int(base[i]), int(slot[i]), int(choice[i])),
+                                  events[int(worst[i])])
     if witness is None:
-        return EffectiveEpsilonReport(eps_nominal, 0.0, "ok", None, None,
-                                      len(pairs), categories)
-    d1, d2, event = witness
-    status = "infinite" if math.isinf(best_eps) else "ok"
-    return EffectiveEpsilonReport(eps_nominal, best_eps, status, (d1, d2), event,
-                                  len(pairs), categories)
+        return EffectiveEpsilonReport(eps_nominal, 0.0, "ok", None, None, table.n_pairs,
+                                      categories)
+    _, pair, event = witness
+    status = "infinite" if math.isinf(best) else "ok"
+    return EffectiveEpsilonReport(eps_nominal, best, status, table.pair(*pair), event,
+                                  table.n_pairs, categories)
 
 
 def effective_epsilon(mechanism: SampledReleaseMechanism, instance: AuditInstance,
@@ -585,39 +700,30 @@ def effective_epsilon(mechanism: SampledReleaseMechanism, instance: AuditInstanc
     if relation.invariant == "frame" and mechanism.design is not None:
         raise ValueError("sampling inside the mechanism requires frame-level neighbors; "
                          "use invariant 'population' or 'none'")
-    pairs = list(neighbors(instance, relation))
-    datasets = dict.fromkeys(d for pair in pairs for d in pair)
-
-    spaces = _SampleSpaces(instance, mechanism.design, mechanism.condition_on_unit)
-    categories = None
-    if isinstance(mechanism.base, RandomizedResponse):
-        categories = _collect_categories(mechanism.statistic, instance, relation,
-                                         datasets, spaces)
-
-    distributions = {
-        dataset: _output_distribution(mechanism, instance, relation, dataset,
-                                      spaces, categories)
-        for dataset in datasets
-    }
-    return _epsilon_report(mechanism.eps_nominal, pairs, distributions, categories)
+    table = _pairs(instance, relation)
+    hist, categories = _histograms(mechanism, instance, relation, table)
+    events, dist, of = _distributions(mechanism.base, hist, categories)
+    rr = isinstance(mechanism.base, RandomizedResponse)
+    return _epsilon_report(mechanism.eps_nominal, table, dist, of, events,
+                           categories if rr else None)
 
 
 def reevaluate_witness(mechanism: SampledReleaseMechanism, instance: AuditInstance,
                        relation: NeighborRelation, report: EffectiveEpsilonReport) -> float:
-    """Recompute the privacy loss at the reported worst pair and event."""
+    """Recompute the privacy loss at the reported worst pair and event.
+
+    The two witness datasets (and their neighbors) go through the same
+    histograms, mixing and loss as in ``effective_epsilon``, so the result
+    equals the report's ``eps_effective`` exactly.
+    """
     if report.worst_pair is None:
         raise ValueError("report has no witness to re-evaluate")
-    d1, d2 = report.worst_pair
-    spaces = _SampleSpaces(instance, mechanism.design, mechanism.condition_on_unit)
-    dist1 = _output_distribution(mechanism, instance, relation, d1, spaces,
-                                 report.categories)
-    dist2 = _output_distribution(mechanism, instance, relation, d2, spaces,
-                                 report.categories)
-    p = dist1.get(report.worst_event, 0.0)
-    q = dist2.get(report.worst_event, 0.0)
-    if p == 0.0 or q == 0.0:
-        return math.inf
-    return abs(math.log(p / q))
+    table = _pairs(instance, relation, bases=list(report.worst_pair))
+    hist, categories = _histograms(mechanism, instance, relation, table)
+    events, dist, of = _distributions(mechanism.base, hist, categories, report.categories)
+    p_q = dist[of[np.searchsorted(table.keys, table.base_keys)],
+               events.index(report.worst_event)]
+    return float(_loss(p_q[:1], p_q[1:])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +872,8 @@ def imputation_composition_epsilon(eps1, eps2, *, y_grid=(0.0, 1.0), n_records: 
 
     instance = AuditInstance(name="imputation-composition", statistic="mean",
                              y_grid=grid, size=n_observed)
-    pairs = list(neighbors(instance, NeighborRelation("none", "y-only")))
-    datasets = dict.fromkeys(d for pair in pairs for d in pair)
-    distributions = {dataset: joint_distribution(dataset) for dataset in datasets}
-    return _epsilon_report(eps1 + eps2, pairs, distributions)
+    table = _pairs(instance, NeighborRelation("none", "y-only"))
+    joint = [joint_distribution(table.dataset(row)) for row in range(len(table.codes))]
+    events = sorted(set().union(*joint))
+    dist = np.array([[d.get(e, 0.0) for e in events] for d in joint])
+    return _epsilon_report(eps1 + eps2, table, dist, np.arange(len(dist)), events)

@@ -286,6 +286,7 @@ def test_witness_is_lexicographically_smallest_maximizer():
     mechanism = SampledReleaseMechanism("mean", RandomizedResponse(0.5))
     report = effective_epsilon(mechanism, instance, Y_ONLY)
     assert report.worst_pair == ((0.0, 0.0), (0.0, 1.0))
+    assert report.worst_event == ("v", 0.0)
 
 
 def test_sweep_rows_monotone_in_epsilon():
