@@ -334,7 +334,8 @@ def _sampling_stage(instance: AuditInstance, design: Design | None, ys, xs,
     frame = _frame_for(instance, ys, xs)
     pi = inclusion_probs(design, frame)
     space = sample_space(design, frame, cap=instance.cap)
-    positions = [tuple(frame.positions(sample)) for sample, _ in space]
+    found = iter(frame.positions([unit for sample, _ in space for unit in sample]))
+    positions = [tuple(itertools.islice(found, len(sample))) for sample, _ in space]
     probs = [p for _, p in space]
     if condition_on_unit is not None:
         (target,) = frame.positions([condition_on_unit])
@@ -597,7 +598,7 @@ def _histograms(mechanism, instance, relation, table: _PairTable):
 
     for rows, (positions, probs, weights) in _groups(
             table, instance, relation, mechanism.design,
-            condition_on_unit=mechanism.condition_on_unit):
+            condition_on_unit=mechanism.condition_on_unit, flat_weights=instance.weights):
         weights = weights if _needs_weights(stat) else None
         for sample, prob in zip(positions, probs):
             if prob <= 0.0:

@@ -247,10 +247,8 @@ class StratifiedSRSWOR(Design):
 
     def pi(self, frame):
         allocation = allocate_strata(self.allocation, frame, self.n)
-        pi = np.empty(frame.n)
-        for label, positions in frame.strata().items():
-            pi[list(positions)] = allocation[label] / len(positions)
-        return pi
+        n_h = np.array([allocation[label] for label in frame.stratum_names])
+        return (n_h / np.bincount(frame.stratum_codes))[frame.stratum_codes]
 
     def draw(self, frame, rng):
         allocation = allocate_strata(self.allocation, frame, self.n)
@@ -563,9 +561,15 @@ def build_sample(frame: Frame, positions, pi: np.ndarray) -> WeightedSample:
                           tuple(frame.y_array[positions].tolist()))
 
 
-def draw(design: Design, frame: Frame, rng: np.random.Generator) -> WeightedSample:
-    """Draw one sample from the design; deterministic given the generator state."""
-    pi = inclusion_probs(design, frame)
+def draw(design: Design, frame: Frame, rng: np.random.Generator,
+         pi: np.ndarray | None = None) -> WeightedSample:
+    """Draw one sample from the design; deterministic given the generator state.
+
+    ``pi``, the design's inclusion probabilities over the frame, is computed
+    when not given.
+    """
+    if pi is None:
+        pi = inclusion_probs(design, frame)
     return build_sample(frame, design.draw(frame, rng), pi)
 
 

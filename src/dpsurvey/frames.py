@@ -2,13 +2,19 @@
 
 A frame holds its units as columns in frame order (ordering matters for
 systematic sampling): read-only numpy arrays of ids, response values ``y``
-(NaN when missing), positive size measures ``x`` and response propensities,
-plus stratum and cluster labels.  An id -> position index is built once, so
-``positions`` and ``record_by_id`` cost O(1) per id.  A frame is immutable;
-its stratum and cluster groupings and the tuple views ``ids``/``y``/``x``
-are computed once, on first use.  Frames round-trip through CSV with the
-fixed header ``id,y,x,stratum,cluster,propensity``; loading parses the rows
-with one numpy ``loadtxt`` call and checks whole columns at a time.
+(NaN when missing), positive size measures ``x`` and response propensities.
+The stratum and cluster labels are columns of integer codes into a sorted
+tuple of the distinct labels, so each label is held once; code order is
+label order, and the groupings ``strata()``/``clusters()`` come from one
+stable sort of the codes.  The id index is a stable argsort of the ids:
+one ``searchsorted`` finds the positions of any ids and shows a repeated
+id.  A frame is immutable; its groupings and the tuple views
+``ids``/``y``/``x`` are computed once, on first use, and the per-unit label
+tuples ``stratum_labels``/``cluster_labels`` only when asked for.  Frames
+round-trip through CSV with the fixed header
+``id,y,x,stratum,cluster,propensity``; loading parses the rows with one
+numpy ``loadtxt`` call, codes each label column once per distinct raw
+label and checks whole columns at a time.
 """
 
 from __future__ import annotations
@@ -17,10 +23,10 @@ import csv
 import io
 import math
 import re
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,11 +82,46 @@ def _column(values, dtype) -> np.ndarray:
     return array
 
 
-def _group(labels) -> dict[str, tuple[int, ...]]:
-    groups: dict[str, list[int]] = {}
-    for position, label in enumerate(labels):
-        groups.setdefault(label, []).append(position)
-    return {label: tuple(groups[label]) for label in sorted(groups)}
+def _codes(values, n_names: int) -> np.ndarray:
+    # the narrowest type that holds every code: a radix sort groups 8/16-bit codes
+    return _column(values, np.min_scalar_type(n_names - 1))
+
+
+class _Labels(NamedTuple):
+    """A label column: its distinct labels in sorted order and each unit's code."""
+
+    names: tuple[str, ...]
+    codes: np.ndarray
+
+    def take(self, positions) -> "_Labels":
+        """The column at the given positions, coded again over the labels it keeps."""
+        used, codes = np.unique(self.codes[positions], return_inverse=True)
+        return _Labels(tuple(self.names[i] for i in used.tolist()),
+                       _codes(codes.reshape(-1), len(used)))
+
+
+def _code(labels: list, clean=str) -> _Labels:
+    """Code a label column; each distinct raw label is cleaned once, then sorted."""
+    code_of = dict.fromkeys(labels)
+    names = sorted(set(map(clean, code_of)))
+    index = {name: code for code, name in enumerate(names)}
+    for raw in code_of:
+        code_of[raw] = index[clean(raw)]
+    codes = np.fromiter(map(code_of.__getitem__, labels), np.intp, len(labels))
+    return _Labels(tuple(names), _codes(codes, len(names)))
+
+
+def _label_column(labels, n: int) -> _Labels:
+    if labels is None:
+        return _Labels(("0",), _codes(np.zeros(n), 1))
+    return labels if isinstance(labels, _Labels) else _code(list(map(str, labels)))
+
+
+def _group(labels: _Labels) -> dict[str, tuple[int, ...]]:
+    order = tuple(np.argsort(labels.codes, kind="stable").tolist())
+    ends = np.cumsum(np.bincount(labels.codes, minlength=len(labels.names))).tolist()
+    return {name: order[start:end]
+            for name, start, end in zip(labels.names, [0] + ends, ends)}
 
 
 class Frame:
@@ -100,16 +141,19 @@ class Frame:
         self.y_array = _column(np.full(n, math.nan) if y is None else y, float)
         self.x_array = _column(np.ones(n) if x is None else x, float)
         self.propensity_array = _column(np.ones(n) if propensity is None else propensity, float)
-        self.stratum_labels = ("0",) * n if strata is None else tuple(map(str, strata))
-        self.cluster_labels = ("0",) * n if clusters is None else tuple(map(str, clusters))
+        self.stratum_names, self.stratum_codes = _label_column(strata, n)
+        self.cluster_names, self.cluster_codes = _label_column(clusters, n)
         if {len(self.y_array), len(self.x_array), len(self.propensity_array),
-                len(self.stratum_labels), len(self.cluster_labels)} != {n}:
+                len(self.stratum_codes), len(self.cluster_codes)} != {n}:
             raise ValueError("all frame columns must have the same length")
-        self._index = dict(zip(self.id_array.tolist(), range(n)))
+        # the id index: positions in id order, so a lookup is one searchsorted
+        self._order = np.argsort(self.id_array, kind="stable")
+        self._sorted_ids = self.id_array[self._order]
         fault = _first_fault(self.y_array, self.x_array, self.propensity_array)
-        if fault is None and len(self._index) != n:
-            _, first = np.unique(self.id_array, return_index=True)
-            fault = int(np.setdiff1d(np.arange(n), first)[0]), "frame record ids must be unique"
+        if fault is None:
+            repeats = self._order[1:][self._sorted_ids[1:] == self._sorted_ids[:-1]]
+            if len(repeats):
+                fault = int(repeats.min()), "frame record ids must be unique"
         if fault is not None:
             where = "" if lines is None else f"frame CSV line {lines[fault[0]]}: "
             raise ValueError(f"{where}record {self.id_array[fault[0]]}: {fault[1]}")
@@ -123,21 +167,48 @@ class Frame:
     y = cached_property(lambda self: tuple(self.y_array.tolist()))
     x = cached_property(lambda self: tuple(self.x_array.tolist()))
 
+    # label views, built each time they are asked for
+    stratum_labels = property(lambda self: tuple(map(self.stratum_names.__getitem__,
+                                                     self.stratum_codes.tolist())))
+    cluster_labels = property(lambda self: tuple(map(self.cluster_names.__getitem__,
+                                                     self.cluster_codes.tolist())))
+
     def positions(self, unit_ids) -> list[int]:
         """Frame positions of the given ids, in the given order."""
+        keys = list(unit_ids)
+        wanted = np.asarray(keys)
+        if wanted.dtype.kind != "i" or wanted.ndim != 1:  # not plain int64-range ints
+            return [self._position(unit) for unit in keys]
+        at = np.minimum(np.searchsorted(self._sorted_ids, wanted), self.n - 1)
+        absent = self._sorted_ids[at] != wanted
+        if absent.any():
+            raise KeyError(f"no record with id {keys[int(np.argmax(absent))]} in frame")
+        return self._order[at].tolist()
+
+    def _position(self, unit) -> int:
         try:
-            return [self._index[unit] for unit in unit_ids]
-        except KeyError as err:
-            raise KeyError(f"no record with id {err.args[0]} in frame") from None
+            key = int(unit)
+        except (TypeError, ValueError, OverflowError):
+            key = None
+        if key is not None and key == unit and -2 ** 63 <= key < 2 ** 63:
+            at = int(np.searchsorted(self._sorted_ids, key))
+            if at < self.n and self._sorted_ids[at] == key:
+                return int(self._order[at])
+        raise KeyError(f"no record with id {unit} in frame")
 
     def record_by_id(self, unit_id: int) -> FrameRecord:
         (p,) = self.positions([unit_id])
         return FrameRecord(self.id_array[p].item(), self.y_array[p].item(),
-                           self.x_array[p].item(), self.stratum_labels[p],
-                           self.cluster_labels[p], self.propensity_array[p].item())
+                           self.x_array[p].item(), self.stratum_names[self.stratum_codes[p]],
+                           self.cluster_names[self.cluster_codes[p]],
+                           self.propensity_array[p].item())
 
-    _strata = cached_property(lambda self: _group(self.stratum_labels))
-    _clusters = cached_property(lambda self: _group(self.cluster_labels))
+    def _labels(self) -> tuple[_Labels, _Labels]:
+        return (_Labels(self.stratum_names, self.stratum_codes),
+                _Labels(self.cluster_names, self.cluster_codes))
+
+    _strata = cached_property(lambda self: _group(self._labels()[0]))
+    _clusters = cached_property(lambda self: _group(self._labels()[1]))
 
     def strata(self) -> dict[str, tuple[int, ...]]:
         """Stratum label -> frame positions, labels in sorted order."""
@@ -149,20 +220,20 @@ class Frame:
 
     def select(self, positions) -> "Frame":
         """The sub-frame of the records at the given positions, in that order."""
-        positions = list(positions)
+        positions = np.asarray(list(positions), dtype=np.intp)
         return Frame(self.id_array[positions], self.y_array[positions], self.x_array[positions],
-                     [self.stratum_labels[p] for p in positions],
-                     [self.cluster_labels[p] for p in positions], self.propensity_array[positions])
+                     *(labels.take(positions) for labels in self._labels()),
+                     self.propensity_array[positions])
 
     def with_y(self, values) -> "Frame":
         """Copy of the frame with y replaced position-wise."""
-        return Frame(self.id_array, list(map(float, values)), self.x_array,
-                     self.stratum_labels, self.cluster_labels, self.propensity_array)
+        return Frame(self.id_array, list(map(float, values)), self.x_array, *self._labels(),
+                     self.propensity_array)
 
     def with_x(self, values) -> "Frame":
         """Copy of the frame with x replaced position-wise."""
-        return Frame(self.id_array, self.y_array, list(map(float, values)),
-                     self.stratum_labels, self.cluster_labels, self.propensity_array)
+        return Frame(self.id_array, self.y_array, list(map(float, values)), *self._labels(),
+                     self.propensity_array)
 
 
 @dataclass(frozen=True)
@@ -201,9 +272,8 @@ def make_frame(ys, xs=None, strata=None, clusters=None, propensities=None, ids=N
 
 _DTYPE = [("id", "i8"), ("y", "f8"), ("x", "f8"), ("stratum", "O"), ("cluster", "O"),
           ("propensity", "f8")]
-# a blank y is missing; a frame has few distinct labels, so each is held once
-_CONVERTERS = {1: lambda cell: cell.strip() or "nan",
-               **dict.fromkeys((3, 4), lambda cell: sys.intern(cell.strip()))}
+# a blank y is missing
+_CONVERTERS = {1: lambda cell: cell.strip() or "nan"}
 
 
 def load_frame_csv(source) -> Frame:
@@ -228,7 +298,10 @@ def load_frame_csv(source) -> Frame:
             # numpy < 2 defaults to encoding="bytes", which hands the converters bytes
             rows = np.loadtxt(source, dtype=_DTYPE, delimiter=",", quotechar='"', comments=None,
                               ndmin=1, converters=_CONVERTERS, encoding=None)
-        columns = [rows[name] for name in CSV_HEADER]
+        ids, y, x, strata, clusters, propensity = (rows[name] for name in CSV_HEADER)
+        # a frame has few distinct labels: each is stripped once and held once
+        columns = [ids, y, x, _code(strata.tolist(), str.strip),
+                   _code(clusters.tolist(), str.strip), propensity]
         return Frame(*columns)
     except ValueError as err:
         fault = err

@@ -465,10 +465,6 @@ def round_report(report_dict: dict, ndigits: int = 6) -> dict:
     return rounded
 
 
-def _frame_weight_max(config: PipelineConfig, frame: Frame) -> float:
-    return float(np.max(1.0 / inclusion_probs(config.design, frame)))
-
-
 def _simulate_response(config: PipelineConfig, sample: WeightedSample, frame: Frame,
                        rng: np.random.Generator):
     if config.response_model == "full":
@@ -549,7 +545,8 @@ def _impute_stage(config: PipelineConfig, respondents: WeightedSample, frame: Fr
 
 
 def _resolve_sensitivity(config: PipelineConfig, spec: ReleaseSpec,
-                         processed: WeightedSample, frame: Frame) -> tuple[float, str]:
+                         processed: WeightedSample, frame: Frame,
+                         pi: np.ndarray) -> tuple[float, str]:
     """(delta_f, source) for one release, or raise ReleaseRefusedError.
 
     Closed forms are only sound when the quantities they depend on are
@@ -593,7 +590,7 @@ def _resolve_sensitivity(config: PipelineConfig, spec: ReleaseSpec,
     unit_weight = Counter()
     for unit, w in zip(processed.ids, processed.w):
         unit_weight[unit] += w
-    w_max = max(_frame_weight_max(config, frame), max(unit_weight.values()))
+    w_max = max(float(np.max(1.0 / pi)), max(unit_weight.values()))
     # a total is a mean over a population of one
     n_pop = frame.n if spec.statistic == "ht_mean" else 1
     statistic = HTMeanFixedWeights(w_max, value_range, n_pop)
@@ -601,7 +598,8 @@ def _resolve_sensitivity(config: PipelineConfig, spec: ReleaseSpec,
 
 
 def _release_stage(config: PipelineConfig, processed: WeightedSample, frame: Frame,
-                   ledger: PrivacyLedger, rng: np.random.Generator) -> list[dict]:
+                   pi: np.ndarray, ledger: PrivacyLedger,
+                   rng: np.random.Generator) -> list[dict]:
     released = []
     for spec in config.releases:
         if spec.statistic == "ht_mean":
@@ -610,7 +608,7 @@ def _release_stage(config: PipelineConfig, processed: WeightedSample, frame: Fra
             value = ht_total(processed).value
         else:
             value = unweighted_mean(processed.y).value
-        delta, source = _resolve_sensitivity(config, spec, processed, frame)
+        delta, source = _resolve_sensitivity(config, spec, processed, frame, pi)
         noisy = release_laplace(value, delta, spec.epsilon, rng)
         ledger.charge(f"release[{spec.statistic}]", spec.epsilon, delta)
         released.append({
@@ -672,8 +670,10 @@ def run_pipeline(config: PipelineConfig, seed: int | None = None) -> RunReport:
                    for i, stage in enumerate(STAGES)]
 
     try:
+        # the design's pi over the frame weighs the sample and bounds the frame's weights
+        pi = inclusion_probs(config.design, frame)
         from .designs import draw  # resolved per call, so a wrapped designs.draw applies
-        sample = draw(config.design, frame, rng)
+        sample = draw(config.design, frame, rng, pi)
     except Exception as err:
         raise PipelineStageError("sample", err) from err
 
@@ -694,7 +694,7 @@ def run_pipeline(config: PipelineConfig, seed: int | None = None) -> RunReport:
         raise PipelineStageError("impute", err) from err
 
     try:
-        released = _release_stage(config, processed, frame, ledger, rng)
+        released = _release_stage(config, processed, frame, pi, ledger, rng)
     except ReleaseRefusedError:
         raise
     except Exception as err:

@@ -124,6 +124,15 @@ def test_ht_fixed_weights_sensitivity():
     assert exact_sensitivity(instance, FRAME_Y).delta_f == pytest.approx(0.5, abs=1e-12)
 
 
+def test_flat_epsilon_releases_the_weighted_statistic():
+    # the weights an exact_sensitivity audit uses are the weights the release sees
+    instance = AuditInstance(name="ht", statistic="ht_total", y_grid=(0, 1), weights=(2.0, 3.0))
+    mechanism = SampledReleaseMechanism("ht_total", RandomizedResponse(1.0))
+    report = effective_epsilon(mechanism, instance, POP_Y)
+    assert report.categories == (("v", 0.0), ("v", 2.0), ("v", 3.0), ("v", 5.0))
+    assert exact_sensitivity(instance, Y_ONLY).delta_f == 3.0
+
+
 def test_pps_frame_invariant_matches_frame_max_weight_formula():
     # with the frame pinned, the worst pair sits at the heaviest-weighted
     # unit reachable by some sample: max over the frame of w_i * R / N

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsurvey.designs import StratifiedSRSWOR, allocate_strata
 from dpsurvey.frames import (
     Frame,
     FrameRecord,
@@ -291,3 +292,80 @@ def test_strata_and_clusters_match_a_plain_grouping(columns):
     assert list(frame.clusters().items()) == plain_grouping(columns["clusters"])
     frame.strata().clear()  # callers get their own copy
     assert list(frame.strata().items()) == plain_grouping(columns["strata"])
+
+
+# Differential test of the frame's columns, label codes and id index against
+# a plain csv.reader parse.  Labels carry the characters the CSV dialect
+# quotes or a parser might trim; y cells may be blank or whitespace-only.
+RAW_LABELS = st.text(st.sampled_from(' ,"#;\t\xa0é中ab'), max_size=4)
+Y_CELLS = st.one_of(st.sampled_from(["", " ", "  \t"]), FLOATS.map(repr),
+                    FLOATS.map(lambda v: f" {v!r} "))
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@st.composite
+def csv_texts(draw):
+    n = draw(st.integers(1, 8))
+    rows = [[str(unit), draw(Y_CELLS), repr(draw(st.floats(0.0, 1e6, exclude_min=True))),
+             draw(RAW_LABELS), draw(RAW_LABELS), repr(draw(st.floats(0.0, 1.0, exclude_min=True)))]
+            for unit in draw(st.lists(INT64, min_size=n, max_size=n, unique=True))]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=ending)
+    writer.writerow(["id", "y", "x", "stratum", "cluster", "propensity"])
+    for row in rows:
+        if draw(st.booleans()):
+            buffer.write(ending)  # a blank line
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+def reference_columns(text):
+    """The frame's columns from a plain csv.reader parse of the text."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row][1:]
+    return {
+        "ids": [int(row[0]) for row in rows],
+        "ys": [float(row[1]) if row[1].strip() else math.nan for row in rows],
+        "xs": [float(row[2]) for row in rows],
+        "strata": [row[3].strip() for row in rows],
+        "clusters": [row[4].strip() for row in rows],
+        "propensities": [float(row[5]) for row in rows],
+    }
+
+
+@given(csv_texts(), st.lists(st.one_of(st.integers(), st.sampled_from(
+    [2 ** 63 - 1, 2 ** 63, 2 ** 64, -2 ** 63, -2 ** 63 - 1, 10 ** 30])), max_size=4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_frame_columns_labels_and_index_match_a_plain_csv_parse(text, others, data):
+    frame = load_frame_csv(io.StringIO(text, newline=""))
+    ref = reference_columns(text)
+    assert frame.id_array.tolist() == ref["ids"]
+    np.testing.assert_array_equal(frame.y_array, ref["ys"])  # NaN matches NaN
+    assert frame.x_array.tolist() == ref["xs"]
+    assert frame.propensity_array.tolist() == ref["propensities"]
+    assert frame.stratum_labels == tuple(ref["strata"])
+    assert frame.cluster_labels == tuple(ref["clusters"])
+    assert list(frame.strata().items()) == plain_grouping(ref["strata"])
+    assert list(frame.clusters().items()) == plain_grouping(ref["clusters"])
+
+    position_of = {unit: p for p, unit in enumerate(ref["ids"])}
+    wanted = data.draw(st.lists(st.sampled_from(ref["ids"]), max_size=10))
+    assert frame.positions(wanted) == [position_of[unit] for unit in wanted]
+    for unit in others:
+        if unit not in position_of:
+            message = f"^'no record with id {unit} in frame'$"
+            with pytest.raises(KeyError, match=message):
+                frame.positions([unit])
+            with pytest.raises(KeyError, match=message):
+                frame.positions(wanted + [unit] + wanted)
+
+    kept = data.draw(st.lists(st.integers(0, frame.n - 1), min_size=1, max_size=8, unique=True))
+    part = frame.select(kept)
+    assert part.stratum_labels == tuple(ref["strata"][p] for p in kept)
+    assert list(part.clusters().items()) == plain_grouping([ref["clusters"][p] for p in kept])
+
+    n = data.draw(st.integers(len(frame.strata()), frame.n))
+    allocation = allocate_strata("proportional", frame, n)
+    sizes = {label: ref["strata"].count(label) for label in allocation}
+    assert StratifiedSRSWOR(n).pi(frame).tolist() == [
+        allocation[label] / sizes[label] for label in ref["strata"]]

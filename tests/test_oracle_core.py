@@ -107,7 +107,7 @@ class Reference:
 
         def get(self, ys, xs):
             if self.design is None:
-                return [tuple(range(len(ys)))], [1.0], (1.0,) * len(ys)
+                return [tuple(range(len(ys)))], [1.0], self.instance.weights or (1.0,) * len(ys)
             key = (xs, ys if self.design.space_depends_on_y else None)
             if key not in self.cache:
                 frame = self.instance.frame.with_y(ys)
