@@ -41,8 +41,6 @@ boundary cells.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,11 +52,11 @@ from .designs import (
     EnumerationCapExceeded,
     StratifiedSRSWOR,
     allocate_strata,
-    default_enumeration_cap,
+    check_cap,
     inclusion_probs,
     sample_space,
 )
-from .frames import Frame
+from .frames import Frame, write_csv
 from .mechanisms import Sensitivity, _epsilon_value
 
 __all__ = [
@@ -259,10 +257,7 @@ class _PairTable:
 
 def _pairs(instance: AuditInstance, relation: NeighborRelation, bases=None) -> _PairTable:
     """The instance's pair table; the cap is checked before anything is built."""
-    cap = instance.cap if instance.cap is not None else default_enumeration_cap()
-    count = _pair_count(instance, relation)
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap)
+    check_cap(_pair_count(instance, relation), instance.cap)
     if bases is None and instance.base_datasets is not None:
         bases = [tuple(d) for d in instance.base_datasets]
     return _PairTable(_slot_values(instance, relation), instance.n_slots, bases)
@@ -324,16 +319,17 @@ def _sampling_stage(instance: AuditInstance, design: Design | None, ys, xs,
     """(positions, probs, weights) of the sampling stage on one dataset.
 
     Outcomes and design weights depend on x always and on y only when the
-    design's sample space does (Neyman allocation).  ``condition_on_unit``
-    keeps only the outcomes containing that unit, renormalized.  Without a
-    design the stage is the identity: every record, probability one, and
-    ``flat_weights`` (unit weights by default).
+    design's sample space does (Neyman allocation).  Outcomes of probability
+    zero are impossible and left out.  ``condition_on_unit`` keeps only the
+    outcomes containing that unit, renormalized.  Without a design the stage
+    is the identity: every record, probability one, and ``flat_weights``
+    (unit weights by default).
     """
     if design is None:
         return [tuple(range(len(ys)))], [1.0], flat_weights or (1.0,) * len(ys)
     frame = _frame_for(instance, ys, xs)
     pi = inclusion_probs(design, frame)
-    space = sample_space(design, frame, cap=instance.cap)
+    space = [(s, p) for s, p in sample_space(design, frame, cap=instance.cap) if p > 0.0]
     found = iter(frame.positions([unit for sample, _ in space for unit in sample]))
     positions = [tuple(itertools.islice(found, len(sample))) for sample, _ in space]
     probs = [p for _, p in space]
@@ -451,22 +447,18 @@ def _frame_invariant_sensitivity(instance: AuditInstance) -> Sensitivity:
     carries its one y value and its weight into every draw.  Samples with
     the same draw pattern and weights share one flat pair table."""
     stat = instance.statistic
-    samples, probs, weights = _sampling_stage(instance, instance.design, instance.frame.y,
-                                              instance.frame.x)
+    samples, _, weights = _sampling_stage(instance, instance.design, instance.frame.y,
+                                          instance.frame.x)
     units = [tuple(dict.fromkeys(sample)) for sample in samples]
-
-    cap = instance.cap if instance.cap is not None else default_enumeration_cap()
     grid = instance.y_grid
-    total = sum(len(grid) ** len(u) * len(u) * (len(grid) - 1) for u in units)
-    if total > cap:
-        raise EnumerationCapExceeded(total, cap)
+    check_cap(sum(len(grid) ** len(u) * len(u) * (len(grid) - 1) for u in units), instance.cap)
 
     best, seen = 0.0, set()
-    for sample, distinct, prob in zip(samples, units, probs):
+    for sample, distinct in zip(samples, units):
         slot = {pos: i for i, pos in enumerate(distinct)}
         draws = tuple(slot[pos] for pos in sample)
         stage = [draws], [1.0], tuple(weights[pos] for pos in distinct)
-        if sample and prob > 0.0 and (draws, stage[2]) not in seen:
+        if sample and (draws, stage[2]) not in seen:
             seen.add((draws, stage[2]))
             table = _PairTable(grid, len(distinct))
             groups = [(np.arange(len(table.codes)), stage)]
@@ -572,9 +564,6 @@ class EffectiveEpsilonReport:
     n_pairs: int
     categories: tuple | None = None   # randomized-response category keys
 
-    def amplification_ratio(self) -> float:
-        return self.eps_effective / self.eps_nominal
-
 
 def _truth_key(value) -> tuple:
     return ("v", round(value, 12))
@@ -584,11 +573,10 @@ def _histograms(mechanism, instance, relation, table: _PairTable):
     """(hist, categories): hist[d, c] is the probability that dataset d's
     sampling stage yields truth categories[c]; categories are sorted.
 
-    Outcomes of probability zero are skipped; the empty sample is the
-    category ``EMPTY_EVENT``.  One outcome column is added at a time, with
-    each cell's rounding errors carried in ``error`` (TwoSum), so a mass is
-    rounded once: equal exact masses give equal histograms, however many
-    outcomes make them up.
+    The empty sample is the category ``EMPTY_EVENT``.  One outcome column is
+    added at a time, with each cell's rounding errors carried in ``error``
+    (TwoSum), so a mass is rounded once: equal exact masses give equal
+    histograms, however many outcomes make them up.
     """
     stat, index, cache = mechanism.statistic, {}, {}
     hist, error = np.zeros((len(table.codes), 8)), np.zeros((len(table.codes), 8))
@@ -601,8 +589,6 @@ def _histograms(mechanism, instance, relation, table: _PairTable):
             condition_on_unit=mechanism.condition_on_unit, flat_weights=instance.weights):
         weights = weights if _needs_weights(stat) else None
         for sample, prob in zip(positions, probs):
-            if prob <= 0.0:
-                continue
             if sample:
                 inverse, columns = _outcome_truths(stat, table, rows, sample, weights,
                                                    instance.n_pop, cache, column)
@@ -776,25 +762,12 @@ def write_sweep_csv(rows, target) -> str:
     Fields are quoted where needed: design labels and error messages can
     contain commas.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["design", "epsilon", "rate_or_maxpi", "eps_effective", "status"])
-    for row in rows:
-        writer.writerow([
-            row["design"],
-            repr(float(row["epsilon"])),
-            "" if row["rate_or_maxpi"] == "" else repr(float(row["rate_or_maxpi"])),
-            "" if row["eps_effective"] == "" else repr(float(row["eps_effective"])),
-            row["status"],
-        ])
-    text = buffer.getvalue()
-    if target is not None:
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w", newline="") as handle:
-                handle.write(text)
-    return text
+    return write_csv(["design", "epsilon", "rate_or_maxpi", "eps_effective", "status"], (
+        [row["design"],
+         repr(float(row["epsilon"])),
+         "" if row["rate_or_maxpi"] == "" else repr(float(row["rate_or_maxpi"])),
+         "" if row["eps_effective"] == "" else repr(float(row["eps_effective"])),
+         row["status"]] for row in rows), target)
 
 
 # ---------------------------------------------------------------------------
@@ -818,9 +791,7 @@ def hot_deck_mean_sensitivity(n_records: int, n_missing: int, y_grid) -> Sensiti
     # every donor assignment enumerates the same pairs; cap their total first
     pairs = _pair_count(AuditInstance(name="hot-deck", statistic="ht_mean", y_grid=y_grid,
                                       size=n_observed, n_pop=n_records), relation)
-    total, cap = n_observed ** n_missing * pairs, default_enumeration_cap()
-    if total > cap:
-        raise EnumerationCapExceeded(total, cap)
+    check_cap(n_observed ** n_missing * pairs)
     best = 0.0
     for assignment in itertools.product(range(n_observed), repeat=n_missing):
         multiplicity = [1] * n_observed

@@ -8,8 +8,6 @@ machine-readable JSON error on stderr; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -22,7 +20,7 @@ from .audit import (
     write_sweep_csv,
 )
 from .designs import ClusterSRSWOR, Poisson, PPS, SRSWOR, SRSWR, Systematic, draw
-from .frames import load_frame_csv
+from .frames import load_frame_csv, write_csv
 from .imputation import fit_dp_mean_model, impute_parametric, record_rng
 from .instances import formula_agreement_instances, four_unit_frame
 from .mechanisms import analytic_sensitivity
@@ -54,12 +52,9 @@ def _cmd_sample(args) -> int:
     if seed is None:
         raise ValueError("a seed is required (--seed or config.seed)")
     sample = draw(config.design, frame, np.random.default_rng(int(seed)))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["id", "y", "pi", "w"])
-    for unit, y, pi, w in zip(sample.ids, sample.y, sample.pi, sample.w):
-        writer.writerow([unit, "" if np.isnan(y) else repr(y), repr(pi), repr(w)])
-    _write_text(buffer.getvalue(), args.out)
+    rows = ([unit, "" if np.isnan(y) else repr(y), repr(pi), repr(w)]
+            for unit, y, pi, w in zip(sample.ids, sample.y, sample.pi, sample.w))
+    _write_text(write_csv(["id", "y", "pi", "w"], rows), args.out)
     return 0
 
 
@@ -78,32 +73,28 @@ def _cmd_impute(args) -> int:
     params = fit_dp_mean_model(data, [(universe.y_min, universe.y_max)],
                                config.imputation_epsilon, rng,
                                complete_cases=config.imputation_complete_cases)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["id", "y", "imputed"])
+    rows = []
     for unit, y, row in zip(frame.ids, frame.y, data):
         if np.isnan(y):
             filled = impute_parametric(row, params, record_rng(int(seed), unit))
-            writer.writerow([unit, repr(float(filled[0])), 1])
+            rows.append([unit, repr(float(filled[0])), 1])
         else:
-            writer.writerow([unit, repr(y), 0])
-    _write_text(buffer.getvalue(), args.out)
+            rows.append([unit, repr(y), 0])
+    _write_text(write_csv(["id", "y", "imputed"], rows), args.out)
     return 0
 
 
 def _cmd_audit_sensitivity(args) -> int:
     relation = NeighborRelation(args.invariant, args.mutable)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["instance", "statistic", "invariant", "mutable",
-                     "exact", "analytic", "match"])
+    rows = []
     for instance, descriptor in formula_agreement_instances():
         exact = exact_sensitivity(instance, relation).delta_f
         analytic = analytic_sensitivity(descriptor).delta_f
-        writer.writerow([instance.name, instance.statistic, relation.invariant,
-                         relation.mutable, repr(exact), repr(analytic),
-                         int(abs(exact - analytic) <= 1e-12)])
-    _write_text(buffer.getvalue(), args.out)
+        rows.append([instance.name, instance.statistic, relation.invariant,
+                     relation.mutable, repr(exact), repr(analytic),
+                     int(abs(exact - analytic) <= 1e-12)])
+    header = ["instance", "statistic", "invariant", "mutable", "exact", "analytic", "match"]
+    _write_text(write_csv(header, rows), args.out)
     return 0
 
 

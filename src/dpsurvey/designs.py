@@ -36,6 +36,7 @@ __all__ = [
     "TwoStageDesign",
     "WeightedSample",
     "EnumerationCapExceeded",
+    "check_cap",
     "CertaintyUnitError",
     "PPSCalibrationError",
     "default_enumeration_cap",
@@ -68,6 +69,13 @@ class EnumerationCapExceeded(Exception):
         self.count = count
         self.cap = cap
         super().__init__(f"intractable enumeration: {count} outcomes exceed cap {cap}")
+
+
+def check_cap(count: int, cap: int | None = None) -> None:
+    """Refuse an enumeration of ``count`` outcomes above ``cap`` (default: the environment's)."""
+    cap = default_enumeration_cap() if cap is None else cap
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap)
 
 
 class PPSCalibrationError(RuntimeError):
@@ -688,10 +696,7 @@ def sample_space(design: Design, frame: Frame, cap: int | None = None
     Probabilities sum to one up to float rounding; designs with rational
     structure are enumerated with exact Fractions before conversion.
     """
-    cap = default_enumeration_cap() if cap is None else cap
-    count = design.space_size(frame)
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap)
+    check_cap(design.space_size(frame), cap)
     return design.space(frame)
 
 

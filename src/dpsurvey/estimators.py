@@ -49,14 +49,7 @@ def ht_mean(sample: WeightedSample, n_pop: int) -> HTEstimate:
     """
     if n_pop < 1:
         raise ValueError(f"population size must be >= 1, got {n_pop}")
-    units = _distinct_units(sample)
-    if not units:
-        raise ValueError("cannot estimate from an empty sample")
-    for unit, _, value in units:
-        if math.isnan(value):
-            raise ValueError(f"unit {unit} has a missing y value; impute before estimating")
-    total = math.fsum(weight * value for _, weight, value in units)
-    return HTEstimate(total / n_pop, "ht_mean", n_pop)
+    return HTEstimate(ht_total(sample).value / n_pop, "ht_mean", n_pop)
 
 
 def ht_total(sample: WeightedSample) -> HTEstimate:

@@ -36,6 +36,7 @@ __all__ = [
     "ValueUniverse",
     "load_frame_csv",
     "dump_frame_csv",
+    "write_csv",
     "make_frame",
 ]
 
@@ -324,19 +325,24 @@ def load_frame_csv(source) -> Frame:
 
 def dump_frame_csv(frame: Frame, target=None) -> str:
     """Write a frame as CSV; returns the text (and writes to path/file if given)."""
+    return write_csv(CSV_HEADER, (
+        [unit, "" if math.isnan(y) else repr(y), repr(x), stratum, cluster, repr(propensity)]
+        for unit, y, x, stratum, cluster, propensity in zip(
+            frame.ids, frame.y, frame.x, frame.stratum_labels, frame.cluster_labels,
+            frame.propensity_array.tolist())), target)
+
+
+def write_csv(header, rows, target=None) -> str:
+    """The CSV text of a header and rows, written also to ``target`` (a path or
+    an open file) when given."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for unit, y, x, stratum, cluster, propensity in zip(
-            frame.ids, frame.y, frame.x, frame.stratum_labels, frame.cluster_labels,
-            frame.propensity_array.tolist()):
-        writer.writerow([unit, "" if math.isnan(y) else repr(y), repr(x),
-                         stratum, cluster, repr(propensity)])
+    writer.writerow(header)
+    writer.writerows(rows)
     text = buffer.getvalue()
-    if target is not None:
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w", newline="") as handle:
-                handle.write(text)
+    if hasattr(target, "write"):
+        target.write(text)
+    elif target is not None:
+        with open(target, "w", newline="") as handle:
+            handle.write(text)
     return text

@@ -78,7 +78,8 @@ class ImputationParams:
 
 def record_rng(seed: int, record_index: int) -> np.random.Generator:
     """Independent per-record noise substream derived from (seed, record id)."""
-    return np.random.default_rng([int(seed), int(record_index)])
+    # modulo 2**64 any int64 id is a valid seed word, and an id >= 0 keeps its stream
+    return np.random.default_rng([int(seed), int(record_index) % 2 ** 64])
 
 
 def fit_dp_mean_model(data, bounds, eps1, rng, *, complete_cases: bool = True,

@@ -29,20 +29,24 @@ __all__ = [
 ]
 
 
+def _checked(value, name: str, *, positive: bool) -> float:
+    """``float(value)`` if finite and > 0 (``positive``) or >= 0; else a ValueError."""
+    number = float(value)
+    if not math.isfinite(number) or (number <= 0.0 if positive else number < 0.0):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
+    return number
+
+
 def _epsilon_value(eps) -> float:
     """Coerce a PrivacyLoss or bare number to a validated float epsilon."""
     value = float(eps.epsilon) if isinstance(eps, PrivacyLoss) else float(eps)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"privacy-loss parameter must be finite and > 0, got {value!r}")
-    return value
+    return _checked(value, "privacy-loss parameter", positive=True)
 
 
 def _delta_value(delta_f) -> float:
     """Coerce a Sensitivity or bare number to a validated float sensitivity."""
     value = float(delta_f.delta_f) if isinstance(delta_f, Sensitivity) else float(delta_f)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"sensitivity must be finite and >= 0, got {value!r}")
-    return value
+    return _checked(value, "sensitivity", positive=False)
 
 
 @dataclass(frozen=True)
@@ -52,10 +56,7 @@ class PrivacyLoss:
     epsilon: float
 
     def __post_init__(self):
-        value = float(self.epsilon)
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", value)
+        object.__setattr__(self, "epsilon", _checked(self.epsilon, "epsilon", positive=True))
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,7 @@ class Sensitivity:
     delta_f: float
 
     def __post_init__(self):
-        value = float(self.delta_f)
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"delta_f must be finite and >= 0, got {self.delta_f!r}")
-        object.__setattr__(self, "delta_f", value)
+        object.__setattr__(self, "delta_f", _checked(self.delta_f, "delta_f", positive=False))
 
 
 @dataclass(frozen=True)
@@ -82,10 +80,7 @@ class LaplaceNoise:
     scale_b: float
 
     def __post_init__(self):
-        value = float(self.scale_b)
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"scale_b must be finite and >= 0, got {self.scale_b!r}")
-        object.__setattr__(self, "scale_b", value)
+        object.__setattr__(self, "scale_b", _checked(self.scale_b, "scale_b", positive=False))
 
 
 def laplace_scale(delta_f, eps) -> LaplaceNoise:
@@ -99,8 +94,7 @@ def laplace_draws(scale_b: float, rng: np.random.Generator, size=None):
     One uniform draw per output value, so results are reproducible from the
     generator state alone.  ``size=None`` returns a scalar float.
     """
-    if scale_b < 0.0 or not math.isfinite(scale_b):
-        raise ValueError(f"scale must be finite and >= 0, got {scale_b!r}")
+    _checked(scale_b, "scale", positive=False)
     u = rng.random(size=size)
     if scale_b == 0.0:
         return 0.0 if size is None else np.zeros_like(u)
@@ -195,8 +189,7 @@ class PrivacyLedger:
         self._charges: list[LedgerCharge] = []
 
     def charge(self, label: str, eps, delta_f=None) -> LedgerCharge:
-        entry = LedgerCharge(str(label), _epsilon_value(eps),
-                             None if delta_f is None else _delta_value(delta_f))
+        entry = LedgerCharge(str(label), eps, delta_f)
         self._charges.append(entry)
         return entry
 

@@ -26,11 +26,12 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import weighting
+from . import designs, weighting
 from .audit import (
     AuditInstance,
     NeighborRelation,
@@ -247,11 +248,13 @@ def parse_config(text: str) -> PipelineConfig:
     x_values = uni.get("x_values", [1.0])
     if not isinstance(x_values, list) or not x_values:
         raise ConfigError("universe.x_values", "expected a non-empty list of numbers")
-    universe = ValueUniverse(
-        _number(uni["y_min"], "universe.y_min"),
-        _number(uni["y_max"], "universe.y_max"),
-        tuple(_number(v, f"universe.x_values[{i}]", positive=True)
-              for i, v in enumerate(x_values)))
+    fields = (_number(uni["y_min"], "universe.y_min"), _number(uni["y_max"], "universe.y_max"),
+              tuple(_number(v, f"universe.x_values[{i}]", positive=True)
+                    for i, v in enumerate(x_values)))
+    try:
+        universe = ValueUniverse(*fields)
+    except ValueError as err:  # the numbers are valid one by one, not together
+        raise ConfigError("universe", str(err)) from err
 
     design = _parse_design(top["design"], "design")
 
@@ -642,6 +645,17 @@ def _audit_stage(config: PipelineConfig, frame: Frame) -> dict | None:
         return {"status": f"error: {err}"}
 
 
+@contextmanager
+def _stage(name: str):
+    """A failure becomes ``PipelineStageError(name)``; a refused release passes through."""
+    try:
+        yield
+    except ReleaseRefusedError:
+        raise
+    except Exception as err:
+        raise PipelineStageError(name, err) from err
+
+
 def run_pipeline(config: PipelineConfig, seed: int | None = None) -> RunReport:
     """Execute the configured pipeline deterministically for the given seed."""
     seed = config.seed if seed is None else seed
@@ -669,36 +683,19 @@ def run_pipeline(config: PipelineConfig, seed: int | None = None) -> RunReport:
     stage_trace = [{"stage": stage, "inside_mechanism": i >= boundary}
                    for i, stage in enumerate(STAGES)]
 
-    try:
+    with _stage("sample"):
         # the design's pi over the frame weighs the sample and bounds the frame's weights
         pi = inclusion_probs(config.design, frame)
-        from .designs import draw  # resolved per call, so a wrapped designs.draw applies
-        sample = draw(config.design, frame, rng, pi)
-    except Exception as err:
-        raise PipelineStageError("sample", err) from err
-
-    try:
+        sample = designs.draw(config.design, frame, rng, pi)
+    with _stage("respond"):
         flags = _simulate_response(config, sample, frame, rng)
         respondents = _respondent_sample(sample, flags)
-    except Exception as err:
-        raise PipelineStageError("respond", err) from err
-
-    try:
+    with _stage("adjust"):
         adjusted = _adjust_stage(config, sample, respondents, flags, ledger, rng)
-    except Exception as err:
-        raise PipelineStageError("adjust", err) from err
-
-    try:
+    with _stage("impute"):
         processed = _impute_stage(config, adjusted, frame, ledger, rng, int(seed))
-    except Exception as err:
-        raise PipelineStageError("impute", err) from err
-
-    try:
+    with _stage("release"):
         released = _release_stage(config, processed, frame, pi, ledger, rng)
-    except ReleaseRefusedError:
-        raise
-    except Exception as err:
-        raise PipelineStageError("release", err) from err
 
     audit = _audit_stage(config, frame)
 

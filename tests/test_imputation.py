@@ -174,3 +174,75 @@ def test_record_rng_streams_are_stable_and_distinct():
     c = record_rng(7, 2).random()
     assert a == b
     assert a != c
+
+
+# Bench-sized data: n=800 (enough that the DP residual scale survives its own
+# noise), x in {1, 2, 4}, y ~ U(0, 1), eps = 0.2.
+BOUNDS = [(1.0, 4.0), (0.0, 1.0)]
+
+
+def _fitted(model: str):
+    gen = np.random.default_rng(0)
+    data = np.column_stack([gen.choice([1.0, 2.0, 4.0], size=800), gen.random(800)])
+    if model == "mean-spread":
+        params = fit_dp_mean_model(data[:, 1:], BOUNDS[1:], 0.2, np.random.default_rng(0),
+                                   estimate_spread=True)
+        return params, params.residual_scales[0]
+    params = fit_dp_regression(data, (0,), 1, BOUNDS, 0.2,
+                               np.random.default_rng(int(model[-1])))
+    return params, params.residual_scale
+
+
+@pytest.mark.parametrize("model", ["regression-0", "regression-1", "regression-2", "mean-spread"])
+def test_residual_noise_fills_stay_in_bounds_and_per_record(model):
+    params, scale = _fitted(model)
+    assert scale > 0.0  # the fill takes the residual-noise branch
+    record = (np.array([2.0, NAN]) if params.method == "regression" else np.array([NAN]))
+    fills = [impute_parametric(record, params, record_rng(11, unit))[-1] for unit in range(50)]
+    assert all(0.0 <= fill <= 1.0 for fill in fills)
+    assert len(set(fills)) > 1  # noise was added
+    # a fresh stream for the same (seed, unit) repeats the fill exactly
+    assert impute_parametric(record, params, record_rng(11, 3))[-1] == fills[3]
+    # changing another record leaves this record's fill as it was
+    data = np.array([record, record])
+    other = data.copy()
+    other[1, 0] = 4.0 if params.method == "regression" else 0.9
+    assert impute_dataset(data, params, 5)[0, -1] == impute_dataset(other, params, 5)[0, -1]
+
+
+def test_record_rng_accepts_every_int64_id_and_keeps_non_negative_streams():
+    for unit in (0, 7, 2 ** 63 - 1):
+        assert record_rng(3, unit).random() == np.random.default_rng([3, unit]).random()
+    draws = {record_rng(3, unit).random() for unit in (-1, -(2 ** 63), 1, 2 ** 63 - 1)}
+    assert len(draws) == 4
+
+
+def _negative_id_inputs(tmp_path):
+    import json
+
+    from dpsurvey.frames import dump_frame_csv, make_frame
+
+    path = tmp_path / "frame.csv"
+    dump_frame_csv(make_frame([NAN, 0.3, 0.8], ids=[-1, 2, 3]), path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "frame": str(path), "universe": {"y_min": 0.0, "y_max": 1.0},
+        "design": {"kind": "srswor", "n": 3},
+        "imputation": {"method": "dp_mean", "epsilon": 0.5},
+        "releases": [{"statistic": "mean", "epsilon": 0.5}],
+        "mechanism_start": "processed-data", "invariant": "none", "budget": 1.0}))
+    return str(config)
+
+
+def test_negative_unit_id_is_imputed_in_the_pipeline_and_the_cli(tmp_path, capsys):
+    from dpsurvey.cli import main
+    from dpsurvey.pipeline import parse_config_file, run_pipeline
+
+    config = _negative_id_inputs(tmp_path)
+    report = run_pipeline(parse_config_file(config), seed=4)
+    assert [c["label"] for c in report.ledger_charges] == ["impute-fit[mean]", "release[mean]"]
+    assert main(["impute", config, "--seed", "4"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "id,y,imputed"
+    unit, value, imputed = rows[1].split(",")
+    assert (unit, imputed) == ("-1", "1") and 0.0 <= float(value) <= 1.0

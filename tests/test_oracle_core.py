@@ -5,9 +5,10 @@ output distributions as dicts, the coupled distance per pair, the
 frame-invariant loop per sample and assignment, and the scalar pair scan.
 It shares only the statistic (``_sample_statistic``) and the truth key with
 the module under test.  Hypothesis draws desk-scale instances across flat
-records, every library design, Neyman allocation, full-record neighbors,
-explicit base datasets, conditioning, the empty sample, zero-scale
-Laplace and all three invariant levels.
+records, every library design, designs listing outcomes of probability
+zero, Neyman allocation, full-record neighbors, explicit base datasets,
+conditioning, the empty sample, zero-scale Laplace and all three invariant
+levels.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ from dpsurvey.audit import (
     reevaluate_witness,
 )
 from dpsurvey.designs import (
+    ClusterSRSWOR,
     EnumerationCapExceeded,
     Poisson,
     StratifiedSRSWOR,
+    TwoStageDesign,
     allocate_strata,
     default_enumeration_cap,
     inclusion_probs,
@@ -114,7 +117,9 @@ class Reference:
                 if xs is not None and tuple(xs) != tuple(self.instance.frame.x):
                     frame = frame.with_x(xs)
                 pi = inclusion_probs(self.design, frame)
-                space = sample_space(self.design, frame, cap=self.instance.cap)
+                # an outcome of probability zero is impossible: it never counts
+                space = [(s, p) for s, p in sample_space(self.design, frame, cap=self.instance.cap)
+                         if p > 0.0]
                 positions = [tuple(frame.positions(sample)) for sample, _ in space]
                 probs = [p for _, p in space]
                 if self.condition is not None:
@@ -172,11 +177,11 @@ class Reference:
     @classmethod
     def frame_invariant_sensitivity(cls, instance, relation):
         stat = instance.statistic
-        samples, probs, weights = cls.Spaces(instance, instance.design).get(
+        samples, _, weights = cls.Spaces(instance, instance.design).get(
             instance.frame.y, instance.frame.x)
         best = 0.0
-        for sample, prob in zip(samples, probs):
-            if not sample or prob <= 0.0:
+        for sample in samples:
+            if not sample:
                 continue
             distinct = tuple(dict.fromkeys(sample))
             slot = {pos: i for i, pos in enumerate(distinct)}
@@ -195,8 +200,6 @@ class Reference:
         ys, xs = cls.split_y_x(dataset, instance, relation)
         samples, probs, weights = spaces.get(ys, xs)
         for positions, prob in zip(samples, probs):
-            if prob <= 0.0:
-                continue
             if not positions:
                 yield EMPTY_EVENT, prob
                 continue
@@ -260,6 +263,14 @@ CASE_SETTINGS = settings(max_examples=40, deadline=None,
                          suppress_health_check=[HealthCheck.too_slow])
 
 
+def zero_mass_designs(frame):
+    """Designs whose sample spaces list outcomes of probability zero."""
+    designs = [Poisson(1.0)]
+    if len(frame.clusters()) >= 2:
+        designs.append(TwoStageDesign(ClusterSRSWOR(1), Poisson(1.0)))
+    return designs
+
+
 @st.composite
 def bases(draw, values, n_slots):
     if not draw(st.booleans()):
@@ -285,7 +296,7 @@ def flat_instances(draw):
 def design_instances(draw, relations=(Y_ONLY, POP_Y, FRAME_Y, FULL)):
     """(instance, relation) over the library frames and designs."""
     frame = draw(st.sampled_from(frame_library()[:3] + [four_unit_frame()]))
-    design = draw(st.sampled_from(design_library(frame)))
+    design = draw(st.sampled_from(design_library(frame) + zero_mass_designs(frame)))
     relation = draw(st.sampled_from(relations))
     grid = draw(st.sampled_from(GRIDS[:2] if relation is FULL or frame.n > 3 else GRIDS))
     x_grid = (1.0, 2.0) if relation is FULL else ()
@@ -404,6 +415,20 @@ def test_empty_sample_event_matches_reference(scale):
     check_epsilon(mechanism, instance, POP_Y)
     report = effective_epsilon(mechanism, instance, POP_Y)
     assert report.status == ("infinite" if scale == 0.0 else "ok")
+
+
+@pytest.mark.parametrize("design, frame, expected", [
+    (Poisson(1.0), make_frame([0.0] * 3), 1 / 3),
+    (TwoStageDesign(ClusterSRSWOR(1), Poisson(1.0)), four_unit_frame(), 0.5),
+], ids=["poisson", "two-stage"])
+def test_impossible_samples_never_count_towards_sensitivity(design, frame, expected):
+    # the space lists every subset; all but the full one (per cluster) have mass zero
+    instance = AuditInstance(name="zero-mass", statistic="mean", y_grid=(0, 1),
+                             design=design, frame=frame)
+    coupled = exact_sensitivity(instance, POP_Y).delta_f
+    assert coupled == exact_sensitivity(instance, FRAME_Y).delta_f
+    assert coupled == pytest.approx(expected, abs=1e-15)
+    assert coupled == Reference.exact_sensitivity(instance, POP_Y)
 
 
 @CASE_SETTINGS
