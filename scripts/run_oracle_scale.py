@@ -10,12 +10,15 @@ Runs the benchmark's two audit shapes for N = 3..max_N:
 both with population-invariant y-only neighbors.  Each row prints the
 dataset, sampling-outcome, pair and truth-category counts beside the time
 of each phase: the sample space, the truth tables and mass histograms, and
-the pair scan, then the end-to-end call.
+the pair scan, then the end-to-end call.  ``peak_mb`` is the tracemalloc
+peak (numpy buffers included, 10^6 bytes per MB) of one more end-to-end
+call, made after the timed ones and not timed itself.
 
 Usage: python scripts/run_oracle_scale.py [max_N]   (default 6)
 """
 
 import sys
+import tracemalloc
 from time import perf_counter
 
 from dpsurvey.audit import (
@@ -45,6 +48,15 @@ def timed(fn, *args):
     return result, perf_counter() - start
 
 
+def peak_mb(fn, *args) -> float:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def epsilon_row(n: int) -> tuple:
     design = Poisson(0.25)
     instance = AuditInstance(name="scale-epsilon", statistic="mean", y_grid=(0.0, 1.0),
@@ -59,7 +71,8 @@ def epsilon_row(n: int) -> tuple:
     _, scan_s = timed(_epsilon_report, 1.0, table, dist, of, events, categories)
     _, total_s = timed(effective_epsilon, mechanism, instance, RELATION)
     return (len(table.codes), len(space), table.n_pairs, len(categories),
-            space_s, tables_s, scan_s, total_s)
+            space_s, tables_s, scan_s, total_s,
+            peak_mb(effective_epsilon, mechanism, instance, RELATION))
 
 
 def sensitivity_row(n: int) -> tuple:
@@ -76,22 +89,23 @@ def sensitivity_row(n: int) -> tuple:
     _, scan_s = timed(_max_change, table, truth)
     _, total_s = timed(exact_sensitivity, instance, RELATION)
     return (len(table.codes), len(space), table.n_pairs, "-",
-            space_s, tables_s, scan_s, total_s)
+            space_s, tables_s, scan_s, total_s, peak_mb(exact_sensitivity, instance, RELATION))
 
 
 def main(argv) -> int:
     max_n = int(argv[1]) if len(argv) > 1 else 6
     print(f"{'shape':<12}{'N':>3}{'datasets':>10}{'outcomes':>10}{'pairs':>9}"
-          f"{'categories':>12}{'space_s':>10}{'tables_s':>10}{'scan_s':>10}{'total_s':>10}")
+          f"{'categories':>12}{'space_s':>10}{'tables_s':>10}{'scan_s':>10}{'total_s':>10}"
+          f"{'peak_mb':>10}")
     for shape, row in (("epsilon", epsilon_row), ("sensitivity", sensitivity_row)):
         for n in range(3, max_n + 1):
             try:
-                datasets, outcomes, pairs, categories, *times = row(n)
+                datasets, outcomes, pairs, categories, *times, peak = row(n)
             except EnumerationCapExceeded as err:  # DPSURVEY_ENUM_CAP raises the cap
                 print(f"{shape:<12}{n:>3}  {err}")
                 break
             print(f"{shape:<12}{n:>3}{datasets:>10}{outcomes:>10}{pairs:>9}{categories:>12}"
-                  + "".join(f"{t:>10.4f}" for t in times))
+                  + "".join(f"{t:>10.4f}" for t in times) + f"{peak:>10.3f}")
     return 0
 
 

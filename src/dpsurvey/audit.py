@@ -11,8 +11,8 @@ Both run on one enumeration core of numpy tables.  A dataset is a row of
 codes into the sorted distinct record values, and the neighbor pairs come
 from ``_PairTable`` in bounded chunks of row indices (``neighbors`` only
 decodes them).  Datasets sharing a sampling stage form a group
-(``_groups``), and on each sample of a group's space the statistic is
-evaluated once per distinct in-sample value pattern (``_outcome_truths``).
+(``_groups``); the statistic is evaluated once per distinct sample size,
+mixed-radix key of the in-sample codes and weights (``_stage_truths``).
 ``exact_sensitivity`` takes the largest change over the samples both
 datasets of a pair can draw.  ``effective_epsilon`` sums each dataset's
 outcome probabilities into one mass histogram over the sorted truth
@@ -79,6 +79,7 @@ __all__ = [
 
 EMPTY_EVENT = ("empty",)
 _CHUNK = 512  # pair rows per numpy pass of a scan
+_BATCH = 2 ** 14  # in-sample codes per numpy pass of a truth batch
 
 
 @dataclass(frozen=True)
@@ -187,14 +188,6 @@ def _place_values(radix: int, width: int) -> np.ndarray:
     return np.array([radix ** k for k in range(width - 1, -1, -1)], dtype=dtype)
 
 
-def _distinct_rows(rows: np.ndarray):
-    """(first, inverse): a row index per distinct row, and each row's distinct number."""
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)  # numpy 2.0 shapes the inverse like its input
-
-
 class _PairTable:
     """Distinct datasets and every ordered neighbor pair between them.
 
@@ -239,7 +232,9 @@ class _PairTable:
             base += start
             shift = (self.raw[choice] - self.base_codes[base, slot]).astype(self.place.dtype)
             moved = self.base_keys[base] + shift * self.place[slot]
-            if self.keys is None:  # collecting the keys of an explicit-base table
+            if self.bases is None:  # every key is present, so a key is its own row
+                yield base, slot, choice, self.base_keys[base], moved
+            elif self.keys is None:  # collecting the keys of an explicit-base table
                 yield base, slot, choice, None, moved
             else:
                 yield (base, slot, choice, np.searchsorted(self.keys, self.base_keys[base]),
@@ -303,17 +298,6 @@ def _sample_statistic(stat: str, ys, ws, n_pop: int | None) -> float:
     raise ValueError(f"unknown sample statistic {stat!r}")
 
 
-def _needs_weights(stat: str) -> bool:
-    return stat in ("ht_mean", "ht_total")
-
-
-def _frame_for(instance: AuditInstance, ys, xs) -> Frame:
-    frame = instance.frame.with_y(ys)
-    if xs is not None and tuple(xs) != tuple(instance.frame.x):
-        frame = frame.with_x(xs)
-    return frame
-
-
 def _sampling_stage(instance: AuditInstance, design: Design | None, ys, xs,
                     condition_on_unit: int | None = None, flat_weights=None):
     """(positions, probs, weights) of the sampling stage on one dataset.
@@ -327,7 +311,9 @@ def _sampling_stage(instance: AuditInstance, design: Design | None, ys, xs,
     """
     if design is None:
         return [tuple(range(len(ys)))], [1.0], flat_weights or (1.0,) * len(ys)
-    frame = _frame_for(instance, ys, xs)
+    frame = instance.frame.with_y(ys)
+    if xs is not None and tuple(xs) != tuple(instance.frame.x):
+        frame = frame.with_x(xs)
     pi = inclusion_probs(design, frame)
     space = [(s, p) for s, p in sample_space(design, frame, cap=instance.cap) if p > 0.0]
     found = iter(frame.positions([unit for sample, _ in space for unit in sample]))
@@ -361,23 +347,36 @@ def _groups(table: _PairTable, instance, relation, design: Design | None, **stag
             for ys, xs, rows in keyed.values()]
 
 
-def _outcome_truths(stat: str, table: _PairTable, rows, sample: tuple, weights, n_pop,
-                    cache: dict, convert=float):
-    """(inverse, truths): the statistic on one sample, evaluated once per
-    distinct in-sample value pattern of the given dataset rows and passed
-    through ``convert``; row r reads ``truths[inverse[r]]``.  ``cache`` maps
-    (pattern, weights) to a converted truth."""
-    sub = table.codes[np.ix_(rows, sample)]
-    first, inverse = _distinct_rows(sub)
-    ws = None if weights is None else tuple(weights[p] for p in sample)
-    truths = []
-    for pattern in sub[first].tolist():
-        key = (tuple(pattern), ws)
-        if key not in cache:
-            cache[key] = convert(_sample_statistic(stat, [table.ys[c] for c in pattern],
-                                                   ws, n_pop))
-        truths.append(cache[key])
-    return inverse, truths
+def _stage_truths(stat: str, table: _PairTable, rows, positions, weights, n_pop,
+                  cache: dict, convert=float):
+    """Yield (js, values): values[i, r] is the statistic of dataset rows[r] on
+    the non-empty sample positions[js[i]], passed through ``convert``.  Samples
+    are batched by size k and in-sample weights, about ``_BATCH`` codes at a
+    time; a batch keys each in-sample code pattern as a mixed-radix integer with
+    one matmul, and ``cache`` maps each distinct (k, key, weights) to a truth."""
+    batches: dict = {}
+    for j, sample in enumerate(positions):
+        if sample:
+            ws = tuple(weights[p] for p in sample) if stat in ("ht_mean", "ht_total") else None
+            batches.setdefault((len(sample), ws), []).append(j)
+    radix = len(table.values)  # slots[p, r]: the code of dataset rows[r] at position p
+    slots = table.codes[rows].T.astype(np.min_scalar_type(radix - 1), order="C")
+    for (k, ws), js in batches.items():
+        place = _place_values(radix, k).astype(np.min_scalar_type(radix ** k - 1))
+        step = max(1, _BATCH // (len(rows) * k))
+        for start in range(0, len(js), step):
+            chunk = js[start:start + step]
+            sub = slots[[positions[j] for j in chunk]].astype(place.dtype, copy=False)
+            keys, first, inverse = np.unique(place @ sub, return_index=True,
+                                             return_inverse=True)
+            values = []
+            for key, at in zip(keys.tolist(), first.tolist()):
+                if (k, key, ws) not in cache:
+                    i, r = divmod(at, len(rows))
+                    ys = [table.ys[c] for c in sub[i, :, r].tolist()]
+                    cache[k, key, ws] = convert(_sample_statistic(stat, ys, ws, n_pop))
+                values.append(cache[k, key, ws])
+            yield chunk, np.array(values)[inverse.reshape(len(chunk), len(rows))]
 
 
 def _truth_matrix(stat: str, table: _PairTable, groups, n_pop) -> np.ndarray:
@@ -389,10 +388,8 @@ def _truth_matrix(stat: str, table: _PairTable, groups, n_pop) -> np.ndarray:
     truth = np.full((len(table.codes), len(columns)), np.nan)
     cache: dict = {}
     for rows, (positions, _, weights) in groups:
-        weights = weights if _needs_weights(stat) else None
-        for sample in filter(None, positions):
-            inverse, truths = _outcome_truths(stat, table, rows, sample, weights, n_pop, cache)
-            truth[rows, columns[sample]] = np.array(truths)[inverse]
+        for js, values in _stage_truths(stat, table, rows, positions, weights, n_pop, cache):
+            truth[rows[:, None], [columns[positions[j]] for j in js]] = values.T
     return truth
 
 
@@ -445,25 +442,22 @@ def _frame_invariant_sensitivity(instance: AuditInstance) -> Sensitivity:
     """Weights frozen at the reference frame; datasets are samples plus the y
     values of their distinct units.  A unit drawn more than once (SRSWR)
     carries its one y value and its weight into every draw.  Samples with
-    the same draw pattern and weights share one flat pair table."""
-    stat = instance.statistic
+    the same draw pattern and weights share one flat pair table; the cap
+    counts the pairs of those distinct tables."""
     samples, _, weights = _sampling_stage(instance, instance.design, instance.frame.y,
                                           instance.frame.x)
-    units = [tuple(dict.fromkeys(sample)) for sample in samples]
+    tables: dict = {}
+    for sample in filter(None, samples):
+        slot = {pos: i for i, pos in enumerate(dict.fromkeys(sample))}
+        tables[tuple(slot[pos] for pos in sample), tuple(weights[pos] for pos in slot)] = len(slot)
     grid = instance.y_grid
-    check_cap(sum(len(grid) ** len(u) * len(u) * (len(grid) - 1) for u in units), instance.cap)
-
-    best, seen = 0.0, set()
-    for sample, distinct in zip(samples, units):
-        slot = {pos: i for i, pos in enumerate(distinct)}
-        draws = tuple(slot[pos] for pos in sample)
-        stage = [draws], [1.0], tuple(weights[pos] for pos in distinct)
-        if sample and (draws, stage[2]) not in seen:
-            seen.add((draws, stage[2]))
-            table = _PairTable(grid, len(distinct))
-            groups = [(np.arange(len(table.codes)), stage)]
-            best = max(best, _max_change(table, _truth_matrix(stat, table, groups,
-                                                              instance.n_pop)))
+    check_cap(sum(len(grid) ** n * n * (len(grid) - 1) for n in tables.values()), instance.cap)
+    best = 0.0
+    for (draws, ws), n in tables.items():
+        table = _PairTable(grid, n)
+        groups = [(np.arange(len(table.codes)), ([draws], [1.0], ws))]
+        best = max(best, _max_change(table, _truth_matrix(instance.statistic, table, groups,
+                                                          instance.n_pop)))
     return Sensitivity(best)
 
 
@@ -573,13 +567,13 @@ def _histograms(mechanism, instance, relation, table: _PairTable):
     """(hist, categories): hist[d, c] is the probability that dataset d's
     sampling stage yields truth categories[c]; categories are sorted.
 
-    The empty sample is the category ``EMPTY_EVENT``.  One outcome column is
-    added at a time, with each cell's rounding errors carried in ``error``
-    (TwoSum), so a mass is rounded once: equal exact masses give equal
-    histograms, however many outcomes make them up.
+    The empty sample is the category ``EMPTY_EVENT``.  Categories per
+    (sample, dataset) are held in the narrowest unsigned type, then one
+    outcome is added at a time in space order, with each cell's rounding
+    errors carried in ``error`` (TwoSum), so a mass is rounded once: equal
+    exact masses give equal histograms, however many outcomes make them up.
     """
-    stat, index, cache = mechanism.statistic, {}, {}
-    hist, error = np.zeros((len(table.codes), 8)), np.zeros((len(table.codes), 8))
+    stat, index, cache, stages = mechanism.statistic, {}, {}, []
 
     def column(truth) -> int:
         return index.setdefault(truth if truth == EMPTY_EVENT else _truth_key(truth), len(index))
@@ -587,24 +581,27 @@ def _histograms(mechanism, instance, relation, table: _PairTable):
     for rows, (positions, probs, weights) in _groups(
             table, instance, relation, mechanism.design,
             condition_on_unit=mechanism.condition_on_unit, flat_weights=instance.weights):
-        weights = weights if _needs_weights(stat) else None
-        for sample, prob in zip(positions, probs):
-            if sample:
-                inverse, columns = _outcome_truths(stat, table, rows, sample, weights,
-                                                   instance.n_pop, cache, column)
-            else:
-                inverse, columns = np.zeros(len(rows), dtype=np.intp), [column(EMPTY_EVENT)]
-            columns = np.array(columns)
-            while len(index) > hist.shape[1]:
-                hist, error = (np.hstack([a, np.zeros_like(a)]) for a in (hist, error))
-            cells = rows, columns[inverse]
+        cat = np.zeros((len(positions), len(rows)), dtype=np.min_scalar_type(len(index) + 1))
+        for j in [j for j, sample in enumerate(positions) if not sample]:
+            cat[j] = column(EMPTY_EVENT)
+        for js, values in _stage_truths(stat, table, rows, positions, weights, instance.n_pop,
+                                        cache, column):
+            cat = cat.astype(np.min_scalar_type(len(index)), copy=False)  # fits every column
+            cat[js] = values
+        stages.append((rows, probs, cat))
+    width = len(index)
+    hist, error = np.zeros(len(table.codes) * width), np.zeros(len(table.codes) * width)
+    for rows, probs, cat in stages:
+        at = rows * width
+        for prob, columns in zip(probs, cat):
+            cells = at + columns
             before = hist[cells]
             hist[cells] = total = before + prob
             part = total - before
             error[cells] += (before - (total - part)) + (prob - part)
     categories = tuple(sorted(index))
     order = [index[c] for c in categories]
-    return hist[:, order] + error[:, order], categories
+    return (hist + error).reshape(len(table.codes), width)[:, order], categories
 
 
 def _distributions(base, hist: np.ndarray, categories: tuple, rr_categories=None):
@@ -619,7 +616,10 @@ def _distributions(base, hist: np.ndarray, categories: tuple, rr_categories=None
             for truth in categories]
     events = sorted(set().union(*rows))
     matrix = np.array([[row.get(e, 0.0) for e in events] for row in rows])
-    first, of = _distinct_rows(hist)
+    hist = np.ascontiguousarray(hist)
+    keys = hist.view(np.dtype((np.void, hist.itemsize * len(categories)))).reshape(-1)
+    _, first, of = np.unique(keys, return_index=True, return_inverse=True)
+    of = of.reshape(-1)  # numpy 2.0 shapes the inverse like its input
     dist = np.zeros((len(first), len(events)))
     for c in range(len(categories)):
         dist += hist[first, c, None] * matrix[c]
@@ -719,8 +719,7 @@ def reevaluate_witness(mechanism: SampledReleaseMechanism, instance: AuditInstan
 
 def design_label(design: Design) -> str:
     kind = type(design).__name__.lower()
-    params = {k: v for k, v in vars(design).items()}
-    inner = ",".join(f"{k}={v}" for k, v in params.items())
+    inner = ",".join(f"{k}={v}" for k, v in vars(design).items())
     return f"{kind}[{inner}]"
 
 

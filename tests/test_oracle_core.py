@@ -8,7 +8,8 @@ the module under test.  Hypothesis draws desk-scale instances across flat
 records, every library design, designs listing outcomes of probability
 zero, Neyman allocation, full-record neighbors, explicit base datasets,
 conditioning, the empty sample, zero-scale Laplace and all three invariant
-levels.
+levels; weighted frames in which samples of one size carry different
+weights; and the oracle's memory and enumeration-cap bounds.
 """
 
 from __future__ import annotations
@@ -18,12 +19,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dpsurvey import audit
 from dpsurvey.audit import (
     EMPTY_EVENT,
     AuditInstance,
@@ -39,6 +43,8 @@ from dpsurvey.audit import (
     reevaluate_witness,
 )
 from dpsurvey.designs import (
+    PPS,
+    SRSWOR,
     ClusterSRSWOR,
     EnumerationCapExceeded,
     Poisson,
@@ -259,6 +265,12 @@ class Reference:
 GRIDS = [(0.0, 1.0), (1.0, 0.0), (0.0, 0.5, 1.0), (1.0, 0.25, 0.0)]
 STATS = ["mean", "total", "max", "ht_mean", "ht_total"]
 NEYMAN_FRAME = make_frame([0.0] * 5, strata=["A", "A", "A", "B", "B"])
+# unequal x and interleaved strata: two samples of one size carry different weights
+WEIGHTED_FRAMES = [make_frame([0.0, 1.0, 0.0, 1.0], xs=[1.0, 2.0, 4.0, 3.0],
+                              strata=["A", "B", "A", "A"]),
+                   make_frame([0.0, 1.0, 0.0, 1.0, 0.0], xs=[3.0, 1.0, 2.0, 1.0, 5.0],
+                              strata=["A", "B", "A", "B", "A"])]
+WEIGHTED_DESIGNS = [PPS(1), PPS(2), StratifiedSRSWOR(2), StratifiedSRSWOR(3)]
 CASE_SETTINGS = settings(max_examples=40, deadline=None,
                          suppress_health_check=[HealthCheck.too_slow])
 
@@ -318,6 +330,21 @@ def neyman_instances(draw):
                          design=StratifiedSRSWOR(3, "neyman"), frame=NEYMAN_FRAME,
                          base_datasets=draw(bases(grid, NEYMAN_FRAME.n))), \
         draw(st.sampled_from([Y_ONLY, POP_Y]))
+
+
+@st.composite
+def weighted_instances(draw, relations=(Y_ONLY, POP_Y, FRAME_Y, FULL)):
+    """(instance, relation): HT statistics under PPS and stratified designs."""
+    frame = draw(st.sampled_from(WEIGHTED_FRAMES))
+    relation = draw(st.sampled_from(relations))
+    grid = draw(st.sampled_from(GRIDS[:2] if relation is FULL else GRIDS))
+    x_grid = (1.0, 2.0) if relation is FULL else ()
+    values = ([(y, x) for y in grid for x in x_grid] if relation is FULL else grid)
+    stat = draw(st.sampled_from(["ht_total", "ht_mean"]))
+    design = draw(st.sampled_from(WEIGHTED_DESIGNS))
+    return AuditInstance(name="weighted", statistic=stat, y_grid=grid, x_grid=x_grid,
+                         design=design, frame=frame, n_pop=frame.n,
+                         base_datasets=draw(bases(values, frame.n))), relation
 
 
 @st.composite
@@ -392,6 +419,20 @@ def test_design_epsilon_matches_reference(case, base, condition):
     instance, relation = case
     unit = None if condition is None else instance.frame.ids[condition]
     mechanism = SampledReleaseMechanism(instance.statistic, base, instance.design, unit)
+    check_epsilon(mechanism, instance, relation)
+
+
+@CASE_SETTINGS
+@given(weighted_instances())
+def test_weighted_sensitivity_matches_reference(case):
+    check_sensitivity(*case)
+
+
+@CASE_SETTINGS
+@given(weighted_instances(relations=(Y_ONLY, POP_Y, FULL)), release_bases())
+def test_weighted_epsilon_matches_reference(case, base):
+    instance, relation = case
+    mechanism = SampledReleaseMechanism(instance.statistic, base, instance.design)
     check_epsilon(mechanism, instance, relation)
 
 
@@ -499,3 +540,47 @@ def test_oracle_core_leaves_numpy_ma_unimported():
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_frame_invariant_cap_counts_distinct_tables(monkeypatch):
+    # Poisson(0.5) has 2^11 samples but one table per sample size k: k 2^k pairs each
+    instance = AuditInstance(name="fi", statistic="mean", y_grid=(0, 1),
+                             design=Poisson(0.5), frame=make_frame([0.0] * 11))
+    assert exact_sensitivity(instance, FRAME_Y).delta_f == 1.0
+    distinct = sum(k * 2 ** k for k in range(1, 12))
+    assert exact_sensitivity(replace(instance, cap=distinct), FRAME_Y).delta_f == 1.0
+
+    def no_table(*args):
+        raise AssertionError("a pair table was built past the cap")
+
+    monkeypatch.setattr(audit, "_PairTable", no_table)
+    with pytest.raises(EnumerationCapExceeded) as excinfo:
+        exact_sensitivity(replace(instance, cap=distinct - 1), FRAME_Y)
+    assert excinfo.value.count == distinct
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes allocated at the peak of one call, numpy buffers included."""
+    fn(*args)  # warm: caches and lazy imports are not the call's own memory
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bench_shaped_audits_stay_under_a_memory_bound():
+    # the audit benchmark's shapes; int32 categories or 2^18-code truth
+    # batches take the epsilon call past the bound
+    frame = make_frame([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0],
+                       xs=[1.0, 2.0, 3.0, 5.0, 8.0, 1.0, 2.0, 3.0, 5.0])
+    design = Poisson(0.25)
+    instance = AuditInstance(name="mem-eps", statistic="mean", y_grid=(0.0, 1.0),
+                             design=design, frame=frame)
+    mechanism = SampledReleaseMechanism("mean", RandomizedResponse(1.0), design)
+    assert traced_peak(effective_epsilon, mechanism, instance, POP_Y) <= 1.5e6
+    frame = make_frame([0.0] * 7, xs=[1.0, 2.0, 3.0, 5.0, 8.0, 1.0, 2.0])
+    instance = AuditInstance(name="mem-sens", statistic="ht_mean", y_grid=(0.0, 0.5, 1.0),
+                             design=SRSWOR(2), frame=frame, n_pop=7)
+    assert traced_peak(exact_sensitivity, instance, POP_Y) <= 1.5e6
