@@ -724,15 +724,14 @@ def design_label(design: Design) -> str:
 
 
 def amplification_sweep(designs, eps_values, frame: Frame, *, statistic: str = "max",
-                        y_grid=(0.0, 1.0), relation: NeighborRelation | None = None,
-                        n_pop: int | None = None,
                         base_datasets=None, cap: int | None = None) -> list[dict]:
     """Effective epsilon for every design x epsilon cell; errors stay in-table.
 
+    Cells audit y in {0, 1} under population-invariant y-only neighbors.
     ``rate_or_maxpi`` records the design's expected sampling rate (max
     inclusion probability for PPS), the quantity amplification scales with.
     """
-    relation = relation or NeighborRelation("population", "y-only")
+    relation = NeighborRelation("population", "y-only")
     rows = []
     for design in designs:
         for eps in eps_values:
@@ -742,7 +741,7 @@ def amplification_sweep(designs, eps_values, frame: Frame, *, statistic: str = "
                 row["rate_or_maxpi"] = design.sampling_rate(frame)
                 instance = AuditInstance(
                     name=f"sweep-{design_label(design)}", statistic=statistic,
-                    y_grid=y_grid, design=design, frame=frame, n_pop=n_pop,
+                    y_grid=(0.0, 1.0), design=design, frame=frame,
                     base_datasets=base_datasets, cap=cap)
                 mechanism = SampledReleaseMechanism(
                     statistic=statistic, base=RandomizedResponse(float(eps)), design=design)

@@ -45,13 +45,20 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
+def _config_and_seed(args):
     config = parse_config_file(args.config)
-    frame = load_frame_csv(config.frame_path)
     seed = args.seed if args.seed is not None else config.seed
     if seed is None:
         raise ValueError("a seed is required (--seed or config.seed)")
-    sample = draw(config.design, frame, np.random.default_rng(int(seed)))
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return config, seed
+
+
+def _cmd_sample(args) -> int:
+    config, seed = _config_and_seed(args)
+    frame = load_frame_csv(config.frame_path)
+    sample = draw(config.design, frame, np.random.default_rng(seed))
     rows = ([unit, "" if np.isnan(y) else repr(y), repr(pi), repr(w)]
             for unit, y, pi, w in zip(sample.ids, sample.y, sample.pi, sample.w))
     _write_text(write_csv(["id", "y", "pi", "w"], rows), args.out)
@@ -59,24 +66,19 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_impute(args) -> int:
-    config = parse_config_file(args.config)
+    config, seed = _config_and_seed(args)
     if config.imputation_method != "dp_mean":
         raise ValueError("the impute command supports configs with imputation.method "
                          "'dp_mean'; run the full pipeline for other methods")
     frame = load_frame_csv(config.frame_path)
-    seed = args.seed if args.seed is not None else config.seed
-    if seed is None:
-        raise ValueError("a seed is required (--seed or config.seed)")
-    rng = np.random.default_rng(int(seed))
     universe = config.universe
     data = np.array(frame.y_array).reshape(-1, 1)
     params = fit_dp_mean_model(data, [(universe.y_min, universe.y_max)],
-                               config.imputation_epsilon, rng,
-                               complete_cases=config.imputation_complete_cases)
+                               config.imputation_epsilon, np.random.default_rng(seed))
     rows = []
     for unit, y, row in zip(frame.ids, frame.y, data):
         if np.isnan(y):
-            filled = impute_parametric(row, params, record_rng(int(seed), unit))
+            filled = impute_parametric(row, params, record_rng(seed, unit))
             rows.append([unit, repr(float(filled[0])), 1])
         else:
             rows.append([unit, repr(y), 0])

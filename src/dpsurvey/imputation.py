@@ -39,6 +39,8 @@ __all__ = [
     "record_rng",
 ]
 
+RIDGE_FACTOR = 1e-3  # fit_dp_regression's ridge penalty per mean noisy predictor moment
+
 
 def _as_matrix(data) -> np.ndarray:
     matrix = np.asarray(data, dtype=float)
@@ -82,10 +84,9 @@ def record_rng(seed: int, record_index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(record_index) % 2 ** 64])
 
 
-def fit_dp_mean_model(data, bounds, eps1, rng, *, complete_cases: bool = True,
-                      estimate_spread: bool = False,
+def fit_dp_mean_model(data, bounds, eps1, rng, *, estimate_spread: bool = False,
                       ledger: PrivacyLedger | None = None) -> ImputationParams:
-    """Per-column DP means (optionally plus DP residual spreads).
+    """Per-column DP means of the complete records (optionally plus DP spreads).
 
     The budget eps1 is split equally across the released quantities: one per
     column, or two per column when ``estimate_spread`` is set.  Each mean is
@@ -99,25 +100,17 @@ def fit_dp_mean_model(data, bounds, eps1, rng, *, complete_cases: bool = True,
     n_entries = n_cols * (2 if estimate_spread else 1)
     eps_entry = eps_total / n_entries
 
-    if complete_cases:
-        keep = ~np.isnan(matrix).any(axis=1)
-        fit_rows = matrix[keep]
-        if fit_rows.shape[0] == 0:
-            raise ValueError("no fully observed records to fit on")
-    else:
-        fit_rows = matrix
+    fit_rows = matrix[~np.isnan(matrix).any(axis=1)]
+    if fit_rows.shape[0] == 0:
+        raise ValueError("no fully observed records to fit on")
 
     means = []
     spreads = []
     for j in range(n_cols):
-        column = fit_rows[:, j]
-        observed = column[~np.isnan(column)]
-        if observed.size == 0:
-            raise ValueError(f"column {j}: no observed values to fit a mean")
         lo, hi = bounds[j]
-        clipped = np.clip(observed, lo, hi)
+        clipped = np.clip(fit_rows[:, j], lo, hi)
         col_range = hi - lo
-        delta = col_range / observed.size
+        delta = col_range / clipped.size
         noisy_mean = release_laplace(float(np.mean(clipped)), delta, eps_entry, rng)
         means.append(min(hi, max(lo, noisy_mean)))
         if estimate_spread:
@@ -141,7 +134,6 @@ def _product_range(a_lo, a_hi, b_lo, b_hi) -> float:
 
 
 def fit_dp_regression(data, predictors, target, bounds, eps1, rng, *,
-                      ridge_factor: float = 1e-3,
                       ledger: PrivacyLedger | None = None) -> ImputationParams:
     """Linear model for ``target`` from ``predictors`` via noisy sufficient stats.
 
@@ -181,37 +173,25 @@ def fit_dp_regression(data, predictors, target, bounds, eps1, rng, *,
     moment = design.T @ response
     response_sq = float(response @ response)
 
-    # Noised entries: upper triangle of cross (minus the invariant count),
-    # the moment vector, and the response sum of squares.
-    entries = []
-    for a in range(p + 1):
-        for b in range(a, p + 1):
-            if a == 0 and b == 0:
-                continue  # record count: sensitivity 0 under replace-one
-            entries.append(("cross", a, b,
-                            _product_range(*z_bounds[a], *z_bounds[b])))
-    for a in range(p + 1):
-        entries.append(("moment", a, None, _product_range(*z_bounds[a], y_lo, y_hi)))
-    entries.append(("resp_sq", None, None, _product_range(y_lo, y_hi, y_lo, y_hi)))
-    eps_entry = eps_total / len(entries)
-
+    # Noised in order: cross's upper triangle but the record count (exact under
+    # replace-one), the moment vector, the response sum of squares; (p+1)(p+4)/2 in all.
+    eps_entry = eps_total / ((p + 1) * (p + 4) // 2)
     noisy_cross = cross.copy()
-    noisy_moment = moment.copy()
-    noisy_resp_sq = response_sq
-    for kind, a, b, delta in entries:
-        if kind == "cross":
-            value = release_laplace(cross[a, b], delta, eps_entry, rng)
-            noisy_cross[a, b] = value
-            noisy_cross[b, a] = value
-        elif kind == "moment":
-            noisy_moment[a] = release_laplace(moment[a], delta, eps_entry, rng)
-        else:
-            noisy_resp_sq = release_laplace(response_sq, delta, eps_entry, rng)
+    for a in range(p + 1):
+        for b in range(max(a, 1), p + 1):
+            delta = _product_range(*z_bounds[a], *z_bounds[b])
+            noisy_cross[a, b] = noisy_cross[b, a] = release_laplace(
+                cross[a, b], delta, eps_entry, rng)
+    noisy_moment = np.array([
+        release_laplace(moment[a], _product_range(*z_bounds[a], y_lo, y_hi), eps_entry, rng)
+        for a in range(p + 1)])
+    noisy_resp_sq = release_laplace(
+        response_sq, _product_range(y_lo, y_hi, y_lo, y_hi), eps_entry, rng)
 
     predictor_trace = float(np.trace(noisy_cross[1:, 1:])) if p else 0.0
-    lam = ridge_factor * predictor_trace / p if p else 0.0
+    lam = RIDGE_FACTOR * predictor_trace / p if p else 0.0
     if not (lam > 0.0) or not math.isfinite(lam):
-        lam = ridge_factor
+        lam = RIDGE_FACTOR
     system = noisy_cross + lam * np.diag([0.0] + [1.0] * p)
     try:
         beta = np.linalg.solve(system, noisy_moment)

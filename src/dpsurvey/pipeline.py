@@ -3,8 +3,8 @@
 A run walks the survey pipeline in order (draw the sample, simulate
 response, adjust weights, impute, estimate and release) and charges every
 release to a privacy ledger.  The config fixes where the data-release
-mechanism starts and which earlier stages are invariant; only the three
-analyzed combinations are accepted:
+mechanism starts, and the start fixes which earlier stages are invariant;
+only the three analyzed combinations are accepted:
 
 * start="processed-data", invariant="none"     - the mechanism computes
   outputs from processed data; nothing upstream is held fixed.
@@ -129,7 +129,6 @@ class PipelineConfig:
     design: Design
     releases: tuple[ReleaseSpec, ...]
     mechanism_start: str
-    invariant: str
     budget: float
     response_model: str = "full"            # "full" | "propensity"
     cell_of: dict | None = None             # unit id -> adjustment cell label
@@ -138,9 +137,20 @@ class PipelineConfig:
     dp_propensity_epsilon: float | None = None
     imputation_method: str | None = None    # "dp_mean" | "dp_regression" | "hot_deck"
     imputation_epsilon: float | None = None
-    imputation_complete_cases: bool = True
     audit_design_stage_epsilon: float | None = None
     seed: int | None = None
+
+    def __post_init__(self):
+        proportions = [i for i, spec in enumerate(self.releases) if spec.statistic == "proportion"]
+        if proportions and not (self.universe.y_min >= 0.0 and self.universe.y_max <= 1.0):
+            # the 1/n closed form assumes an indicator variable
+            raise ConfigError(f"releases[{proportions[0]}].statistic",
+                              "a proportion release requires a universe contained in [0, 1]")
+
+    @property
+    def invariant(self) -> str:
+        """What stays fixed upstream of the mechanism; the start decides it."""
+        return SUPPORTED_START_INVARIANT[self.mechanism_start]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +163,7 @@ def _expect_mapping(value, path: str) -> dict:
     return value
 
 
-def _check_keys(mapping: dict, allowed: set[str], required: set[str], path: str):
+def _check_keys(mapping: dict, allowed: set[str], required: tuple[str, ...], path: str):
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
@@ -189,25 +199,25 @@ def _parse_design(spec, path: str):
         raise ConfigError(path, "missing required key 'kind'")
     kind = spec["kind"]
     if kind == "srswr":
-        _check_keys(spec, {"kind", "n"}, {"n"}, path)
+        _check_keys(spec, {"kind", "n"}, ("n",), path)
         return SRSWR(_integer(spec["n"], f"{path}.n", minimum=1))
     if kind == "srswor":
-        _check_keys(spec, {"kind", "n"}, {"n"}, path)
+        _check_keys(spec, {"kind", "n"}, ("n",), path)
         return SRSWOR(_integer(spec["n"], f"{path}.n", minimum=1))
     if kind == "poisson":
-        _check_keys(spec, {"kind", "rate"}, {"rate"}, path)
+        _check_keys(spec, {"kind", "rate"}, ("rate",), path)
         rate = _number(spec["rate"], f"{path}.rate", positive=True)
         if rate > 1.0:
             raise ConfigError(f"{path}.rate", f"must be <= 1, got {rate}")
         return Poisson(rate)
     if kind == "stratified_srswor":
-        _check_keys(spec, {"kind", "n", "allocation"}, {"n"}, path)
+        _check_keys(spec, {"kind", "n", "allocation"}, ("n",), path)
         allocation = spec.get("allocation", "proportional")
         if allocation not in ("proportional", "neyman"):
             raise ConfigError(f"{path}.allocation", f"unknown allocation {allocation!r}")
         return StratifiedSRSWOR(_integer(spec["n"], f"{path}.n", minimum=1), allocation)
     if kind == "cluster_srswor":
-        _check_keys(spec, {"kind", "m", "inner"}, {"m"}, path)
+        _check_keys(spec, {"kind", "m", "inner"}, ("m",), path)
         outer = ClusterSRSWOR(_integer(spec["m"], f"{path}.m", minimum=1))
         if "inner" in spec:
             inner = _parse_design(spec["inner"], f"{path}.inner")
@@ -216,10 +226,10 @@ def _parse_design(spec, path: str):
             return TwoStageDesign(outer, inner)
         return outer
     if kind == "pps":
-        _check_keys(spec, {"kind", "n"}, {"n"}, path)
+        _check_keys(spec, {"kind", "n"}, ("n",), path)
         return PPS(_integer(spec["n"], f"{path}.n", minimum=1))
     if kind == "systematic":
-        _check_keys(spec, {"kind", "n", "ordering"}, {"n"}, path)
+        _check_keys(spec, {"kind", "n", "ordering"}, ("n",), path)
         ordering = spec.get("ordering", "frame")
         if ordering not in ("frame", "random"):
             raise ConfigError(f"{path}.ordering", f"unknown ordering {ordering!r}")
@@ -236,15 +246,15 @@ def parse_config(text: str) -> PipelineConfig:
     top = _expect_mapping(raw, "")
     allowed = {"frame", "universe", "design", "releases", "mechanism_start", "invariant",
                "budget", "response", "adjustment", "imputation", "audit", "seed"}
-    required = {"frame", "universe", "design", "releases", "mechanism_start",
-                "invariant", "budget"}
+    required = ("frame", "universe", "design", "releases", "mechanism_start",
+                "invariant", "budget")
     _check_keys(top, allowed, required, "")
 
     if not isinstance(top["frame"], str) or not top["frame"]:
         raise ConfigError("frame", "expected a CSV file path")
 
     uni = _expect_mapping(top["universe"], "universe")
-    _check_keys(uni, {"y_min", "y_max", "x_values"}, {"y_min", "y_max"}, "universe")
+    _check_keys(uni, {"y_min", "y_max", "x_values"}, ("y_min", "y_max"), "universe")
     x_values = uni.get("x_values", [1.0])
     if not isinstance(x_values, list) or not x_values:
         raise ConfigError("universe.x_values", "expected a non-empty list of numbers")
@@ -276,15 +286,11 @@ def parse_config(text: str) -> PipelineConfig:
         path = f"releases[{i}]"
         item = _expect_mapping(item, path)
         _check_keys(item, {"statistic", "epsilon", "audited_sensitivity"},
-                    {"statistic", "epsilon"}, path)
+                    ("statistic", "epsilon"), path)
         stat = item["statistic"]
         if stat not in RELEASE_STATISTICS:
             raise ConfigError(f"{path}.statistic",
                               f"must be one of {RELEASE_STATISTICS}, got {stat!r}")
-        if stat == "proportion" and not (universe.y_min >= 0.0 and universe.y_max <= 1.0):
-            # the 1/n closed form assumes an indicator variable
-            raise ConfigError(f"{path}.statistic",
-                              "a proportion release requires a universe contained in [0, 1]")
         audited = item.get("audited_sensitivity")
         if audited is not None:
             audited = _number(audited, f"{path}.audited_sensitivity", nonnegative=True)
@@ -294,7 +300,7 @@ def parse_config(text: str) -> PipelineConfig:
     response_model = "full"
     if "response" in top:
         resp = _expect_mapping(top["response"], "response")
-        _check_keys(resp, {"model"}, {"model"}, "response")
+        _check_keys(resp, {"model"}, ("model",), "response")
         response_model = resp["model"]
         if response_model not in ("full", "propensity"):
             raise ConfigError("response.model",
@@ -304,7 +310,7 @@ def parse_config(text: str) -> PipelineConfig:
     if "adjustment" in top:
         adj = _expect_mapping(top["adjustment"], "adjustment")
         _check_keys(adj, {"cells", "benchmarks", "regularize", "dp_propensities"},
-                    set(), "adjustment")
+                    (), "adjustment")
         if "cells" in adj:
             cells_raw = _expect_mapping(adj["cells"], "adjustment.cells")
             cell_of = {}
@@ -333,7 +339,7 @@ def parse_config(text: str) -> PipelineConfig:
                     total, f"adjustment.benchmarks.{label}", positive=True)
         if "regularize" in adj:
             reg = _expect_mapping(adj["regularize"], "adjustment.regularize")
-            _check_keys(reg, {"lower", "upper"}, {"lower", "upper"}, "adjustment.regularize")
+            _check_keys(reg, {"lower", "upper"}, ("lower", "upper"), "adjustment.regularize")
             lower = _number(reg["lower"], "adjustment.regularize.lower", positive=True)
             upper = _number(reg["upper"], "adjustment.regularize.upper", positive=True)
             if lower > upper:
@@ -343,15 +349,14 @@ def parse_config(text: str) -> PipelineConfig:
             if cell_of is None:
                 raise ConfigError("adjustment.dp_propensities", "requires cells")
             dp = _expect_mapping(adj["dp_propensities"], "adjustment.dp_propensities")
-            _check_keys(dp, {"epsilon"}, {"epsilon"}, "adjustment.dp_propensities")
+            _check_keys(dp, {"epsilon"}, ("epsilon",), "adjustment.dp_propensities")
             dp_prop_eps = _number(dp["epsilon"], "adjustment.dp_propensities.epsilon",
                                   positive=True)
 
     imputation_method = imputation_eps = None
-    imputation_cc = True
     if "imputation" in top:
         imp = _expect_mapping(top["imputation"], "imputation")
-        _check_keys(imp, {"method", "epsilon", "complete_cases"}, {"method"}, "imputation")
+        _check_keys(imp, {"method", "epsilon"}, ("method",), "imputation")
         imputation_method = imp["method"]
         if imputation_method not in ("dp_mean", "dp_regression", "hot_deck"):
             raise ConfigError("imputation.method",
@@ -363,18 +368,14 @@ def parse_config(text: str) -> PipelineConfig:
             imputation_eps = _number(imp["epsilon"], "imputation.epsilon", positive=True)
         elif "epsilon" in imp:
             raise ConfigError("imputation.epsilon", "hot_deck is not a DP mechanism")
-        imputation_cc = imp.get("complete_cases", True)
-        if not isinstance(imputation_cc, bool):
-            raise ConfigError("imputation.complete_cases",
-                              f"expected a boolean, got {imputation_cc!r}")
 
     audit_eps = None
     if "audit" in top:
         aud = _expect_mapping(top["audit"], "audit")
-        _check_keys(aud, {"design_stage"}, set(), "audit")
+        _check_keys(aud, {"design_stage"}, (), "audit")
         if "design_stage" in aud:
             ds = _expect_mapping(aud["design_stage"], "audit.design_stage")
-            _check_keys(ds, {"epsilon"}, {"epsilon"}, "audit.design_stage")
+            _check_keys(ds, {"epsilon"}, ("epsilon",), "audit.design_stage")
             if start != "frame":
                 raise ConfigError(
                     "audit.design_stage",
@@ -398,11 +399,10 @@ def parse_config(text: str) -> PipelineConfig:
 
     return PipelineConfig(
         frame_path=top["frame"], universe=universe, design=design,
-        releases=tuple(releases), mechanism_start=start, invariant=invariant,
-        budget=budget, response_model=response_model, cell_of=cell_of,
-        benchmarks=benchmarks, regularize_bounds=regularize,
-        dp_propensity_epsilon=dp_prop_eps, imputation_method=imputation_method,
-        imputation_epsilon=imputation_eps, imputation_complete_cases=imputation_cc,
+        releases=tuple(releases), mechanism_start=start, budget=budget,
+        response_model=response_model, cell_of=cell_of, benchmarks=benchmarks,
+        regularize_bounds=regularize, dp_propensity_epsilon=dp_prop_eps,
+        imputation_method=imputation_method, imputation_epsilon=imputation_eps,
         audit_design_stage_epsilon=audit_eps, seed=seed)
 
 
@@ -526,8 +526,7 @@ def _impute_stage(config: PipelineConfig, respondents: WeightedSample, frame: Fr
     if config.imputation_method == "dp_mean":
         data = np.array([[v] for v in respondents.y])
         params = fit_dp_mean_model(
-            data, [(universe.y_min, universe.y_max)], config.imputation_epsilon, rng,
-            complete_cases=config.imputation_complete_cases, ledger=ledger)
+            data, [(universe.y_min, universe.y_max)], config.imputation_epsilon, rng, ledger=ledger)
         y_column = 0
     else:
         # dp_regression: predict y from the frame's size measure x
@@ -661,7 +660,10 @@ def run_pipeline(config: PipelineConfig, seed: int | None = None) -> RunReport:
     seed = config.seed if seed is None else seed
     if seed is None:
         raise ValueError("a seed is required (config.seed or the seed argument)")
-    rng = np.random.default_rng(int(seed))
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
     ledger = PrivacyLedger()
 
     try:
@@ -693,7 +695,7 @@ def run_pipeline(config: PipelineConfig, seed: int | None = None) -> RunReport:
     with _stage("adjust"):
         adjusted = _adjust_stage(config, sample, respondents, flags, ledger, rng)
     with _stage("impute"):
-        processed = _impute_stage(config, adjusted, frame, ledger, rng, int(seed))
+        processed = _impute_stage(config, adjusted, frame, ledger, rng, seed)
     with _stage("release"):
         released = _release_stage(config, processed, frame, pi, ledger, rng)
 
@@ -702,7 +704,7 @@ def run_pipeline(config: PipelineConfig, seed: int | None = None) -> RunReport:
     charges = tuple({"label": c.label, "epsilon": c.epsilon, "delta_f": c.delta_f}
                     for c in ledger.charges)
     return RunReport(
-        seed=int(seed), mechanism_start=config.mechanism_start,
+        seed=seed, mechanism_start=config.mechanism_start,
         invariant=config.invariant, n_population=frame.n,
         budget_declared=config.budget, releases=tuple(released),
         ledger_charges=charges, ledger_total=ledger.total(),

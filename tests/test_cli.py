@@ -89,6 +89,13 @@ def test_run_without_seed_fails_cleanly(config_path, capsys):
     assert "seed" in err["message"]
 
 
+@pytest.mark.parametrize("command", ["run", "sample", "impute"])
+def test_negative_seed_fails_naming_the_seed(config_path, capsys, command):
+    assert main([command, config_path, "--seed", "-1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "seed must be >= 0, got -1"}
+
+
 def test_sample_writes_csv(config_path, tmp_path):
     out = tmp_path / "sample.csv"
     assert main(["sample", config_path, "--seed", "3", "--out", str(out)]) == 0

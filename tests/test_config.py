@@ -1,6 +1,10 @@
 """Every ``ConfigError`` branch of ``parse_config`` and its helpers, by path and message."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +92,12 @@ CASES = [
      "imputation.epsilon", "method 'dp_mean' needs a privacy budget"),
     ("hot-deck-budget", _with(imputation={"method": "hot_deck", "epsilon": 0.1}),
      "imputation.epsilon", "hot_deck is not a DP mechanism"),
+    ("complete-cases-removed",
+     _with(imputation={"method": "dp_mean", "epsilon": 0.1, "complete_cases": True}),
+     "imputation.complete_cases", "unknown key"),
+    ("first-missing-key",
+     json.dumps({k: v for k, v in BASE.items() if k not in ("design", "budget")}),
+     "", "missing required key 'design'"),
 ]
 
 
@@ -102,6 +112,23 @@ def test_config_error_names_its_path(text, path, message):
         parse_config(text)
     assert excinfo.value.path == path
     assert str(excinfo.value) == (f"{path}: {message}" if path else message)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{}", "missing required key 'frame'"),
+    (_with(universe={}), "universe: missing required key 'y_min'"),
+], ids=["top", "universe"])
+def test_missing_key_error_does_not_depend_on_the_hash_seed(text, message):
+    script = ("import sys; from dpsurvey.pipeline import parse_config\n"
+              "try:\n    parse_config(sys.stdin.read())\n"
+              "except ValueError as err:\n    print(err)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    seen = {subprocess.run([sys.executable, "-c", script], input=text, text=True,
+                           capture_output=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+                           ).stdout.strip()
+            for seed in (1, 2, 3)}
+    assert seen == {message}
 
 
 def test_validate_config_reports_crossed_y_bounds(tmp_path, capsys):

@@ -1,16 +1,18 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dpsurvey.estimators import ReleaseRefusedError
-from dpsurvey.frames import dump_frame_csv, make_frame
+from dpsurvey.frames import ValueUniverse, dump_frame_csv, make_frame
 from dpsurvey.mechanisms import PrivacyLedger
 from dpsurvey.pipeline import (
     ConfigError,
     PipelineStageError,
+    ReleaseSpec,
     TwoStageDesign,
     parse_config,
     round_report,
@@ -69,20 +71,6 @@ def test_budget_includes_imputation_epsilon(frame_csv):
     assert parse_config(text).imputation_epsilon == 0.4
 
 
-@pytest.mark.parametrize("flag", ["false", 0, None])
-def test_complete_cases_must_be_a_json_boolean(frame_csv, flag):
-    def config(value):
-        return minimal_config(
-            frame_csv, releases=[{"statistic": "mean", "epsilon": 0.6}],
-            imputation={"method": "dp_mean", "epsilon": 0.4, "complete_cases": value},
-            budget=1.0)
-
-    assert parse_config(config(False)).imputation_complete_cases is False
-    with pytest.raises(ConfigError) as excinfo:
-        parse_config(config(flag))
-    assert excinfo.value.path == "imputation.complete_cases"
-
-
 def test_unknown_key_rejected_with_path(frame_csv):
     raw = json.loads(minimal_config(frame_csv))
     raw["adjustment"] = {"cells": {"c": [1, 2, 3, 4, 5, 6]}, "bogus": 1}
@@ -99,6 +87,40 @@ def test_proportion_release_requires_unit_interval_universe(frame_csv):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
     assert "proportion" in str(excinfo.value)
+
+
+def test_hand_built_proportion_release_needs_a_unit_interval_universe(frame_csv):
+    # the rule lives on PipelineConfig, so a config built without parse_config
+    # cannot release a [0, 10] variable at the 1/n noise of an indicator
+    config = parse_config(minimal_config(frame_csv))
+    with pytest.raises(ConfigError) as excinfo:
+        replace(config, universe=ValueUniverse(0.0, 10.0),
+                releases=(ReleaseSpec("mean", 0.5), ReleaseSpec("proportion", 0.5)))
+    assert excinfo.value.path == "releases[1].statistic"
+    assert str(excinfo.value) == ("releases[1].statistic: a proportion release requires "
+                                  "a universe contained in [0, 1]")
+
+
+def test_invariant_follows_the_mechanism_start(frame_csv):
+    config = parse_config(minimal_config(frame_csv))
+    assert config.invariant == "frame"
+    for start, invariant in (("processed-data", "none"), ("frame", "population")):
+        assert replace(config, mechanism_start=start).invariant == invariant
+
+
+def test_processed_data_weighted_release_cannot_claim_the_frame_invariant(tmp_path):
+    # PPS weights are data when the mechanism starts at processed data, and
+    # the start alone decides the invariant, so no config can claim "frame"
+    frame = make_frame([0.0, 1.0, 0.5], xs=[1.0, 2.0, 2.0])
+    path = tmp_path / "pps.csv"
+    dump_frame_csv(frame, path)
+    config = parse_config(minimal_config(
+        str(path), design={"kind": "pps", "n": 1}, mechanism_start="processed-data",
+        invariant="none", universe={"y_min": 0.0, "y_max": 1.0, "x_values": [1.0, 2.0]}))
+    with pytest.raises(TypeError):
+        replace(config, invariant="frame")
+    with pytest.raises(ReleaseRefusedError, match="'none' invariant"):
+        run_pipeline(config)
 
 
 def test_unsupported_start_invariant_combination(frame_csv):
