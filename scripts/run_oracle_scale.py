@@ -8,11 +8,17 @@ Runs the benchmark's two audit shapes for N = 3..max_N:
   y in {0, 0.5, 1};
 
 both with population-invariant y-only neighbors.  Each row prints the
-dataset, sampling-outcome, pair and truth-category counts beside the time
-of each phase: the sample space, the truth tables and mass histograms, and
-the pair scan, then the end-to-end call.  ``peak_mb`` is the tracemalloc
-peak (numpy buffers included, 10^6 bytes per MB) of one more end-to-end
-call, made after the timed ones and not timed itself.
+dataset, sampling-outcome, pair, truth-category and distinct-table counts
+beside the time of each phase: the sample space, the tables, and the scan,
+then the end-to-end call.  ``peak_mb`` is the tracemalloc peak (numpy buffers
+included, 10^6 bytes per MB) of one more end-to-end call, made after the
+timed ones and not timed itself.
+
+For ``epsilon`` the tables are the frame-level pair table, the truths and
+the mass histograms.  SRSWOR's space ignores y, so the ``sensitivity``
+stage is fixed and scanned sample by sample: its tables are the sampling
+stage and its distinct (draw pattern, weights) tables; its datasets and
+pairs are those of the distinct tables.
 
 Usage: python scripts/run_oracle_scale.py [max_N]   (default 6)
 """
@@ -28,11 +34,10 @@ from dpsurvey.audit import (
     SampledReleaseMechanism,
     _distributions,
     _epsilon_report,
-    _groups,
     _histograms,
-    _max_change,
-    _pairs,
-    _truth_matrix,
+    _sample_tables,
+    _sampling_stage,
+    _scan_tables,
     effective_epsilon,
     exact_sensitivity,
 )
@@ -64,13 +69,12 @@ def epsilon_row(n: int) -> tuple:
     mechanism = SampledReleaseMechanism("mean", RandomizedResponse(1.0), design)
     space, space_s = timed(sample_space, design, instance.frame)
     start = perf_counter()
-    table = _pairs(instance, RELATION)
-    hist, categories = _histograms(mechanism, instance, RELATION, table)
+    table, hist, categories = _histograms(mechanism, instance, RELATION)
     events, dist, of = _distributions(mechanism.base, hist, categories)
     tables_s = perf_counter() - start
     _, scan_s = timed(_epsilon_report, 1.0, table, dist, of, events, categories)
     _, total_s = timed(effective_epsilon, mechanism, instance, RELATION)
-    return (len(table.codes), len(space), table.n_pairs, len(categories),
+    return (len(table.codes), len(space), table.n_pairs, len(categories), "-",
             space_s, tables_s, scan_s, total_s,
             peak_mb(effective_epsilon, mechanism, instance, RELATION))
 
@@ -82,29 +86,31 @@ def sensitivity_row(n: int) -> tuple:
                              frame=make_frame([0.0] * n), n_pop=n)
     space, space_s = timed(sample_space, design, instance.frame)
     start = perf_counter()
-    table = _pairs(instance, RELATION)
-    groups = _groups(table, instance, RELATION, design)
-    truth = _truth_matrix(instance.statistic, table, groups, instance.n_pop)
+    samples, _, weights = _sampling_stage(instance)
+    tables = _sample_tables(samples, weights)
     tables_s = perf_counter() - start
-    _, scan_s = timed(_max_change, table, truth)
+    _, scan_s = timed(_scan_tables, instance, tables)
     _, total_s = timed(exact_sensitivity, instance, RELATION)
-    return (len(table.codes), len(space), table.n_pairs, "-",
+    k = len(instance.y_grid)
+    return (sum(k ** m for m in tables.values()), len(space),
+            sum(k ** m * m * (k - 1) for m in tables.values()), "-", len(tables),
             space_s, tables_s, scan_s, total_s, peak_mb(exact_sensitivity, instance, RELATION))
 
 
 def main(argv) -> int:
     max_n = int(argv[1]) if len(argv) > 1 else 6
     print(f"{'shape':<12}{'N':>3}{'datasets':>10}{'outcomes':>10}{'pairs':>9}"
-          f"{'categories':>12}{'space_s':>10}{'tables_s':>10}{'scan_s':>10}{'total_s':>10}"
-          f"{'peak_mb':>10}")
+          f"{'categories':>12}{'tables':>8}{'space_s':>10}{'tables_s':>10}{'scan_s':>10}"
+          f"{'total_s':>10}{'peak_mb':>10}")
     for shape, row in (("epsilon", epsilon_row), ("sensitivity", sensitivity_row)):
         for n in range(3, max_n + 1):
             try:
-                datasets, outcomes, pairs, categories, *times, peak = row(n)
+                datasets, outcomes, pairs, categories, tables, *times, peak = row(n)
             except EnumerationCapExceeded as err:  # DPSURVEY_ENUM_CAP raises the cap
                 print(f"{shape:<12}{n:>3}  {err}")
                 break
             print(f"{shape:<12}{n:>3}{datasets:>10}{outcomes:>10}{pairs:>9}{categories:>12}"
+                  f"{tables:>8}"
                   + "".join(f"{t:>10.4f}" for t in times) + f"{peak:>10.3f}")
     return 0
 

@@ -13,12 +13,12 @@ from ``_PairTable`` in bounded chunks of row indices (``neighbors`` only
 decodes them).  Datasets sharing a sampling stage form a group
 (``_groups``); the statistic is evaluated once per distinct sample size,
 mixed-radix key of the in-sample codes and weights (``_stage_truths``).
-``exact_sensitivity`` takes the largest change over the samples both
-datasets of a pair can draw.  ``effective_epsilon`` sums each dataset's
-outcome probabilities into one mass histogram over the sorted truth
-categories, mixes it with the base mechanism's per-category event
-probabilities once per distinct histogram, and scans the pairs with the
-loss ln(max(p, q) / min(p, q)).
+``exact_sensitivity`` scans a fixed stage sample by sample, else takes the
+largest change over the samples both datasets of a pair can draw.
+``effective_epsilon`` sums each dataset's outcome probabilities into one
+mass histogram over the sorted truth categories, mixes it with the base
+mechanism's per-category event probabilities once per distinct histogram,
+and scans the pairs with the loss ln(max(p, q) / min(p, q)).
 
 Neighbor semantics are bounded replace-one throughout: one record's
 mutable fields change, the dataset size does not.  The invariant level
@@ -142,6 +142,8 @@ class AuditInstance:
             raise ValueError("a flat instance needs size or weights")
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            if self.size not in (None, len(self.weights)):
+                raise ValueError(f"size {self.size} does not match {len(self.weights)} weights")
         if self.statistic in ("ht_mean",) and self.n_pop is None:
             raise ValueError(f"statistic {self.statistic!r} needs n_pop")
         if self.statistic == "neyman_allocation":
@@ -173,13 +175,6 @@ def _slot_values(instance: AuditInstance, relation: NeighborRelation):
                                      tuple(sorted(set(instance.frame.x))))
         return tuple((y, x) for y in instance.y_grid for x in x_grid)
     return instance.y_grid
-
-
-def _pair_count(instance: AuditInstance, relation: NeighborRelation) -> int:
-    values = _slot_values(instance, relation)
-    n_bases = (len(instance.base_datasets) if instance.base_datasets is not None
-               else len(values) ** instance.n_slots)
-    return n_bases * instance.n_slots * (len(values) - 1)
 
 
 def _place_values(radix: int, width: int) -> np.ndarray:
@@ -251,11 +246,20 @@ class _PairTable:
 
 
 def _pairs(instance: AuditInstance, relation: NeighborRelation, bases=None) -> _PairTable:
-    """The instance's pair table; the cap is checked before anything is built."""
-    check_cap(_pair_count(instance, relation), instance.cap)
-    if bases is None and instance.base_datasets is not None:
-        bases = [tuple(d) for d in instance.base_datasets]
-    return _PairTable(_slot_values(instance, relation), instance.n_slots, bases)
+    """The instance's pair table; the cap and the records of the bases are
+    checked before anything is built."""
+    values, given = _slot_values(instance, relation), instance.base_datasets
+    n_bases = len(values) ** instance.n_slots if given is None else len(given)
+    check_cap(n_bases * instance.n_slots * (len(values) - 1), instance.cap)
+    if bases is None and given is not None:
+        bases = [tuple(d) for d in given]
+    full = relation.mutable == "full-record"
+    for b, base in enumerate(bases or ()):
+        for s, record in enumerate(base):
+            if isinstance(record, tuple) != full or (full and len(record) != 2):
+                raise ValueError(f"base {b}, record {s}: {relation.mutable} neighbors need "
+                                 f"{'a (y, x) pair' if full else 'a y value'}, got {record!r}")
+    return _PairTable(values, instance.n_slots, bases)
 
 
 def neighbors(instance: AuditInstance, relation: NeighborRelation):
@@ -298,24 +302,25 @@ def _sample_statistic(stat: str, ys, ws, n_pop: int | None) -> float:
     raise ValueError(f"unknown sample statistic {stat!r}")
 
 
-def _sampling_stage(instance: AuditInstance, design: Design | None, ys, xs,
-                    condition_on_unit: int | None = None, flat_weights=None):
-    """(positions, probs, weights) of the sampling stage on one dataset.
+def _sampling_stage(instance: AuditInstance, ys=None, xs=None,
+                    condition_on_unit: int | None = None):
+    """(positions, probs, weights) of the instance's sampling stage on one dataset.
 
     Outcomes and design weights depend on x always and on y only when the
-    design's sample space does (Neyman allocation).  Outcomes of probability
-    zero are impossible and left out.  ``condition_on_unit`` keeps only the
-    outcomes containing that unit, renormalized.  Without a design the stage
-    is the identity: every record, probability one, and ``flat_weights``
-    (unit weights by default).
+    design's sample space does (Neyman allocation); ``ys`` and ``xs`` default
+    to the reference frame's.  Outcomes of probability zero are impossible and
+    left out.  ``condition_on_unit`` keeps only the outcomes containing that
+    unit, renormalized.  Without a design the stage is the identity: every
+    record, probability one, and the instance's weights (unit by default).
     """
-    if design is None:
-        return [tuple(range(len(ys)))], [1.0], flat_weights or (1.0,) * len(ys)
-    frame = instance.frame.with_y(ys)
+    if instance.design is None:
+        n = instance.n_slots
+        return [tuple(range(n))], [1.0], instance.weights or (1.0,) * n
+    frame = instance.frame.with_y(instance.frame.y if ys is None else ys)
     if xs is not None and tuple(xs) != tuple(instance.frame.x):
         frame = frame.with_x(xs)
-    pi = inclusion_probs(design, frame)
-    space = [(s, p) for s, p in sample_space(design, frame, cap=instance.cap) if p > 0.0]
+    pi = inclusion_probs(instance.design, frame)
+    space = [(s, p) for s, p in sample_space(instance.design, frame, cap=instance.cap) if p > 0.0]
     found = iter(frame.positions([unit for sample, _ in space for unit in sample]))
     positions = [tuple(itertools.islice(found, len(sample))) for sample, _ in space]
     probs = [p for _, p in space]
@@ -330,20 +335,19 @@ def _sampling_stage(instance: AuditInstance, design: Design | None, ys, xs,
     return positions, probs, tuple(1.0 / float(v) for v in pi)
 
 
-def _groups(table: _PairTable, instance, relation, design: Design | None, **stage):
+def _groups(table: _PairTable, instance, relation, **stage):
     """[(rows, (positions, probs, weights))]: the datasets that share one
     sampling stage, which is built once per group (``stage`` holds the
     options of ``_sampling_stage``)."""
-    n = len(table.codes)
+    n, design = len(table.codes), instance.design
     if design is None or not (design.space_depends_on_y or relation.mutable == "full-record"):
-        ys, xs = _split_y_x(table.dataset(0), instance, relation) if n else ((), None)
-        return [(np.arange(n), _sampling_stage(instance, design, ys, xs, **stage))] if n else []
+        return [(np.arange(n), _sampling_stage(instance, **stage))] if n else []
     keyed: dict = {}
     for row in range(n):
         ys, xs = _split_y_x(table.dataset(row), instance, relation)
         key = (xs, ys if design.space_depends_on_y else None)
         keyed.setdefault(key, (ys, xs, []))[2].append(row)
-    return [(np.array(rows, dtype=np.intp), _sampling_stage(instance, design, ys, xs, **stage))
+    return [(np.array(rows, dtype=np.intp), _sampling_stage(instance, ys, xs, **stage))
             for ys, xs, rows in keyed.values()]
 
 
@@ -418,38 +422,42 @@ def _allocation_vector(instance: AuditInstance, ys) -> tuple[int, ...]:
 def exact_sensitivity(instance: AuditInstance, relation: NeighborRelation) -> Sensitivity:
     """Exact L1 sensitivity: max over all neighbor pairs of the statistic change.
 
-    Flat instances evaluate the statistic on all records.  Design instances
-    with frame invariance enumerate samples from the reference frame with
-    frozen weights; under 'none'/'population' the frames themselves are the
-    datasets and the sample id-set is coupled across each pair: the change
-    is taken on every sample both datasets' spaces contain.  The Neyman
-    allocation statistic is the L1 change of the allocation vector.
+    A fixed sampling stage (frame invariance, which ignores ``base_datasets``;
+    or y-only neighbors of every assignment where the space ignores y) is
+    scanned sample by sample.  Otherwise the frames are the datasets and the
+    sample id-set is coupled across each pair: the change is taken on every
+    sample both datasets' spaces contain.  The Neyman allocation statistic is
+    the L1 change of the allocation vector.
     """
-    if instance.design is not None and relation.invariant == "frame":
-        return _frame_invariant_sensitivity(instance)
+    design = instance.design
+    if (design is not None and relation.invariant == "frame") or (
+            relation.mutable == "y-only" and instance.base_datasets is None
+            and not (design is not None and design.space_depends_on_y)):
+        samples, _, weights = _sampling_stage(instance)
+        return Sensitivity(_scan_tables(instance, _sample_tables(samples, weights)))
     table = _pairs(instance, relation)
     if instance.statistic == "neyman_allocation":
         allocations = np.array([
             _allocation_vector(instance, _split_y_x(table.dataset(row), instance, relation)[0])
             for row in range(len(table.codes))], dtype=float).reshape(len(table.codes), -1)
         return Sensitivity(_max_change(table, allocations, l1=True))
-    groups = _groups(table, instance, relation, instance.design, flat_weights=instance.weights)
+    groups = _groups(table, instance, relation)
     truth = _truth_matrix(instance.statistic, table, groups, instance.n_pop)
     return Sensitivity(_max_change(table, truth))
 
 
-def _frame_invariant_sensitivity(instance: AuditInstance) -> Sensitivity:
-    """Weights frozen at the reference frame; datasets are samples plus the y
-    values of their distinct units.  A unit drawn more than once (SRSWR)
-    carries its one y value and its weight into every draw.  Samples with
-    the same draw pattern and weights share one flat pair table; the cap
-    counts the pairs of those distinct tables."""
-    samples, _, weights = _sampling_stage(instance, instance.design, instance.frame.y,
-                                          instance.frame.x)
+def _sample_tables(samples, weights) -> dict:
+    """{(draw pattern, weights of its distinct units): their count} per non-empty
+    sample; a unit drawn twice (SRSWR, a hot-deck donor) has one y and one weight."""
     tables: dict = {}
     for sample in filter(None, samples):
         slot = {pos: i for i, pos in enumerate(dict.fromkeys(sample))}
         tables[tuple(slot[pos] for pos in sample), tuple(weights[pos] for pos in slot)] = len(slot)
+    return tables
+
+
+def _scan_tables(instance: AuditInstance, tables: dict) -> float:
+    """Max change over y-only neighbors of each table's units; the cap counts their pairs."""
     grid = instance.y_grid
     check_cap(sum(len(grid) ** n * n * (len(grid) - 1) for n in tables.values()), instance.cap)
     best = 0.0
@@ -458,7 +466,7 @@ def _frame_invariant_sensitivity(instance: AuditInstance) -> Sensitivity:
         groups = [(np.arange(len(table.codes)), ([draws], [1.0], ws))]
         best = max(best, _max_change(table, _truth_matrix(instance.statistic, table, groups,
                                                           instance.n_pop)))
-    return Sensitivity(best)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +571,11 @@ def _truth_key(value) -> tuple:
     return ("v", round(value, 12))
 
 
-def _histograms(mechanism, instance, relation, table: _PairTable):
-    """(hist, categories): hist[d, c] is the probability that dataset d's
-    sampling stage yields truth categories[c]; categories are sorted.
+def _histograms(mechanism, instance, relation, bases=None):
+    """(table, hist, categories): the instance's pair table (over ``bases``
+    if given), and hist[d, c], the probability that dataset d's sampling
+    stage yields truth categories[c]; categories are sorted.  The mechanism
+    must release the instance's statistic under the instance's design.
 
     The empty sample is the category ``EMPTY_EVENT``.  Categories per
     (sample, dataset) are held in the narrowest unsigned type, then one
@@ -573,14 +583,17 @@ def _histograms(mechanism, instance, relation, table: _PairTable):
     errors carried in ``error`` (TwoSum), so a mass is rounded once: equal
     exact masses give equal histograms, however many outcomes make them up.
     """
+    if (mechanism.statistic, mechanism.design) != (instance.statistic, instance.design):
+        raise ValueError(f"mechanism ({mechanism.statistic!r}, {mechanism.design!r}) does not "
+                         f"match the instance's ({instance.statistic!r}, {instance.design!r})")
+    table = _pairs(instance, relation, bases)
     stat, index, cache, stages = mechanism.statistic, {}, {}, []
 
     def column(truth) -> int:
         return index.setdefault(truth if truth == EMPTY_EVENT else _truth_key(truth), len(index))
 
     for rows, (positions, probs, weights) in _groups(
-            table, instance, relation, mechanism.design,
-            condition_on_unit=mechanism.condition_on_unit, flat_weights=instance.weights):
+            table, instance, relation, condition_on_unit=mechanism.condition_on_unit):
         cat = np.zeros((len(positions), len(rows)), dtype=np.min_scalar_type(len(index) + 1))
         for j in [j for j, sample in enumerate(positions) if not sample]:
             cat[j] = column(EMPTY_EVENT)
@@ -601,7 +614,7 @@ def _histograms(mechanism, instance, relation, table: _PairTable):
             error[cells] += (before - (total - part)) + (prob - part)
     categories = tuple(sorted(index))
     order = [index[c] for c in categories]
-    return (hist + error).reshape(len(table.codes), width)[:, order], categories
+    return table, (hist + error).reshape(len(table.codes), width)[:, order], categories
 
 
 def _distributions(base, hist: np.ndarray, categories: tuple, rr_categories=None):
@@ -687,8 +700,7 @@ def effective_epsilon(mechanism: SampledReleaseMechanism, instance: AuditInstanc
     if relation.invariant == "frame" and mechanism.design is not None:
         raise ValueError("sampling inside the mechanism requires frame-level neighbors; "
                          "use invariant 'population' or 'none'")
-    table = _pairs(instance, relation)
-    hist, categories = _histograms(mechanism, instance, relation, table)
+    table, hist, categories = _histograms(mechanism, instance, relation)
     events, dist, of = _distributions(mechanism.base, hist, categories)
     rr = isinstance(mechanism.base, RandomizedResponse)
     return _epsilon_report(mechanism.eps_nominal, table, dist, of, events,
@@ -705,8 +717,8 @@ def reevaluate_witness(mechanism: SampledReleaseMechanism, instance: AuditInstan
     """
     if report.worst_pair is None:
         raise ValueError("report has no witness to re-evaluate")
-    table = _pairs(instance, relation, bases=list(report.worst_pair))
-    hist, categories = _histograms(mechanism, instance, relation, table)
+    table, hist, categories = _histograms(mechanism, instance, relation,
+                                          list(report.worst_pair))
     events, dist, of = _distributions(mechanism.base, hist, categories, report.categories)
     p_q = dist[of[np.searchsorted(table.keys, table.base_keys)],
                events.index(report.worst_event)]
@@ -777,28 +789,21 @@ def hot_deck_mean_sensitivity(n_records: int, n_missing: int, y_grid) -> Sensiti
 
     The donor assignment is enumerated alongside the neighbor pairs and held
     fixed across each pair (the coupling an attacker faces when donors are
-    realized): each assignment is a flat weighted mean whose weights are the
-    donors' multiplicities.  With a single donor serving every missing
-    record, replacing that donor moves its own slot plus all copies:
-    (1 + n_missing) / n * R.
+    realized): each assignment is the sample of the observed records plus
+    its donors, a donor drawn once more like a unit SRSWR draws twice.
+    With a single donor serving every missing record, replacing that donor
+    moves its own slot plus all copies: (1 + n_missing) / n * R.
     """
     if n_missing < 0 or n_records < 1 or n_missing >= n_records:
         raise ValueError("need 0 <= n_missing < n_records with n_records >= 1")
     n_observed = n_records - n_missing
-    relation = NeighborRelation("none", "y-only")
-    # every donor assignment enumerates the same pairs; cap their total first
-    pairs = _pair_count(AuditInstance(name="hot-deck", statistic="ht_mean", y_grid=y_grid,
-                                      size=n_observed, n_pop=n_records), relation)
-    check_cap(n_observed ** n_missing * pairs)
-    best = 0.0
-    for assignment in itertools.product(range(n_observed), repeat=n_missing):
-        multiplicity = [1] * n_observed
-        for donor in assignment:
-            multiplicity[donor] += 1
-        instance = AuditInstance(name="hot-deck", statistic="ht_mean", y_grid=y_grid,
-                                 weights=multiplicity, n_pop=n_records)
-        best = max(best, exact_sensitivity(instance, relation).delta_f)
-    return Sensitivity(best)
+    instance = AuditInstance(name="hot-deck", statistic="ht_mean", y_grid=y_grid,
+                             size=n_observed, n_pop=n_records)
+    # every donor assignment has a pair table of its own; cap their total first
+    k, observed = len(instance.y_grid), tuple(range(n_observed))
+    check_cap(n_observed ** n_missing * k ** n_observed * n_observed * (k - 1))
+    samples = [observed + donors for donors in itertools.product(observed, repeat=n_missing)]
+    return Sensitivity(_scan_tables(instance, _sample_tables(samples, (1.0,) * n_observed)))
 
 
 def imputation_composition_epsilon(eps1, eps2, *, y_grid=(0.0, 1.0), n_records: int = 3,

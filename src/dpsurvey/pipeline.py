@@ -106,6 +106,12 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
+def _check_start(start) -> None:
+    if start not in SUPPORTED_START_INVARIANT:
+        raise ConfigError("mechanism_start",
+                          f"must be one of {sorted(SUPPORTED_START_INVARIANT)}, got {start!r}")
+
+
 class PipelineStageError(RuntimeError):
     """A stage failed; carries the stage name and the original error."""
 
@@ -141,6 +147,7 @@ class PipelineConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        _check_start(self.mechanism_start)
         proportions = [i for i, spec in enumerate(self.releases) if spec.statistic == "proportion"]
         if proportions and not (self.universe.y_min >= 0.0 and self.universe.y_max <= 1.0):
             # the 1/n closed form assumes an indicator variable
@@ -270,9 +277,7 @@ def parse_config(text: str) -> PipelineConfig:
 
     start = top["mechanism_start"]
     invariant = top["invariant"]
-    if start not in SUPPORTED_START_INVARIANT:
-        raise ConfigError("mechanism_start",
-                          f"must be one of {sorted(SUPPORTED_START_INVARIANT)}, got {start!r}")
+    _check_start(start)
     if SUPPORTED_START_INVARIANT[start] != invariant:
         raise ConfigError(
             "invariant",

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import pytest
@@ -382,3 +383,51 @@ def test_imputation_composition_bounded_by_budget_sum():
 def test_design_label_is_stable():
     assert design_label(Poisson(0.1)) == "poisson[rate=0.1]"
     assert design_label(Systematic(2, "frame")) == "systematic[n=2,ordering=frame]"
+
+
+def test_flat_size_must_match_the_weights():
+    with pytest.raises(ValueError, match="size 5 does not match 2 weights"):
+        AuditInstance(name="x", statistic="mean", y_grid=(0.0, 1.0), size=5, weights=(1.0, 1.0))
+    assert AuditInstance(name="x", statistic="mean", y_grid=(0.0, 1.0), size=2,
+                         weights=(1.0, 1.0)).n_slots == 2
+
+
+@pytest.mark.parametrize("instance, relation, shape", [
+    (adversarial_systematic_instance(), FULL, "a (y, x) pair"),
+    (neyman_allocation_instance(), FULL, "a (y, x) pair"),
+    (AuditInstance(name="yx", statistic="mean", y_grid=(0.0, 1.0), design=SRSWOR(1),
+                   frame=four_unit_frame(), base_datasets=(((0.0, 1.0),) * 4,)),
+     POP_Y, "a y value"),
+    (AuditInstance(name="flat-yx", statistic="mean", y_grid=(0.0, 1.0), size=2,
+                   base_datasets=(((0.0, 1.0), (1.0, 1.0)),)), Y_ONLY, "a y value"),
+], ids=["systematic-full", "neyman-full", "design-y-only", "flat-y-only"])
+def test_bases_that_do_not_match_the_relation_are_named(instance, relation, shape):
+    with pytest.raises(ValueError, match=rf"base 0, record 0: {relation.mutable} neighbors "
+                                         rf"need {re.escape(shape)}, got"):
+        exact_sensitivity(instance, relation)
+    with pytest.raises(ValueError, match=re.escape(shape)):
+        list(neighbors(instance, relation))
+
+
+def test_bases_of_the_relation_shape_still_audit():
+    full = AuditInstance(name="yx", statistic="mean", y_grid=(0.0, 1.0), x_grid=(1.0,),
+                         design=SRSWOR(1), frame=four_unit_frame(),
+                         base_datasets=(((0.0, 1.0),) * 4,))
+    assert exact_sensitivity(full, FULL).delta_f == 1.0
+
+
+@pytest.mark.parametrize("statistic, design", [
+    ("max", SRSWOR(2)), ("mean", SRSWOR(2)), ("max", Poisson(0.5)), ("mean", None)],
+    ids=["both", "design", "statistic", "no-design"])
+def test_mechanism_must_audit_the_declared_statistic_and_design(statistic, design):
+    frame = four_unit_frame()
+    instance = AuditInstance(name="declared", statistic="mean", y_grid=(0.0, 1.0),
+                             design=Poisson(0.5), frame=frame)
+    matching = SampledReleaseMechanism("mean", RandomizedResponse(0.1), Poisson(0.5))
+    report = effective_epsilon(matching, instance, POP_Y)
+    assert report.eps_effective == pytest.approx(0.0490, abs=1e-4)
+    other = SampledReleaseMechanism(statistic, RandomizedResponse(0.1), design)
+    with pytest.raises(ValueError, match="does not match the instance's"):
+        effective_epsilon(other, instance, POP_Y)
+    with pytest.raises(ValueError, match="does not match the instance's"):
+        reevaluate_witness(other, instance, POP_Y, report)

@@ -584,3 +584,57 @@ def test_bench_shaped_audits_stay_under_a_memory_bound():
     instance = AuditInstance(name="mem-sens", statistic="ht_mean", y_grid=(0.0, 0.5, 1.0),
                              design=SRSWOR(2), frame=frame, n_pop=7)
     assert traced_peak(exact_sensitivity, instance, POP_Y) <= 1.5e6
+
+
+def hot_deck_reference(n_records, n_missing, y_grid):
+    """The hot-deck oracle as a loop over donor assignments: each one a flat
+    mean whose weights are the donors' multiplicities, by the scalar oracle."""
+    n_observed = n_records - n_missing
+    best = 0.0
+    for assignment in itertools.product(range(n_observed), repeat=n_missing):
+        multiplicity = [1] * n_observed
+        for donor in assignment:
+            multiplicity[donor] += 1
+        instance = AuditInstance(name="hot-deck", statistic="ht_mean", y_grid=y_grid,
+                                 weights=multiplicity, n_pop=n_records)
+        best = max(best, Reference.exact_sensitivity(instance, Y_ONLY))
+    return best
+
+
+@pytest.mark.parametrize("y_grid", [(0.0, 1.0), (0.0, 2.0), (0.0, 0.5, 1.0)])
+def test_hot_deck_oracle_matches_the_multiplicity_reference(y_grid):
+    for n_records in range(1, 6):
+        for n_missing in range(n_records):
+            expected = hot_deck_reference(n_records, n_missing, y_grid)
+            got = audit.hot_deck_mean_sensitivity(n_records, n_missing, y_grid).delta_f
+            assert got == expected, (n_records, n_missing)  # bit-equal
+
+
+def test_hot_deck_oracle_rejects_a_one_value_grid():
+    with pytest.raises(ValueError, match="at least two distinct values"):
+        audit.hot_deck_mean_sensitivity(3, 1, (1.0, 1.0))
+
+
+def test_bench_sensitivity_shape_past_the_frame_enumeration():
+    # the bench's sensitivity shape; its 3^12 frames are past the 10^6 cap
+    instance = AuditInstance(name="sens-12", statistic="ht_mean", y_grid=(0.0, 0.5, 1.0),
+                             design=SRSWOR(2), frame=make_frame([0.0] * 12), n_pop=12)
+    assert exact_sensitivity(instance, POP_Y).delta_f == 0.5
+
+
+def test_fixed_stage_cap_counts_distinct_tables(monkeypatch):
+    # the population twin of the frame-invariant test: y-only neighbors of
+    # every assignment share one Poisson stage, scanned one table per size
+    instance = AuditInstance(name="pop", statistic="mean", y_grid=(0, 1),
+                             design=Poisson(0.5), frame=make_frame([0.0] * 11))
+    assert exact_sensitivity(instance, POP_Y).delta_f == 1.0
+    distinct = sum(k * 2 ** k for k in range(1, 12))
+    assert exact_sensitivity(replace(instance, cap=distinct), POP_Y).delta_f == 1.0
+
+    def no_table(*args):
+        raise AssertionError("a pair table was built past the cap")
+
+    monkeypatch.setattr(audit, "_PairTable", no_table)
+    with pytest.raises(EnumerationCapExceeded) as excinfo:
+        exact_sensitivity(replace(instance, cap=distinct - 1), POP_Y)
+    assert excinfo.value.count == distinct

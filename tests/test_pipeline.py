@@ -108,6 +108,15 @@ def test_invariant_follows_the_mechanism_start(frame_csv):
         assert replace(config, mechanism_start=start).invariant == invariant
 
 
+def test_hand_built_config_rejects_an_unknown_start(frame_csv):
+    config = parse_config(minimal_config(frame_csv))
+    with pytest.raises(ConfigError) as excinfo:
+        replace(config, mechanism_start="sample")
+    assert excinfo.value.path == "mechanism_start"
+    assert str(excinfo.value) == ("mechanism_start: must be one of ['frame', 'processed-data', "
+                                  "'responding-sample'], got 'sample'")
+
+
 def test_processed_data_weighted_release_cannot_claim_the_frame_invariant(tmp_path):
     # PPS weights are data when the mechanism starts at processed data, and
     # the start alone decides the invariant, so no config can claim "frame"
