@@ -20,6 +20,10 @@ stage is fixed and scanned sample by sample: its tables are the sampling
 stage and its distinct (draw pattern, weights) tables; its datasets and
 pairs are those of the distinct tables.
 
+The ``epsilon`` shape holds one byte per (dataset, outcome) cell of its
+category matrix, 4^N bytes, and its memory grows with it; the shape stops,
+with one line, at the first N whose matrix exceeds ``CATEGORY_BUDGET`` bytes.
+
 Usage: python scripts/run_oracle_scale.py [max_N]   (default 6)
 """
 
@@ -45,6 +49,7 @@ from dpsurvey.designs import SRSWOR, EnumerationCapExceeded, Poisson, sample_spa
 from dpsurvey.frames import make_frame
 
 RELATION = NeighborRelation("population", "y-only")
+CATEGORY_BUDGET = 2 ** 26  # bytes; N=13 (4^13 bytes) peaks near 90 MB under tracemalloc
 
 
 def timed(fn, *args):
@@ -104,6 +109,10 @@ def main(argv) -> int:
           f"{'total_s':>10}{'peak_mb':>10}")
     for shape, row in (("epsilon", epsilon_row), ("sensitivity", sensitivity_row)):
         for n in range(3, max_n + 1):
+            if shape == "epsilon" and 4 ** n > CATEGORY_BUDGET:  # 2^N datasets x 2^N outcomes
+                print(f"{shape:<12}{n:>3}  category matrix of {4 ** n} bytes exceeds budget "
+                      f"{CATEGORY_BUDGET}")
+                break
             try:
                 datasets, outcomes, pairs, categories, tables, *times, peak = row(n)
             except EnumerationCapExceeded as err:  # DPSURVEY_ENUM_CAP raises the cap

@@ -138,6 +138,9 @@ class AuditInstance:
         if self.design is not None:
             if self.frame is None:
                 raise ValueError("a design instance needs a reference frame")
+            if self.size is not None or self.weights is not None:
+                raise ValueError("a design instance takes its size and weights from the "
+                                 "design and frame; do not pass size or weights")
         elif self.size is None and self.weights is None:
             raise ValueError("a flat instance needs size or weights")
         if self.weights is not None:

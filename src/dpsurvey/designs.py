@@ -141,9 +141,10 @@ class Design:
 
     A subclass implements ``pi(frame)``, the per-unit inclusion
     probabilities; ``draw(frame, rng)``, one sample as sorted frame
-    positions; ``space(frame)``, every sample as an id tuple with its
-    probability, uncapped; and ``space_size(frame)``, that outcome count.
-    The module functions of the same purpose validate, cap and delegate.
+    positions; ``space(frame)``, every sample as frame positions, like
+    ``draw``, with its probability, uncapped; and ``space_size``, its count.
+    The module functions of the same purpose validate, cap and delegate;
+    ``sample_space`` also names the units by id.
     ``sampling_rate`` defaults to the mean inclusion probability, and
     ``space_depends_on_y`` is true when the sample space moves with the
     response values, not only with the size measures.
@@ -172,14 +173,13 @@ class SRSWR(Design):
         return math.comb(frame.n + self.n - 1, self.n)
 
     def space(self, frame):
-        ids = frame.ids
         outcomes = []
         base = Fraction(1, frame.n ** self.n)
         for combo in itertools.combinations_with_replacement(range(frame.n), self.n):
             multiplicity = math.factorial(self.n)
             for _, group in itertools.groupby(combo):
                 multiplicity //= math.factorial(len(list(group)))
-            outcomes.append((tuple(ids[p] for p in combo), float(base * multiplicity)))
+            outcomes.append((combo, float(base * multiplicity)))
         return outcomes
 
 
@@ -199,10 +199,8 @@ class SRSWOR(Design):
         return math.comb(frame.n, self.n)
 
     def space(self, frame):
-        ids = frame.ids
         prob = 1.0 / math.comb(frame.n, self.n)
-        return [(tuple(ids[p] for p in combo), prob)
-                for combo in itertools.combinations(range(frame.n), self.n)]
+        return [(combo, prob) for combo in itertools.combinations(range(frame.n), self.n)]
 
 
 @dataclass(frozen=True)
@@ -223,15 +221,11 @@ class Poisson(Design):
         return 2 ** frame.n
 
     def space(self, frame):
-        ids = frame.ids
         n_frame = frame.n
-        outcomes = []
-        for mask in itertools.product((0, 1), repeat=n_frame):
-            k = sum(mask)
-            prob = (self.rate ** k) * ((1.0 - self.rate) ** (n_frame - k))
-            sample = tuple(ids[p] for p in range(n_frame) if mask[p])
-            outcomes.append((sample, prob))
-        return outcomes
+        by_size = [(self.rate ** k) * ((1.0 - self.rate) ** (n_frame - k))
+                   for k in range(n_frame + 1)]
+        return [(tuple(itertools.compress(range(n_frame), mask)), by_size[sum(mask)])
+                for mask in itertools.product((0, 1), repeat=n_frame)]
 
     def sampling_rate(self, frame):
         inclusion_probs(self, frame)  # validates the rate
@@ -274,7 +268,6 @@ class StratifiedSRSWOR(Design):
         return size
 
     def space(self, frame):
-        ids = frame.ids
         allocation = allocate_strata(self.allocation, frame, self.n)
         strata = frame.strata()
         per_stratum = []
@@ -284,8 +277,7 @@ class StratifiedSRSWOR(Design):
             prob /= math.comb(len(positions), allocation[label])
         outcomes = []
         for pick in itertools.product(*per_stratum):
-            positions = sorted(p for group in pick for p in group)
-            outcomes.append((tuple(ids[p] for p in positions), prob))
+            outcomes.append((tuple(sorted(p for group in pick for p in group)), prob))
         return outcomes
 
 
@@ -313,12 +305,10 @@ class ClusterSRSWOR(Design):
         return math.comb(len(frame.clusters()), self.m)
 
     def space(self, frame):
-        ids = frame.ids
         prob = 1.0 / math.comb(len(frame.clusters()), self.m)
         outcomes = []
         for combo in itertools.combinations(frame.clusters().values(), self.m):
-            positions = sorted(p for members in combo for p in members)
-            outcomes.append((tuple(ids[p] for p in positions), prob))
+            outcomes.append((tuple(sorted(p for members in combo for p in members)), prob))
         return outcomes
 
 
@@ -371,13 +361,11 @@ class PPS(Design):
         return math.comb(frame.n - certain, self.n - certain)
 
     def space(self, frame):
-        ids = frame.ids
         certain, rest, n_rest, odds = self._split(frame)
         combos = list(itertools.combinations(range(len(rest)), n_rest))
         weights = [math.prod(odds[idx] for idx in combo) for combo in combos]
         total = math.fsum(weights)  # e_n(odds), summed exactly from its terms
-        return [(tuple(ids[p] for p in sorted(certain + [rest[idx] for idx in combo])),
-                 float(weight / total))
+        return [(tuple(sorted(certain + [rest[idx] for idx in combo])), float(weight / total))
                 for combo, weight in zip(combos, weights)]
 
     def sampling_rate(self, frame):
@@ -389,7 +377,8 @@ class Systematic(Design):
     """Fractional-interval systematic sampling: every sample has exactly n units.
 
     ordering="frame" walks the frame order (the sample space collapses to a
-    handful of outcomes); ordering="random" permutes the frame first.
+    handful of outcomes); ordering="random" permutes the frame first, which
+    makes it SRSWOR(n) (Tillé, Sampling Algorithms, 2006), enumerated as such.
     """
     n: int
     ordering: str = "frame"  # "frame" | "random"
@@ -414,24 +403,14 @@ class Systematic(Design):
         return sorted(order[p] for p in picks)
 
     def space_size(self, frame):
-        per_order = frame.n  # at most N breakpoint intervals per ordering
         if self.ordering == "random":
-            return math.factorial(frame.n) * per_order
-        return per_order
+            return SRSWOR(self.n).space_size(frame)
+        return frame.n  # at most N breakpoint intervals
 
     def space(self, frame):
-        ids = frame.ids
-        n_frame = frame.n
-        if self.ordering == "frame":
-            orders, n_orders = [range(n_frame)], 1
-        else:
-            orders, n_orders = itertools.permutations(range(n_frame)), math.factorial(n_frame)
-        collected: dict[tuple[int, ...], Fraction] = {}
-        for order in orders:
-            for sample, prob in _systematic_outcomes(list(order), self.n):
-                key = tuple(ids[p] for p in sample)
-                collected[key] = collected.get(key, Fraction(0)) + prob / n_orders
-        return [(sample, float(prob)) for sample, prob in sorted(collected.items())]
+        if self.ordering == "random":
+            return SRSWOR(self.n).space(frame)
+        return [(sample, float(prob)) for sample, prob in _systematic_outcomes(frame.n, self.n)]
 
 
 @dataclass(frozen=True)
@@ -469,8 +448,6 @@ class TwoStageDesign(Design):
         return counts[self.outer.m]
 
     def space(self, frame):
-        ids = frame.ids
-        position = {unit: p for p, unit in enumerate(ids)}
         outer_prob = 1.0 / math.comb(len(frame.clusters()), self.outer.m)
         outcomes = []
         for combo in itertools.combinations(frame.clusters().values(), self.outer.m):
@@ -479,8 +456,9 @@ class TwoStageDesign(Design):
                 prob = outer_prob
                 for _, inner_prob in picks:
                     prob *= inner_prob
-                positions = sorted(position[u] for sample, _ in picks for u in sample)
-                outcomes.append((tuple(ids[p] for p in positions), prob))
+                positions = sorted(members[p] for members, (sample, _) in zip(combo, picks)
+                                   for p in sample)
+                outcomes.append((tuple(positions), prob))
         return outcomes
 
 
@@ -692,17 +670,22 @@ def sample_space(design: Design, frame: Frame, cap: int | None = None
                  ) -> list[tuple[tuple[int, ...], float]]:
     """Enumerate every possible sample with its selection probability.
 
-    Samples are id tuples in frame order (repeats kept for SRSWR).
-    Probabilities sum to one up to float rounding; designs with rational
-    structure are enumerated with exact Fractions before conversion.
+    The design's sample size is validated first: a size the frame cannot
+    hold raises the ``ValueError`` of ``inclusion_probs``.  An outcome count
+    above ``cap`` raises ``EnumerationCapExceeded``.  Samples are id tuples
+    with units in frame order (repeats kept for SRSWR), listed in the
+    design's enumeration order.  Probabilities sum to one up to float
+    rounding; designs with rational structure are enumerated with exact
+    Fractions before conversion.
     """
+    design.pi(frame)
     check_cap(design.space_size(frame), cap)
-    return design.space(frame)
+    ids = frame.ids
+    return [(tuple(map(ids.__getitem__, sample)), prob) for sample, prob in design.space(frame)]
 
 
-def _systematic_outcomes(order: list[int], n: int):
-    """Exact (sample, probability) pairs for one ordering, via Fraction cuts."""
-    n_frame = len(order)
+def _systematic_outcomes(n_frame: int, n: int):
+    """Exact, distinct (positions, probability) pairs in order, via Fraction cuts."""
     interval = Fraction(n_frame, n)
     cuts = {Fraction(0), interval}
     for j in range(n):
@@ -713,5 +696,4 @@ def _systematic_outcomes(order: list[int], n: int):
     edges = sorted(cuts)
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = (lo + hi) / 2
-        positions = sorted(order[math.floor(mid + j * interval)] for j in range(n))
-        yield tuple(positions), (hi - lo) / interval
+        yield tuple(math.floor(mid + j * interval) for j in range(n)), (hi - lo) / interval

@@ -392,6 +392,14 @@ def test_flat_size_must_match_the_weights():
                          weights=(1.0, 1.0)).n_slots == 2
 
 
+@pytest.mark.parametrize("fields", [{"size": 2}, {"weights": (9.0, 9.0)},
+                                    {"size": 2, "weights": (9.0, 9.0)}])
+def test_design_instance_rejects_flat_size_and_weights(fields):
+    with pytest.raises(ValueError, match="a design instance takes its size and weights from"):
+        AuditInstance(name="x", statistic="ht_total", y_grid=(0, 1), design=SRSWOR(2),
+                      frame=four_unit_frame(), **fields)
+
+
 @pytest.mark.parametrize("instance, relation, shape", [
     (adversarial_systematic_instance(), FULL, "a (y, x) pair"),
     (neyman_allocation_instance(), FULL, "a (y, x) pair"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -436,3 +437,90 @@ def test_draw_is_stable_across_versions(kind):
     rng = np.random.default_rng(20240807)
     assert draw(design, frame_library()[2], rng).ids == ids
     assert rng.random() == next_uniform
+
+
+def relabelled(frame, ids):
+    """A copy of the frame whose records carry the given ids, position by position."""
+    return make_frame(frame.y, xs=frame.x,
+                      strata=[frame.stratum_names[c] for c in frame.stratum_codes],
+                      clusters=[frame.cluster_names[c] for c in frame.cluster_codes], ids=ids)
+
+
+def random_order_systematic_reference(n, frame):
+    """Systematic selection after each of the N! orderings, each weighted 1/N!,
+    with the frame-order Fraction cuts, merged per unit set: id tuples in frame
+    order with float probabilities."""
+    ids = frame.ids
+    collected: dict[tuple[int, ...], Fraction] = {}
+    for order in itertools.permutations(range(frame.n)):
+        for sample, prob in designs._systematic_outcomes(frame.n, n):
+            key = tuple(ids[p] for p in sorted(order[p] for p in sample))
+            collected[key] = collected.get(key, Fraction(0)) + prob / math.factorial(frame.n)
+    return {(sample, float(prob)) for sample, prob in collected.items()}
+
+
+@pytest.mark.parametrize("n_frame", range(1, 7))
+def test_systematic_random_order_space_is_the_permutation_mixture(n_frame):
+    for frame in (make_frame([0.0] * n_frame),
+                  make_frame([0.0] * n_frame, ids=[(5 * i + 2) % 7 for i in range(n_frame)])):
+        for n in range(1, n_frame + 1):
+            space = sample_space(Systematic(n, "random"), frame)
+            assert len(space) == len(set(space))
+            assert set(space) == random_order_systematic_reference(n, frame), (frame.ids, n)
+
+
+def test_systematic_random_order_space_at_nine_units():
+    frame = make_frame([0.0] * 9)
+    space = sample_space(Systematic(2, "random"), frame)
+    assert sorted(sample for sample, _ in space) == list(itertools.combinations(frame.ids, 2))
+    assert all(p == 1 / 36 for _, p in space)
+
+
+def two_stage_reference(design, frame):
+    """The two-stage space built from the inner designs' sample_space id tuples."""
+    position = {unit: p for p, unit in enumerate(frame.ids)}
+    outer_prob = 1.0 / math.comb(len(frame.clusters()), design.outer.m)
+    outcomes = []
+    for combo in itertools.combinations(frame.clusters().values(), design.outer.m):
+        stages = [sample_space(design.inner, frame.select(members)) for members in combo]
+        for picks in itertools.product(*stages):
+            prob = outer_prob
+            for _, inner_prob in picks:
+                prob *= inner_prob
+            units = sorted((u for sample, _ in picks for u in sample), key=position.__getitem__)
+            outcomes.append((tuple(units), prob))
+    return outcomes
+
+
+def test_two_stage_space_is_built_from_the_inner_sample_spaces():
+    two_stage = [TwoStageDesign(ClusterSRSWOR(1), SRSWOR(1)),
+                 TwoStageDesign(ClusterSRSWOR(2), SRSWOR(2)),
+                 TwoStageDesign(ClusterSRSWOR(1), Systematic(2, "frame")),
+                 TwoStageDesign(ClusterSRSWOR(2), Poisson(0.5)),
+                 TwoStageDesign(ClusterSRSWOR(1), SRSWR(2))]
+    frames = [frame for frame in frame_library() if len(frame.clusters()) >= 2]
+    assert len(frames) == 4
+    for frame in frames + [relabelled(f, list(range(f.n, 0, -1))) for f in frames]:
+        for design in two_stage:
+            assert sample_space(design, frame) == two_stage_reference(design, frame)
+
+
+@pytest.mark.parametrize("design", [SRSWOR(0), SRSWR(0), SRSWOR(4), Systematic(0, "frame"),
+                                    Systematic(0, "random"), Systematic(4, "frame"),
+                                    Systematic(4, "random")], ids=repr)
+def test_sample_space_rejects_the_sizes_inclusion_probs_rejects(design):
+    frame = make_frame([0.0, 1.0, 0.0])
+    with pytest.raises(ValueError) as expected:
+        inclusion_probs(design, frame)
+    with pytest.raises(ValueError) as raised:
+        sample_space(design, frame)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_sample_space_size_error_names_the_design():
+    frame = make_frame([0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match=r"^SRSWOR: sample size 4 not in \[1, 3\]$"):
+        sample_space(SRSWOR(4), frame)
+    with pytest.raises(ValueError, match=r"^SRSWR: number of draws must be >= 1, got 0$"):
+        sample_space(SRSWR(0), frame)
