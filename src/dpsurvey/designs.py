@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import os
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,6 +51,7 @@ __all__ = [
 
 ENUM_CAP_ENV = "DPSURVEY_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10 ** 6
+_ALLOCATIONS = weakref.WeakKeyDictionary()  # frame -> {StratifiedSRSWOR: its allocate_strata}
 
 
 def default_enumeration_cap() -> int:
@@ -247,13 +249,19 @@ class StratifiedSRSWOR(Design):
         # Neyman allocation follows the within-stratum spread of y
         return self.allocation == "neyman"
 
+    def _allocation(self, frame: Frame) -> dict[str, int]:
+        memo = _ALLOCATIONS.setdefault(frame, {})  # once per frame: frames never change
+        if self not in memo:
+            memo[self] = allocate_strata(self.allocation, frame, self.n)
+        return memo[self]
+
     def pi(self, frame):
-        allocation = allocate_strata(self.allocation, frame, self.n)
+        allocation = self._allocation(frame)
         n_h = np.array([allocation[label] for label in frame.stratum_names])
         return (n_h / np.bincount(frame.stratum_codes))[frame.stratum_codes]
 
     def draw(self, frame, rng):
-        allocation = allocate_strata(self.allocation, frame, self.n)
+        allocation = self._allocation(frame)
         chosen: list[int] = []
         for label, positions in frame.strata().items():
             picks = rng.choice(len(positions), size=allocation[label], replace=False)
@@ -261,14 +269,14 @@ class StratifiedSRSWOR(Design):
         return sorted(chosen)
 
     def space_size(self, frame):
-        allocation = allocate_strata(self.allocation, frame, self.n)
+        allocation = self._allocation(frame)
         size = 1
         for label, positions in frame.strata().items():
             size *= math.comb(len(positions), allocation[label])
         return size
 
     def space(self, frame):
-        allocation = allocate_strata(self.allocation, frame, self.n)
+        allocation = self._allocation(frame)
         strata = frame.strata()
         per_stratum = []
         prob = 1.0
@@ -345,7 +353,8 @@ class PPS(Design):
         remaining = n_rest
         # unit i is taken with probability o_i e_{r-1}(tail) / e_r(odds[i:]), where
         # tail = odds[i + 1:] and e_r(tail) is exactly 0 once r exceeds its length
-        for start, end, table in _tail_blocks(odds, n_rest):
+        for start, end, row in _tail_blocks(odds, n_rest):
+            table = _esp_columns(row, odds[start:end][::-1])
             for i in range(start, end):
                 if remaining == 0:
                     return sorted(chosen)
@@ -580,23 +589,24 @@ def _rescaled(row: np.ndarray) -> np.ndarray:
 
 
 def _esp_columns(start: np.ndarray, odds: np.ndarray) -> np.ndarray:
-    """Column j holds e_0..e_n of the units behind ``start`` plus odds[:j]."""
-    table = np.empty((len(start), len(odds) + 1))
-    table[0] = start[0]
-    for k in range(1, len(start)):
-        np.multiply(odds, table[k - 1, :-1], out=table[k, 1:])
-        table[k, 0] = start[k]
-        np.cumsum(table[k], out=table[k])
+    """Column j holds e_0..e_n of the units behind ``start`` plus odds[..., :j];
+    leading axes stack independent tables, one multiply and accumulate per k for all."""
+    table = np.empty((*start.shape, odds.shape[-1] + 1))
+    table[..., 0, :] = start[..., :1]
+    for k in range(1, start.shape[-1]):
+        np.multiply(odds, table[..., k - 1, :-1], out=table[..., k, 1:])
+        table[..., k, 0] = start[..., k]
+        np.add.accumulate(table[..., k, :], axis=-1, out=table[..., k, :])
     return table
 
 
-def _tail_blocks(odds: np.ndarray, n: int):
-    """Yield (start, end, table) for each block of units, in unit order.
+def _tail_blocks(odds: np.ndarray, n: int) -> list[tuple[int, int, np.ndarray]]:
+    """(start, end, row) per block of units, in unit order: row is e_0..e_n of odds[end:].
 
-    table[:, j] holds e_0..e_n of odds[end - j:] up to a power-of-two scale.
     Blocks end where the cumulative growth crosses a multiple of the bound, or
-    after ``cap`` units.  A backward pass keeps only each block's boundary row,
-    and each block is rebuilt from it when reached: O((blocks + cap) * n) memory.
+    after ``cap`` units.  One backward pass keeps only each block's boundary row,
+    up to a power-of-two scale; callers build the block's tail table from it, one
+    block at a time: O((blocks + cap) * n) memory.
     """
     cap = max(math.isqrt(len(odds)) + 1, _CPS_BLOCK_FLOATS // (n + 1))
     band = np.cumsum(np.log2(1.0 + odds)) // _CPS_GROWTH_BITS
@@ -605,8 +615,7 @@ def _tail_blocks(odds: np.ndarray, n: int):
     rows = [np.eye(1, n + 1)[0]]
     for start, end in reversed(blocks[1:]):
         rows.append(_rescaled(_esp_columns(rows[-1], odds[start:end][::-1])[:, -1]))
-    for start, end in blocks:
-        yield start, end, _esp_columns(rows.pop(), odds[start:end][::-1])
+    return [(start, end, row) for (start, end), row in zip(blocks, reversed(rows))]
 
 
 def _cps_masses(odds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -614,15 +623,18 @@ def _cps_masses(odds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Both sum positive terms e_a(head) e_b(tail) at one scale per unit, so
     pi = inc / (inc + exc) and logit(pi) = log(inc / exc) stay precise near 1.
+    A block's tail and head tables are built in one stacked pass, then dropped.
     """
     inc, exc = np.empty(len(odds)), np.empty(len(odds))
     head = np.eye(1, n + 1)[0]
-    for start, end, table in _tail_blocks(odds, n):
-        heads = _esp_columns(head, odds[start:end])
+    for start, end, row in _tail_blocks(odds, n):
+        block = odds[start:end]
+        tails, heads = _esp_columns(np.stack([row, head]), np.stack([block[::-1], block]))
         head = _rescaled(heads[:, -1])
-        heads, tails = heads[:, :-1], table[::-1, -2::-1]  # tails[c, j]: e_{n-c}(odds[start+j+1:])
-        inc[start:end] = odds[start:end] * np.einsum("kj,kj->j", heads[:-1], tails[1:])
+        heads, tails = heads[:, :-1], tails[::-1, -2::-1]  # tails[c, j]: e_{n-c}(odds[start+j+1:])
+        inc[start:end] = block * np.einsum("kj,kj->j", heads[:-1], tails[1:])
         exc[start:end] = np.einsum("kj,kj->j", heads, tails)
+        del heads, tails
     return inc, exc
 
 
@@ -631,14 +643,16 @@ def _cps_calibrate(target_pi: np.ndarray, n: int) -> np.ndarray:
 
     A fixed point on log odds, lambda += logit(target) - logit(pi), stepping from
     the best iterate; a step that does not cut the largest error by a tenth is
-    halved.  Once the error stops falling it is at the rounding floor, accepted
-    when within a tolerance that grows with the unit count.
+    halved.  It returns the first iterate within 4 eps of every target; where the
+    floor is higher, an error that stops falling is accepted within an N-scaled bound.
     """
     goal = np.log(target_pi) - np.log1p(-target_pi)
     log_odds, base, direction, best, step = goal, goal, 0.0, math.inf, 1.0
     for _ in range(1000):
         inc, exc = _cps_masses(np.exp(log_odds), n)
         residual = float(np.max(np.abs(inc / (inc + exc) - target_pi)))
+        if residual <= 4 * np.finfo(float).eps:
+            return np.exp(log_odds)
         if residual < 0.9 * best:
             best, base, step = residual, log_odds, min(1.0, 2.0 * step)
             direction = goal - np.log(inc / exc)

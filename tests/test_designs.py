@@ -2,13 +2,14 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dpsurvey import designs
+from dpsurvey import audit, designs
 from dpsurvey.designs import (
     PPS,
     SRSWOR,
@@ -28,7 +29,12 @@ from dpsurvey.designs import (
     sample_space,
 )
 from dpsurvey.frames import make_frame
-from dpsurvey.instances import design_library, frame_library
+from dpsurvey.instances import (
+    design_library,
+    frame_library,
+    neyman_allocation_instance,
+    neyman_reference_frame,
+)
 
 
 def marginals_from_space(space, frame):
@@ -392,6 +398,75 @@ def test_pps_table_draw_matches_the_per_unit_tail_recursion(blocked, monkeypatch
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         assert PPS(n).draw(frame, rng) == _tail_recursion_draw(odds.tolist(), n, reference)
         assert rng.random() == reference.random()
+
+
+def _two_pass_masses(odds, n):
+    """Reference masses: every block's tail and head tables built one at a time."""
+    def columns(start, block):
+        table = np.empty((n + 1, len(block) + 1))
+        table[0] = start[0]
+        for k in range(1, n + 1):
+            np.multiply(block, table[k - 1, :-1], out=table[k, 1:])
+            table[k, 0] = start[k]
+            np.cumsum(table[k], out=table[k])
+        return table
+
+    cap = max(math.isqrt(len(odds)) + 1, designs._CPS_BLOCK_FLOATS // (n + 1))
+    band = np.cumsum(np.log2(1.0 + odds)) // designs._CPS_GROWTH_BITS
+    edges = sorted({*range(0, len(odds), cap), *(np.flatnonzero(np.diff(band)) + 1).tolist()})
+    blocks = list(zip(edges, edges[1:] + [len(odds)]))
+    rows = [np.eye(1, n + 1)[0]]
+    for start, end in reversed(blocks[1:]):
+        rows.append(designs._rescaled(columns(rows[-1], odds[start:end][::-1])[:, -1]))
+    inc, exc, head = np.empty(len(odds)), np.empty(len(odds)), np.eye(1, n + 1)[0]
+    for start, end in blocks:
+        tails = columns(rows.pop(), odds[start:end][::-1])[::-1, -2::-1]
+        heads = columns(head, odds[start:end])
+        head = designs._rescaled(heads[:, -1])
+        heads = heads[:, :-1]
+        inc[start:end] = odds[start:end] * np.einsum("kj,kj->j", heads[:-1], tails[1:])
+        exc[start:end] = np.einsum("kj,kj->j", heads, tails)
+    return inc, exc, len(blocks)
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_stacked_masses_match_the_two_pass_reference_bit_for_bit(blocked, monkeypatch):
+    if blocked:
+        monkeypatch.setattr(designs, "_CPS_BLOCK_FLOATS", 1)
+        monkeypatch.setattr(designs, "_CPS_GROWTH_BITS", 2)
+    for n_frame, n in ((300, 30), (60, 6), (25, 1), (40, 38), (30, 29), (12, 11)):
+        odds = np.random.default_rng(n_frame + n).choice([0.1, 0.5, 1.0, 3.0], n_frame)
+        inc, exc = designs._cps_masses(odds, n)
+        ref_inc, ref_exc, n_blocks = _two_pass_masses(odds, n)
+        assert (n_blocks > 1) == blocked
+        assert inc.tobytes() == ref_inc.tobytes() and exc.tobytes() == ref_exc.tobytes()
+
+
+def test_pps_calibration_stops_at_the_rounding_floor():
+    # bench-shaped frames: the fixed point reaches the floor within six passes
+    masses = designs._cps_masses
+    for seed in range(10):
+        xs = np.random.default_rng(seed).choice([1.0, 2.0, 3.0, 4.0], 300)
+        target = inclusion_probs(PPS(30), make_frame([0.0] * 300, xs=xs))
+        with mock.patch.object(designs, "_cps_masses", wraps=masses) as spy:
+            odds = designs._cps_calibrate(target, 30)
+        assert spy.call_count <= 6
+        inc, exc = masses(odds, 30)
+        assert np.max(np.abs(inc / (inc + exc) - target)) <= 4 * np.finfo(float).eps
+
+
+def test_a_stratified_frame_is_allocated_once():
+    # pi, space_size, space and draw share one allocation per frame, and the
+    # audit's sampling stage (pi, then sample_space, on a fresh frame) makes one
+    design = StratifiedSRSWOR(4, "neyman")
+    with mock.patch.object(designs, "allocate_strata", wraps=allocate_strata) as spy:
+        frame = neyman_reference_frame()
+        assert len(sample_space(design, frame)) == 3  # Neyman takes all of stratum A
+        assert spy.call_count == 1
+        draw(design, frame, np.random.default_rng(0))
+        assert spy.call_count == 1
+        audit._sampling_stage(neyman_allocation_instance())
+        assert spy.call_count == 2
 
 
 def test_cluster_sampling_observes_whole_clusters():

@@ -2,10 +2,12 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from dpsurvey import designs
 from dpsurvey.estimators import ReleaseRefusedError
 from dpsurvey.frames import ValueUniverse, dump_frame_csv, make_frame
 from dpsurvey.mechanisms import PrivacyLedger
@@ -405,6 +407,14 @@ def test_sampled_unit_outside_every_cell_fails_in_adjust(frame_csv):
         run_pipeline(parse_config(text))
     assert excinfo.value.stage == "adjust"
     assert "units [5] are not covered by any adjustment cell" in str(excinfo.value)
+
+
+def test_a_stratified_run_allocates_once(frame_csv):
+    # the run's pi and its draw share one allocation of the loaded frame
+    config = parse_config(minimal_config(frame_csv, design={"kind": "stratified_srswor", "n": 4}))
+    with mock.patch.object(designs, "allocate_strata", wraps=designs.allocate_strata) as spy:
+        run_pipeline(config)
+    assert spy.call_count == 1
 
 
 @pytest.mark.parametrize("design", [{"kind": "srswor", "n": 4}, {"kind": "srswr", "n": 5},
