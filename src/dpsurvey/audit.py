@@ -163,9 +163,6 @@ class AuditInstance:
             return len(self.weights)
         return self.size
 
-    def value_range(self) -> float:
-        return max(self.y_grid) - min(self.y_grid)
-
 
 # ---------------------------------------------------------------------------
 # Dataset and pair tables

@@ -24,7 +24,7 @@ from .frames import load_frame_csv, write_csv
 from .imputation import fit_dp_mean_model, impute_parametric, record_rng
 from .instances import formula_agreement_instances, four_unit_frame
 from .mechanisms import analytic_sensitivity
-from .pipeline import parse_config_file, run_pipeline
+from .pipeline import _resolve_seed, parse_config_file, run_pipeline
 
 
 def _error_json(err: Exception) -> str:
@@ -45,18 +45,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _config_and_seed(args):
-    config = parse_config_file(args.config)
-    seed = args.seed if args.seed is not None else config.seed
-    if seed is None:
-        raise ValueError("a seed is required (--seed or config.seed)")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return config, seed
-
-
 def _cmd_sample(args) -> int:
-    config, seed = _config_and_seed(args)
+    config = parse_config_file(args.config)
+    seed = _resolve_seed(config, args.seed)
     frame = load_frame_csv(config.frame_path)
     sample = draw(config.design, frame, np.random.default_rng(seed))
     rows = ([unit, "" if np.isnan(y) else repr(y), repr(pi), repr(w)]
@@ -66,7 +57,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_impute(args) -> int:
-    config, seed = _config_and_seed(args)
+    config = parse_config_file(args.config)
+    seed = _resolve_seed(config, args.seed)
     if config.imputation_method != "dp_mean":
         raise ValueError("the impute command supports configs with imputation.method "
                          "'dp_mean'; run the full pipeline for other methods")

@@ -216,8 +216,7 @@ class Poisson(Design):
         return np.full(frame.n, self.rate)
 
     def draw(self, frame, rng):
-        mask = rng.random(frame.n) < self.rate
-        return [i for i in range(frame.n) if mask[i]]
+        return np.flatnonzero(rng.random(frame.n) < self.rate).tolist()
 
     def space_size(self, frame):
         return 2 ** frame.n
@@ -430,8 +429,8 @@ class TwoStageDesign(Design):
     inner: Design
 
     def __post_init__(self):
-        if isinstance(self.inner, (ClusterSRSWOR, StratifiedSRSWOR)):
-            raise ValueError("inner stage must select units, not groups")
+        if isinstance(self.inner, (ClusterSRSWOR, StratifiedSRSWOR, TwoStageDesign)):
+            raise ValueError("inner stage must select units directly")
 
     def pi(self, frame):
         pi = inclusion_probs(self.outer, frame)

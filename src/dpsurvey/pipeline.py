@@ -42,6 +42,7 @@ from .audit import (
 from .designs import (
     ClusterSRSWOR,
     Design,
+    EnumerationCapExceeded,
     Poisson,
     PPS,
     SRSWOR,
@@ -106,12 +107,6 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-def _check_start(start) -> None:
-    if start not in SUPPORTED_START_INVARIANT:
-        raise ConfigError("mechanism_start",
-                          f"must be one of {sorted(SUPPORTED_START_INVARIANT)}, got {start!r}")
-
-
 class PipelineStageError(RuntimeError):
     """A stage failed; carries the stage name and the original error."""
 
@@ -130,6 +125,11 @@ class ReleaseSpec:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """One run's settings.  Construction checks every rule that ties them
+    together (known names, the cells that benchmarks and DP propensities
+    need, the budget as the sum of the epsilons, ...), so a config built in
+    code fails as a config file does, with the same ``ConfigError`` path."""
+
     frame_path: str
     universe: ValueUniverse
     design: Design
@@ -147,12 +147,58 @@ class PipelineConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        _check_start(self.mechanism_start)
+        starts = sorted(SUPPORTED_START_INVARIANT)
+        if self.mechanism_start not in starts:  # a list: a JSON value may be unhashable
+            raise ConfigError("mechanism_start",
+                              f"must be one of {starts}, got {self.mechanism_start!r}")
+        if not self.releases:
+            raise ConfigError("releases", "expected a non-empty list")
+        for i, spec in enumerate(self.releases):
+            if spec.statistic not in RELEASE_STATISTICS:
+                raise ConfigError(f"releases[{i}].statistic",
+                                  f"must be one of {RELEASE_STATISTICS}, got {spec.statistic!r}")
         proportions = [i for i, spec in enumerate(self.releases) if spec.statistic == "proportion"]
         if proportions and not (self.universe.y_min >= 0.0 and self.universe.y_max <= 1.0):
             # the 1/n closed form assumes an indicator variable
             raise ConfigError(f"releases[{proportions[0]}].statistic",
                               "a proportion release requires a universe contained in [0, 1]")
+        if self.response_model not in ("full", "propensity"):
+            raise ConfigError("response.model",
+                              f"must be 'full' or 'propensity', got {self.response_model!r}")
+        if self.benchmarks is not None:
+            if self.cell_of is None:
+                raise ConfigError("adjustment.benchmarks", "benchmarks require cells")
+            labels = set(self.cell_of.values())
+            for label in self.benchmarks:
+                if label not in labels:
+                    raise ConfigError(f"adjustment.benchmarks.{label}", "no such cell")
+        bounds = self.regularize_bounds
+        if bounds is not None and bounds[0] > bounds[1]:
+            raise ConfigError("adjustment.regularize", "lower must be <= upper")
+        if self.dp_propensity_epsilon is not None and self.cell_of is None:
+            raise ConfigError("adjustment.dp_propensities", "requires cells")
+        method = self.imputation_method
+        if method not in (None, "dp_mean", "dp_regression", "hot_deck"):
+            raise ConfigError("imputation.method", f"unknown method {method!r}")
+        if method in ("dp_mean", "dp_regression"):
+            if self.imputation_epsilon is None:
+                raise ConfigError("imputation.epsilon",
+                                  f"method {method!r} needs a privacy budget")
+        elif self.imputation_epsilon is not None:
+            raise ConfigError("imputation.epsilon",
+                              f"{method or 'no imputation'} is not a DP mechanism")
+        if self.audit_design_stage_epsilon is not None and self.mechanism_start != "frame":
+            raise ConfigError("audit.design_stage",
+                              "a design-stage audit needs sampling inside the mechanism "
+                              "(mechanism_start 'frame')")
+        spent = (self.imputation_epsilon, self.dp_propensity_epsilon)
+        committed = math.fsum([spec.epsilon for spec in self.releases]
+                              + [eps for eps in spent if eps is not None])
+        if abs(committed - self.budget) > BUDGET_TOLERANCE:
+            raise ConfigError("budget", f"declared budget {self.budget} != sum of configured "
+                                        f"epsilons {committed}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
 
     @property
     def invariant(self) -> str:
@@ -161,22 +207,21 @@ class PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# Strict config parsing
+# JSON config parsing
 # ---------------------------------------------------------------------------
 
-def _expect_mapping(value, path: str) -> dict:
+def _object(value, path: str, allowed=None, required=()) -> dict:
+    """``value`` as a JSON object: only ``allowed`` keys (any, if None), every ``required`` one."""
     if not isinstance(value, dict):
         raise ConfigError(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(mapping: dict, allowed: set[str], required: tuple[str, ...], path: str):
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+    if allowed is not None:
+        for key in value:
+            if key not in allowed:
+                raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
     for key in required:
-        if key not in mapping:
+        if key not in value:
             raise ConfigError(path, f"missing required key {key!r}")
+    return value
 
 
 def _number(value, path: str, *, positive=False, nonnegative=False) -> float:
@@ -200,68 +245,63 @@ def _integer(value, path: str, *, minimum=None) -> int:
     return value
 
 
-def _parse_design(spec, path: str):
-    spec = _expect_mapping(spec, path)
-    if "kind" not in spec:
-        raise ConfigError(path, "missing required key 'kind'")
-    kind = spec["kind"]
-    if kind == "srswr":
-        _check_keys(spec, {"kind", "n"}, ("n",), path)
-        return SRSWR(_integer(spec["n"], f"{path}.n", minimum=1))
-    if kind == "srswor":
-        _check_keys(spec, {"kind", "n"}, ("n",), path)
-        return SRSWOR(_integer(spec["n"], f"{path}.n", minimum=1))
-    if kind == "poisson":
-        _check_keys(spec, {"kind", "rate"}, ("rate",), path)
-        rate = _number(spec["rate"], f"{path}.rate", positive=True)
-        if rate > 1.0:
-            raise ConfigError(f"{path}.rate", f"must be <= 1, got {rate}")
-        return Poisson(rate)
-    if kind == "stratified_srswor":
-        _check_keys(spec, {"kind", "n", "allocation"}, ("n",), path)
-        allocation = spec.get("allocation", "proportional")
-        if allocation not in ("proportional", "neyman"):
-            raise ConfigError(f"{path}.allocation", f"unknown allocation {allocation!r}")
-        return StratifiedSRSWOR(_integer(spec["n"], f"{path}.n", minimum=1), allocation)
-    if kind == "cluster_srswor":
-        _check_keys(spec, {"kind", "m", "inner"}, ("m",), path)
-        outer = ClusterSRSWOR(_integer(spec["m"], f"{path}.m", minimum=1))
-        if "inner" in spec:
-            inner = _parse_design(spec["inner"], f"{path}.inner")
-            if isinstance(inner, (ClusterSRSWOR, TwoStageDesign, StratifiedSRSWOR)):
-                raise ConfigError(f"{path}.inner", "inner stage must select units directly")
-            return TwoStageDesign(outer, inner)
-        return outer
-    if kind == "pps":
-        _check_keys(spec, {"kind", "n"}, ("n",), path)
-        return PPS(_integer(spec["n"], f"{path}.n", minimum=1))
-    if kind == "systematic":
-        _check_keys(spec, {"kind", "n", "ordering"}, ("n",), path)
-        ordering = spec.get("ordering", "frame")
-        if ordering not in ("frame", "random"):
-            raise ConfigError(f"{path}.ordering", f"unknown ordering {ordering!r}")
-        return Systematic(_integer(spec["n"], f"{path}.n", minimum=1), ordering)
-    raise ConfigError(f"{path}.kind", f"unknown design kind {kind!r}")
+# kind -> (design class, its required key, its optional key or None)
+_DESIGN_KINDS = {
+    "srswr": (SRSWR, "n", None),
+    "srswor": (SRSWOR, "n", None),
+    "poisson": (Poisson, "rate", None),
+    "stratified_srswor": (StratifiedSRSWOR, "n", "allocation"),
+    "cluster_srswor": (ClusterSRSWOR, "m", "inner"),
+    "pps": (PPS, "n", None),
+    "systematic": (Systematic, "n", "ordering"),
+}
+
+
+def _parse_design(spec, path: str) -> Design:
+    """A design from its JSON object; the design's own ValueError names the optional key."""
+    kind = _object(spec, path, required=("kind",))["kind"]
+    if not isinstance(kind, str) or kind not in _DESIGN_KINDS:
+        raise ConfigError(f"{path}.kind", f"unknown design kind {kind!r}")
+    cls, key, option = _DESIGN_KINDS[kind]
+    spec = _object(spec, path, {"kind", key, option}, (key,))
+    if key == "rate":
+        value = _number(spec["rate"], f"{path}.rate", positive=True)
+        if value > 1.0:
+            raise ConfigError(f"{path}.rate", f"must be <= 1, got {value}")
+    else:
+        value = _integer(spec[key], f"{path}.{key}", minimum=1)
+    if option not in spec:
+        return cls(value)
+    if option == "inner":  # two stages: clusters first, then units inside each
+        cls, args = TwoStageDesign, (cls(value), _parse_design(spec["inner"], f"{path}.inner"))
+    else:
+        args = (value, spec[option])
+    try:
+        return cls(*args)
+    except ValueError as err:
+        raise ConfigError(f"{path}.{option}", str(err)) from err
 
 
 def parse_config(text: str) -> PipelineConfig:
-    """Validate a JSON config document; unknown keys are rejected with their path."""
+    """Read a JSON config, checking its keys, value types, ranges and ``invariant``.
+
+    Rules between values are ``PipelineConfig``'s, the design's and
+    ``ValueUniverse``'s; their errors are located by the same paths.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError("", f"invalid JSON: {err}") from err
-    top = _expect_mapping(raw, "")
-    allowed = {"frame", "universe", "design", "releases", "mechanism_start", "invariant",
-               "budget", "response", "adjustment", "imputation", "audit", "seed"}
-    required = ("frame", "universe", "design", "releases", "mechanism_start",
-                "invariant", "budget")
-    _check_keys(top, allowed, required, "")
+    top = _object(raw, "", {"frame", "universe", "design", "releases", "mechanism_start",
+                            "invariant", "budget", "response", "adjustment", "imputation",
+                            "audit", "seed"},
+                  ("frame", "universe", "design", "releases", "mechanism_start", "invariant",
+                   "budget"))
 
     if not isinstance(top["frame"], str) or not top["frame"]:
         raise ConfigError("frame", "expected a CSV file path")
 
-    uni = _expect_mapping(top["universe"], "universe")
-    _check_keys(uni, {"y_min", "y_max", "x_values"}, ("y_min", "y_max"), "universe")
+    uni = _object(top["universe"], "universe", {"y_min", "y_max", "x_values"}, ("y_min", "y_max"))
     x_values = uni.get("x_values", [1.0])
     if not isinstance(x_values, list) or not x_values:
         raise ConfigError("universe.x_values", "expected a non-empty list of numbers")
@@ -275,51 +315,30 @@ def parse_config(text: str) -> PipelineConfig:
 
     design = _parse_design(top["design"], "design")
 
-    start = top["mechanism_start"]
-    invariant = top["invariant"]
-    _check_start(start)
-    if SUPPORTED_START_INVARIANT[start] != invariant:
-        raise ConfigError(
-            "invariant",
-            f"start {start!r} is only supported with invariant "
-            f"{SUPPORTED_START_INVARIANT[start]!r}, got {invariant!r}")
-
-    if not isinstance(top["releases"], list) or not top["releases"]:
+    if not isinstance(top["releases"], list):
         raise ConfigError("releases", "expected a non-empty list")
     releases = []
     for i, item in enumerate(top["releases"]):
         path = f"releases[{i}]"
-        item = _expect_mapping(item, path)
-        _check_keys(item, {"statistic", "epsilon", "audited_sensitivity"},
-                    ("statistic", "epsilon"), path)
-        stat = item["statistic"]
-        if stat not in RELEASE_STATISTICS:
-            raise ConfigError(f"{path}.statistic",
-                              f"must be one of {RELEASE_STATISTICS}, got {stat!r}")
+        item = _object(item, path, {"statistic", "epsilon", "audited_sensitivity"},
+                       ("statistic", "epsilon"))
         audited = item.get("audited_sensitivity")
         if audited is not None:
             audited = _number(audited, f"{path}.audited_sensitivity", nonnegative=True)
-        releases.append(ReleaseSpec(stat, _number(item["epsilon"], f"{path}.epsilon",
-                                                  positive=True), audited))
+        epsilon = _number(item["epsilon"], f"{path}.epsilon", positive=True)
+        releases.append(ReleaseSpec(item["statistic"], epsilon, audited))
 
     response_model = "full"
     if "response" in top:
-        resp = _expect_mapping(top["response"], "response")
-        _check_keys(resp, {"model"}, ("model",), "response")
-        response_model = resp["model"]
-        if response_model not in ("full", "propensity"):
-            raise ConfigError("response.model",
-                              f"must be 'full' or 'propensity', got {response_model!r}")
+        response_model = _object(top["response"], "response", {"model"}, ("model",))["model"]
 
     cell_of = benchmarks = regularize = dp_prop_eps = None
     if "adjustment" in top:
-        adj = _expect_mapping(top["adjustment"], "adjustment")
-        _check_keys(adj, {"cells", "benchmarks", "regularize", "dp_propensities"},
-                    (), "adjustment")
+        adj = _object(top["adjustment"], "adjustment",
+                      {"cells", "benchmarks", "regularize", "dp_propensities"})
         if "cells" in adj:
-            cells_raw = _expect_mapping(adj["cells"], "adjustment.cells")
             cell_of = {}
-            for label, ids in cells_raw.items():
+            for label, ids in _object(adj["cells"], "adjustment.cells").items():
                 if not isinstance(ids, list) or not ids:
                     raise ConfigError(f"adjustment.cells.{label}",
                                       "expected a non-empty list of unit ids")
@@ -333,82 +352,47 @@ def parse_config(text: str) -> PipelineConfig:
                                           f"unit {unit} is already in cell {owner!r}; "
                                           f"cells must be disjoint")
         if "benchmarks" in adj:
-            if cell_of is None:
-                raise ConfigError("adjustment.benchmarks", "benchmarks require cells")
-            bench_raw = _expect_mapping(adj["benchmarks"], "adjustment.benchmarks")
-            benchmarks = {}
-            for label, total in bench_raw.items():
-                if label not in cells_raw:
-                    raise ConfigError(f"adjustment.benchmarks.{label}", "no such cell")
-                benchmarks[str(label)] = _number(
-                    total, f"adjustment.benchmarks.{label}", positive=True)
+            totals = _object(adj["benchmarks"], "adjustment.benchmarks")
+            benchmarks = {label: _number(total, f"adjustment.benchmarks.{label}", positive=True)
+                          for label, total in totals.items()}
         if "regularize" in adj:
-            reg = _expect_mapping(adj["regularize"], "adjustment.regularize")
-            _check_keys(reg, {"lower", "upper"}, ("lower", "upper"), "adjustment.regularize")
-            lower = _number(reg["lower"], "adjustment.regularize.lower", positive=True)
-            upper = _number(reg["upper"], "adjustment.regularize.upper", positive=True)
-            if lower > upper:
-                raise ConfigError("adjustment.regularize", "lower must be <= upper")
-            regularize = (lower, upper)
+            reg = _object(adj["regularize"], "adjustment.regularize", {"lower", "upper"},
+                          ("lower", "upper"))
+            regularize = (_number(reg["lower"], "adjustment.regularize.lower", positive=True),
+                          _number(reg["upper"], "adjustment.regularize.upper", positive=True))
         if "dp_propensities" in adj:
-            if cell_of is None:
-                raise ConfigError("adjustment.dp_propensities", "requires cells")
-            dp = _expect_mapping(adj["dp_propensities"], "adjustment.dp_propensities")
-            _check_keys(dp, {"epsilon"}, ("epsilon",), "adjustment.dp_propensities")
+            dp = _object(adj["dp_propensities"], "adjustment.dp_propensities", {"epsilon"},
+                         ("epsilon",))
             dp_prop_eps = _number(dp["epsilon"], "adjustment.dp_propensities.epsilon",
                                   positive=True)
 
     imputation_method = imputation_eps = None
     if "imputation" in top:
-        imp = _expect_mapping(top["imputation"], "imputation")
-        _check_keys(imp, {"method", "epsilon"}, ("method",), "imputation")
+        imp = _object(top["imputation"], "imputation", {"method", "epsilon"}, ("method",))
         imputation_method = imp["method"]
-        if imputation_method not in ("dp_mean", "dp_regression", "hot_deck"):
-            raise ConfigError("imputation.method",
-                              f"unknown method {imputation_method!r}")
-        if imputation_method in ("dp_mean", "dp_regression"):
-            if "epsilon" not in imp:
-                raise ConfigError("imputation.epsilon",
-                                  f"method {imputation_method!r} needs a privacy budget")
+        if "epsilon" in imp:
             imputation_eps = _number(imp["epsilon"], "imputation.epsilon", positive=True)
-        elif "epsilon" in imp:
-            raise ConfigError("imputation.epsilon", "hot_deck is not a DP mechanism")
 
     audit_eps = None
     if "audit" in top:
-        aud = _expect_mapping(top["audit"], "audit")
-        _check_keys(aud, {"design_stage"}, (), "audit")
+        aud = _object(top["audit"], "audit", {"design_stage"})
         if "design_stage" in aud:
-            ds = _expect_mapping(aud["design_stage"], "audit.design_stage")
-            _check_keys(ds, {"epsilon"}, ("epsilon",), "audit.design_stage")
-            if start != "frame":
-                raise ConfigError(
-                    "audit.design_stage",
-                    "a design-stage audit needs sampling inside the mechanism "
-                    "(mechanism_start 'frame')")
+            ds = _object(aud["design_stage"], "audit.design_stage", {"epsilon"}, ("epsilon",))
             audit_eps = _number(ds["epsilon"], "audit.design_stage.epsilon", positive=True)
 
-    budget = _number(top["budget"], "budget", positive=True)
-    committed = math.fsum(
-        [spec.epsilon for spec in releases]
-        + ([imputation_eps] if imputation_eps is not None else [])
-        + ([dp_prop_eps] if dp_prop_eps is not None else []))
-    if abs(committed - budget) > BUDGET_TOLERANCE:
-        raise ConfigError("budget",
-                          f"declared budget {budget} != sum of configured epsilons "
-                          f"{committed}")
-
-    seed = None
-    if "seed" in top:
-        seed = _integer(top["seed"], "seed", minimum=0)
-
-    return PipelineConfig(
+    config = PipelineConfig(
         frame_path=top["frame"], universe=universe, design=design,
-        releases=tuple(releases), mechanism_start=start, budget=budget,
+        releases=tuple(releases), mechanism_start=top["mechanism_start"],
+        budget=_number(top["budget"], "budget", positive=True),
         response_model=response_model, cell_of=cell_of, benchmarks=benchmarks,
         regularize_bounds=regularize, dp_propensity_epsilon=dp_prop_eps,
         imputation_method=imputation_method, imputation_epsilon=imputation_eps,
-        audit_design_stage_epsilon=audit_eps, seed=seed)
+        audit_design_stage_epsilon=audit_eps,
+        seed=_integer(top["seed"], "seed") if "seed" in top else None)
+    if top["invariant"] != config.invariant:
+        raise ConfigError("invariant", f"start {config.mechanism_start!r} is only supported with "
+                                       f"invariant {config.invariant!r}, got {top['invariant']!r}")
+    return config
 
 
 def parse_config_file(path) -> PipelineConfig:
@@ -645,7 +629,7 @@ def _audit_stage(config: PipelineConfig, frame: Frame) -> dict | None:
         return {"eps_nominal": report.eps_nominal,
                 "eps_effective": report.eps_effective,
                 "status": report.status}
-    except Exception as err:  # per-attachment errors are reported, not fatal
+    except (EnumerationCapExceeded, ValueError) as err:  # an intractable audit is reported
         return {"status": f"error: {err}"}
 
 
@@ -660,14 +644,19 @@ def _stage(name: str):
         raise PipelineStageError(name, err) from err
 
 
-def run_pipeline(config: PipelineConfig, seed: int | None = None) -> RunReport:
-    """Execute the configured pipeline deterministically for the given seed."""
-    seed = config.seed if seed is None else seed
+def _resolve_seed(config: PipelineConfig, seed: int | None) -> int:
+    """The seed argument if given, else ``config.seed``; a run needs one, and it is >= 0."""
+    seed = config.seed if seed is None else int(seed)
     if seed is None:
-        raise ValueError("a seed is required (config.seed or the seed argument)")
-    seed = int(seed)
+        raise ValueError("a seed is required (the seed argument or --seed, else config.seed)")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def run_pipeline(config: PipelineConfig, seed: int | None = None) -> RunReport:
+    """Execute the configured pipeline deterministically for the given seed."""
+    seed = _resolve_seed(config, seed)
     rng = np.random.default_rng(seed)
     ledger = PrivacyLedger()
 

@@ -1,15 +1,31 @@
-"""Every ``ConfigError`` branch of ``parse_config`` and its helpers, by path and message."""
+"""Every ``ConfigError`` a config can raise, by path and message.
+
+``parse_config`` owns the JSON shape; ``PipelineConfig`` and the designs own
+the rules that tie values together, so a config built in code breaks them
+with the same path and text as a config file.
+"""
 
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from dpsurvey.cli import main
-from dpsurvey.pipeline import ConfigError, parse_config
+from dpsurvey.designs import (
+    PPS,
+    SRSWOR,
+    SRSWR,
+    ClusterSRSWOR,
+    Poisson,
+    StratifiedSRSWOR,
+    Systematic,
+    TwoStageDesign,
+)
+from dpsurvey.pipeline import ConfigError, ReleaseSpec, parse_config
 
 BASE = {
     "frame": "frame.csv",
@@ -138,3 +154,90 @@ def test_validate_config_reports_crossed_y_bounds(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ConfigError",
                    "message": "universe: y_max must be >= y_min, got [1.0, 0.0]"}
+
+
+# (id, the fault in a config file as changes to BASE, the same fault as fields
+# of a config built in code)
+RULES = [
+    ("releases-empty", {"releases": []}, {"releases": ()}),
+    ("release-statistic", {"releases": [{"statistic": "median", "epsilon": 1.0}]},
+     {"releases": (ReleaseSpec("median", 1.0),)}),
+    ("response-model", {"response": {"model": "random"}}, {"response_model": "random"}),
+    ("benchmarks-without-cells", {"adjustment": {"benchmarks": {"c": 6}}},
+     {"benchmarks": {"c": 6.0}}),
+    ("benchmark-cell", {"adjustment": {"cells": {"c": [1, 2]}, "benchmarks": {"d": 2}}},
+     {"cell_of": {1: "c", 2: "c"}, "benchmarks": {"d": 2.0}}),
+    ("regularize-order", {"adjustment": {"regularize": {"lower": 2, "upper": 1}}},
+     {"regularize_bounds": (2.0, 1.0)}),
+    ("dp-propensities-without-cells", {"adjustment": {"dp_propensities": {"epsilon": 0.1}}},
+     {"dp_propensity_epsilon": 0.1}),
+    ("imputation-method", {"imputation": {"method": "knn"}}, {"imputation_method": "knn"}),
+    ("imputation-budget", {"imputation": {"method": "dp_mean"}}, {"imputation_method": "dp_mean"}),
+    ("hot-deck-budget", {"imputation": {"method": "hot_deck", "epsilon": 0.1}},
+     {"imputation_method": "hot_deck", "imputation_epsilon": 0.1}),
+    ("design-stage-audit", {"audit": {"design_stage": {"epsilon": 0.1}}},
+     {"audit_design_stage_epsilon": 0.1}),
+    ("budget", {"budget": 2.0}, {"budget": 2.0}),
+    ("seed", {"seed": -1}, {"seed": -1}),
+]
+
+
+@pytest.mark.parametrize("in_file, in_code", [rule[1:] for rule in RULES],
+                         ids=[rule[0] for rule in RULES])
+def test_hand_built_config_breaks_each_rule_as_a_config_file_does(in_file, in_code):
+    with pytest.raises(ConfigError) as from_file:
+        parse_config(_with(**in_file))
+    with pytest.raises(ConfigError) as from_code:
+        replace(parse_config(json.dumps(BASE)), **in_code)
+    assert (from_code.value.path, str(from_code.value)) == (from_file.value.path,
+                                                            str(from_file.value))
+
+
+@pytest.mark.parametrize("inner, inner_spec", [
+    (StratifiedSRSWOR(2), {"kind": "stratified_srswor", "n": 2}),
+    (ClusterSRSWOR(1), {"kind": "cluster_srswor", "m": 1}),
+    (TwoStageDesign(ClusterSRSWOR(1), SRSWOR(1)),
+     {"kind": "cluster_srswor", "m": 1, "inner": {"kind": "srswor", "n": 1}}),
+], ids=["stratified", "cluster", "two-stage"])
+def test_two_stage_inner_selects_units_in_code_as_in_a_config_file(inner, inner_spec):
+    with pytest.raises(ConfigError) as from_file:
+        parse_config(_with(design={"kind": "cluster_srswor", "m": 1, "inner": inner_spec}))
+    assert from_file.value.path == "design.inner"
+    with pytest.raises(ValueError) as from_code:
+        TwoStageDesign(ClusterSRSWOR(1), inner)
+    assert str(from_file.value) == f"design.inner: {from_code.value}"
+    assert str(from_code.value) == "inner stage must select units directly"
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ({"kind": "srswr", "n": 2}, SRSWR(2)),
+    ({"kind": "srswor", "n": 2}, SRSWOR(2)),
+    ({"kind": "poisson", "rate": 1}, Poisson(1.0)),
+    ({"kind": "stratified_srswor", "n": 4}, StratifiedSRSWOR(4, "proportional")),
+    ({"kind": "stratified_srswor", "n": 4, "allocation": "neyman"}, StratifiedSRSWOR(4, "neyman")),
+    ({"kind": "cluster_srswor", "m": 2}, ClusterSRSWOR(2)),
+    ({"kind": "cluster_srswor", "m": 2, "inner": {"kind": "poisson", "rate": 0.5}},
+     TwoStageDesign(ClusterSRSWOR(2), Poisson(0.5))),
+    ({"kind": "pps", "n": 2}, PPS(2)),
+    ({"kind": "systematic", "n": 2}, Systematic(2, "frame")),
+    ({"kind": "systematic", "n": 2, "ordering": "random"}, Systematic(2, "random")),
+], ids=["srswr", "srswor", "poisson", "stratified-default", "stratified-neyman", "cluster",
+        "two-stage", "pps", "systematic-default", "systematic-random"])
+def test_each_design_kind_parses_to_its_design(spec, expected):
+    assert parse_config(_with(design=spec)).design == expected
+
+
+def test_hand_built_imputation_epsilon_needs_a_dp_method():
+    # a config file cannot state an epsilon without a method; code can, and
+    # the budget would then count an epsilon that no stage spends
+    config = parse_config(json.dumps(BASE))
+    with pytest.raises(ConfigError) as excinfo:
+        replace(config, imputation_epsilon=0.1, budget=1.1)
+    assert str(excinfo.value) == "imputation.epsilon: no imputation is not a DP mechanism"
+
+
+def test_a_start_that_is_no_string_is_a_config_error():
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(_with(mechanism_start=[]))
+    assert str(excinfo.value) == ("mechanism_start: must be one of ['frame', 'processed-data', "
+                                  "'responding-sample'], got []")

@@ -480,6 +480,24 @@ def test_two_stage_design_stage_audit(frame_csv):
     assert math.isfinite(report.audit["eps_effective"])
 
 
+def test_intractable_design_stage_audit_is_reported_and_a_bug_is_raised(tmp_path):
+    # 2^30 Poisson samples exceed the enumeration cap: the run still
+    # publishes its releases, and the report says why the audit is missing
+    path = tmp_path / "frame.csv"
+    dump_frame_csv(make_frame([0.0, 1.0] * 15), path)
+    config = parse_config(minimal_config(
+        str(path), mechanism_start="frame", invariant="population",
+        design={"kind": "poisson", "rate": 0.5},
+        audit={"design_stage": {"epsilon": 0.5}},
+        releases=[{"statistic": "mean", "epsilon": 1.0, "audited_sensitivity": 1.0}]))
+    report = run_pipeline(config)
+    assert report.audit["status"].startswith("error: intractable enumeration")
+    assert json.loads(report.to_json())["audit"] == report.audit
+    with mock.patch("dpsurvey.pipeline.effective_epsilon", side_effect=TypeError("a bug")):
+        with pytest.raises(TypeError, match="a bug"):
+            run_pipeline(config)
+
+
 def test_stage_errors_carry_stage_name(frame_csv, tmp_path):
     config = parse_config(minimal_config(str(tmp_path / "missing.csv")))
     with pytest.raises(PipelineStageError) as excinfo:
