@@ -5,18 +5,20 @@ missing, x in {1, 2, 4}, propensities U(0.5, 1)) and a config that draws a
 proportional stratified SRSWOR of N/100 units, adjusts within strata,
 imputes by DP regression and releases an HT mean and a mean.  It then times
 ``load_frame_csv``, the first ``strata()`` call, the stratified inclusion
-probabilities and one ``run_pipeline`` (which loads the frame again).  Peak
-RSS is the process's high-water mark, writing the inputs included.
+probabilities and one ``run_pipeline`` (which loads the frame again).  The
+load and the run are then each called once more under ``tracemalloc``, whose
+peak is the memory that call itself allocates, numpy buffers included; the
+traced calls run several times slower and are not timed.
 
 Usage: python scripts/run_frame_scale.py [N] [seed]    (default 10000 1)
 """
 
 import csv
 import json
-import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,16 @@ def timed(fn, *args):
     return result, time.perf_counter() - start
 
 
+def peak_mb(fn, *args) -> float:
+    """The tracemalloc peak of one call, in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv: list[str]) -> int:
     n_frame, seed = (int(v) for v in (argv + ["10000", "1"][len(argv):]))
     with tempfile.TemporaryDirectory() as directory:
@@ -79,16 +91,18 @@ def main(argv: list[str]) -> int:
         strata, strata_s = timed(frame.strata)
         _, pi_s = timed(inclusion_probs, config.design, frame)
         report, run_s = timed(run_pipeline, config, seed)
-    if len(strata) != STRATA or report.n_population != n_frame:
-        raise SystemExit(f"expected {STRATA} strata and N={n_frame}")
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        if len(strata) != STRATA or report.n_population != n_frame:
+            raise SystemExit(f"expected {STRATA} strata and N={n_frame}")
+        del frame, strata, report  # the traced calls start from the loaded config alone
+        load_mb = peak_mb(load_frame_csv, config.frame_path)
+        run_mb = peak_mb(run_pipeline, config, seed)
     print(f"survey run on N={n_frame}, seed {seed}")
     print(f"  parse_config   {config_s:10.4f} s   adjustment cells over every id")
-    print(f"  load_frame_csv {load_s:10.4f} s")
+    print(f"  load_frame_csv {load_s:10.4f} s {load_mb:8.1f} MB peak")
     print(f"  first strata() {strata_s:10.4f} s")
     print(f"  stratified pi  {pi_s:10.4f} s   allocation, then one gather")
-    print(f"  run_pipeline   {run_s:10.4f} s   load, draw, respond, adjust, impute, release")
-    print(f"  peak RSS       {peak_mb:10.1f} MB")
+    print(f"  run_pipeline   {run_s:10.4f} s {run_mb:8.1f} MB peak   "
+          f"load, draw, respond, adjust, impute, release")
     return 0
 
 

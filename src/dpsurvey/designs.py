@@ -261,11 +261,9 @@ class StratifiedSRSWOR(Design):
 
     def draw(self, frame, rng):
         allocation = self._allocation(frame)
-        chosen: list[int] = []
-        for label, positions in frame.strata().items():
-            picks = rng.choice(len(positions), size=allocation[label], replace=False)
-            chosen.extend(positions[int(i)] for i in picks)
-        return sorted(chosen)
+        return np.sort(np.concatenate([
+            positions[rng.choice(len(positions), size=allocation[label], replace=False)]
+            for label, positions in frame.strata().items()])).tolist()
 
     def space_size(self, frame):
         allocation = self._allocation(frame)
@@ -280,7 +278,7 @@ class StratifiedSRSWOR(Design):
         per_stratum = []
         prob = 1.0
         for label, positions in strata.items():
-            per_stratum.append(list(itertools.combinations(positions, allocation[label])))
+            per_stratum.append(list(itertools.combinations(positions.tolist(), allocation[label])))
             prob /= math.comb(len(positions), allocation[label])
         outcomes = []
         for pick in itertools.product(*per_stratum):
@@ -298,23 +296,23 @@ class ClusterSRSWOR(Design):
         _validate_fixed_size(self.m, len(cluster_map), "ClusterSRSWOR")
         return np.full(frame.n, self.m / len(cluster_map))
 
-    def pick(self, frame: Frame, rng: np.random.Generator) -> list[tuple[int, ...]]:
+    def pick(self, frame: Frame, rng: np.random.Generator) -> list[np.ndarray]:
         """Member positions of each selected cluster, in cluster-label order."""
-        cluster_map = frame.clusters()
-        labels = list(cluster_map)
-        picks = rng.choice(len(labels), size=self.m, replace=False)
-        return [cluster_map[labels[i]] for i in sorted(int(i) for i in picks)]
+        members = list(frame.clusters().values())
+        picks = rng.choice(len(members), size=self.m, replace=False)
+        return [members[i] for i in sorted(int(i) for i in picks)]
 
     def draw(self, frame, rng):
-        return sorted(p for members in self.pick(frame, rng) for p in members)
+        return np.sort(np.concatenate(self.pick(frame, rng))).tolist()
 
     def space_size(self, frame):
         return math.comb(len(frame.clusters()), self.m)
 
     def space(self, frame):
-        prob = 1.0 / math.comb(len(frame.clusters()), self.m)
+        clusters = [members.tolist() for members in frame.clusters().values()]
+        prob = 1.0 / math.comb(len(clusters), self.m)
         outcomes = []
-        for combo in itertools.combinations(frame.clusters().values(), self.m):
+        for combo in itertools.combinations(clusters, self.m):
             outcomes.append((tuple(sorted(p for members in combo for p in members)), prob))
         return outcomes
 
@@ -338,16 +336,19 @@ class PPS(Design):
             raise CertaintyUnitError(int(frame.id_array[i]), float(pi[i]))
         return np.minimum(pi, 1.0)
 
-    def _split(self, frame: Frame):
+    def _split(self, frame: Frame, pi: np.ndarray | None = None):
         """Certainty units, the other units, their sample size and calibrated odds.
 
         inclusion_probs rejects n out of range and pi above one; the odds
         calibration is cached by (n, pi) so repeated draws skip the fixed point.
+        ``pi``, when given, is this design's inclusion_probs on the frame.
         """
-        return _pps_split_cached(self.n, inclusion_probs(self, frame).tobytes())
+        if pi is None:
+            pi = inclusion_probs(self, frame)
+        return _pps_split_cached(self.n, pi.tobytes())
 
-    def draw(self, frame, rng):
-        certain, rest, n_rest, odds = self._split(frame)
+    def draw(self, frame, rng, pi=None):
+        certain, rest, n_rest, odds = self._split(frame, pi)
         chosen = list(certain)
         remaining = n_rest
         # unit i is taken with probability o_i e_{r-1}(tail) / e_r(odds[i:]), where
@@ -435,15 +436,12 @@ class TwoStageDesign(Design):
     def pi(self, frame):
         pi = inclusion_probs(self.outer, frame)
         for members in frame.clusters().values():
-            pi[list(members)] *= inclusion_probs(self.inner, frame.select(members))
+            pi[members] *= inclusion_probs(self.inner, frame.select(members))
         return pi
 
     def draw(self, frame, rng):
-        positions: list[int] = []
-        for members in self.outer.pick(frame, rng):
-            inner_positions = self.inner.draw(frame.select(members), rng)
-            positions.extend(members[p] for p in inner_positions)
-        return sorted(positions)
+        return np.sort(np.concatenate([members[self.inner.draw(frame.select(members), rng)]
+                                       for members in self.outer.pick(frame, rng)])).tolist()
 
     def space_size(self, frame):
         # sum over cluster choices of the product of inner counts: the m-th
@@ -456,9 +454,10 @@ class TwoStageDesign(Design):
         return counts[self.outer.m]
 
     def space(self, frame):
-        outer_prob = 1.0 / math.comb(len(frame.clusters()), self.outer.m)
+        clusters = [members.tolist() for members in frame.clusters().values()]
+        outer_prob = 1.0 / math.comb(len(clusters), self.outer.m)
         outcomes = []
-        for combo in itertools.combinations(frame.clusters().values(), self.outer.m):
+        for combo in itertools.combinations(clusters, self.outer.m):
             stages = [self.inner.space(frame.select(members)) for members in combo]
             for picks in itertools.product(*stages):
                 prob = outer_prob
@@ -504,7 +503,7 @@ def allocate_strata(allocation: str, frame: Frame, n: int) -> dict[str, int]:
     elif allocation == "neyman":
         weights = {}
         for label, positions in strata.items():
-            ys = frame.y_array[list(positions)].tolist()
+            ys = frame.y_array[positions].tolist()
             if any(math.isnan(v) for v in ys):
                 raise ValueError(f"stratum {label!r}: Neyman allocation needs observed y")
             mean = math.fsum(ys) / len(ys)
@@ -564,7 +563,9 @@ def draw(design: Design, frame: Frame, rng: np.random.Generator,
     """
     if pi is None:
         pi = inclusion_probs(design, frame)
-    return build_sample(frame, design.draw(frame, rng), pi)
+    # PPS calibrates on pi; every other design draws from the frame alone
+    positions = design.draw(frame, rng, pi) if isinstance(design, PPS) else design.draw(frame, rng)
+    return build_sample(frame, positions, pi)
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,18 @@ systematic sampling): read-only numpy arrays of ids, response values ``y``
 (NaN when missing), positive size measures ``x`` and response propensities.
 The stratum and cluster labels are columns of integer codes into a sorted
 tuple of the distinct labels, so each label is held once; code order is
-label order, and the groupings ``strata()``/``clusters()`` come from one
-stable sort of the codes.  The id index is a stable argsort of the ids:
-one ``searchsorted`` finds the positions of any ids and shows a repeated
-id.  A frame is immutable; its groupings and the tuple views
-``ids``/``y``/``x`` are computed once, on first use, and the per-unit label
-tuples ``stratum_labels``/``cluster_labels`` only when asked for.  Frames
+label order.  The groupings ``strata()``/``clusters()`` map each label to a
+read-only array of its frame positions, slices of one stable sort of the
+codes.  The id index is a stable argsort of the ids: one ``searchsorted``
+finds the positions of any ids and shows a repeated id.  A frame is
+immutable; its groupings and the tuple views ``ids``/``y``/``x`` are
+computed once, on first use, and the per-unit label tuples
+``stratum_labels``/``cluster_labels`` only when asked for.  Frames
 round-trip through CSV with the fixed header
-``id,y,x,stratum,cluster,propensity``; loading parses the rows with one
-numpy ``loadtxt`` call, codes each label column once per distinct raw
-label and checks whole columns at a time.
+``id,y,x,stratum,cluster,propensity``.  Loading parses the rows in bounded
+chunks, one numpy ``loadtxt`` call each, and codes each chunk's labels
+through one running map of the distinct raw labels, so no label string
+outlives its chunk; whole columns are checked at a time.
 """
 
 from __future__ import annotations
@@ -77,10 +79,18 @@ def _first_fault(y: np.ndarray, x: np.ndarray, propensity: np.ndarray):
     return i, f"y must be finite or NaN (missing), got {y[i].item()!r}"
 
 
-def _column(values, dtype) -> np.ndarray:
-    array = np.array(values, dtype=dtype)
+def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _column(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array; a read-only array of that type that owns
+    its data is taken as it is, anything else is copied."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype and values.base is None
+            and not values.flags.writeable):
+        return values
+    return _frozen(np.array(values, dtype=dtype))
 
 
 def _codes(values, n_names: int) -> np.ndarray:
@@ -101,25 +111,40 @@ class _Labels(NamedTuple):
                        _codes(codes.reshape(-1), len(used)))
 
 
-def _code(labels: list, clean=str) -> _Labels:
-    """Code a label column; each distinct raw label is cleaned once, then sorted."""
-    code_of = dict.fromkeys(labels)
+def _code(labels: list, code_of: dict) -> np.ndarray:
+    """Running codes of raw labels: a label new to ``code_of`` is numbered there."""
+    for raw in dict.fromkeys(labels):
+        code_of.setdefault(raw, len(code_of))
+    return np.fromiter(map(code_of.__getitem__, labels), np.min_scalar_type(len(code_of) - 1),
+                       len(labels))
+
+
+def _named(code_of: dict, codes: np.ndarray, clean=str) -> _Labels:
+    """The column of running codes over sorted names; each raw label is cleaned once."""
     names = sorted(set(map(clean, code_of)))
     index = {name: code for code, name in enumerate(names)}
-    for raw in code_of:
-        code_of[raw] = index[clean(raw)]
-    codes = np.fromiter(map(code_of.__getitem__, labels), np.intp, len(labels))
-    return _Labels(tuple(names), _codes(codes, len(names)))
+    lookup = _codes([index[clean(raw)] for raw in code_of], len(names))
+    return _Labels(tuple(names), _frozen(lookup[codes]))
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts as one read-only array, emptying the list."""
+    array = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    parts.clear()
+    return _frozen(array)
 
 
 def _label_column(labels, n: int) -> _Labels:
     if labels is None:
         return _Labels(("0",), _codes(np.zeros(n), 1))
-    return labels if isinstance(labels, _Labels) else _code(list(map(str, labels)))
+    if isinstance(labels, _Labels):
+        return labels
+    code_of = {}
+    return _named(code_of, _code(list(map(str, labels)), code_of))
 
 
-def _group(labels: _Labels) -> dict[str, tuple[int, ...]]:
-    order = tuple(np.argsort(labels.codes, kind="stable").tolist())
+def _group(labels: _Labels) -> dict[str, np.ndarray]:
+    order = _frozen(np.argsort(labels.codes, kind="stable"))
     ends = np.cumsum(np.bincount(labels.codes, minlength=len(labels.names))).tolist()
     return {name: order[start:end]
             for name, start, end in zip(labels.names, [0] + ends, ends)}
@@ -275,6 +300,12 @@ _DTYPE = [("id", "i8"), ("y", "f8"), ("x", "f8"), ("stratum", "O"), ("cluster", 
           ("propensity", "f8")]
 # a blank y is missing
 _CONVERTERS = {1: lambda cell: cell.strip() or "nan"}
+# Rows per loadtxt call: each parsed row holds two label strings until its
+# chunk is coded.  loadtxt allocates max_rows rows up front, so an input too
+# short to hold more than one chunk of the shortest record ("1,,1,,,1\n") is
+# parsed in a single call.
+_CHUNK_ROWS = 1 << 13
+_SHORTEST_RECORD = 9
 
 
 def load_frame_csv(source) -> Frame:
@@ -286,23 +317,38 @@ def load_frame_csv(source) -> Frame:
         start = source.tell()
     except OSError:  # a pipe; an error reads the rows again, so hold them
         source, start = io.StringIO(source.read(), newline=""), 0
+    large = source.seek(0, io.SEEK_END) - start > _CHUNK_ROWS * _SHORTEST_RECORD
+    source.seek(start)
     header = next(csv.reader(source), [])
     if [h.strip() for h in header] != CSV_HEADER:
         raise ValueError(f"frame CSV header must be {','.join(CSV_HEADER)!r}, got {header!r}")
-    columns = None
+    parts = {name: [] for name in CSV_HEADER}
+    code_of = {"stratum": {}, "cluster": {}}  # raw label -> running code
+    parsed, columns = 0, None
     try:
         with warnings.catch_warnings():
             # a header-only file fails in Frame, as a frame with no records
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # with max_rows, numpy says that a blank line is not counted as a row
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
             # numpy < 2 reads an id such as 2.5 as a float and truncates it, warning only
             warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-            # numpy < 2 defaults to encoding="bytes", which hands the converters bytes
-            rows = np.loadtxt(source, dtype=_DTYPE, delimiter=",", quotechar='"', comments=None,
-                              ndmin=1, converters=_CONVERTERS, encoding=None)
-        ids, y, x, strata, clusters, propensity = (rows[name] for name in CSV_HEADER)
-        # a frame has few distinct labels: each is stripped once and held once
-        columns = [ids, y, x, _code(strata.tolist(), str.strip),
-                   _code(clusters.tolist(), str.strip), propensity]
+            got = chunk = _CHUNK_ROWS if large else None
+            while got == chunk:  # until a short chunk
+                # numpy < 2 defaults to encoding="bytes", which hands the converters bytes
+                rows = np.loadtxt(source, dtype=_DTYPE, delimiter=",", quotechar='"',
+                                  comments=None, ndmin=1, converters=_CONVERTERS,
+                                  encoding=None, max_rows=chunk)
+                # a frame has few distinct labels: each is held once, by its running code
+                for name, column in parts.items():
+                    column.append(_code(rows[name].tolist(), code_of[name]) if name in code_of
+                                  else rows[name].copy())
+                got = len(rows)
+                parsed += got
+                del rows
+        ids, y, x, strata, clusters, propensity = (_joined(parts[name]) for name in CSV_HEADER)
+        columns = [ids, y, x, _named(code_of["stratum"], strata, str.strip),
+                   _named(code_of["cluster"], clusters, str.strip), propensity]
         return Frame(*columns)
     except ValueError as err:
         fault = err
@@ -312,11 +358,12 @@ def load_frame_csv(source) -> Frame:
     records = [(line, row) for line, row in enumerate(csv.reader(source), start=1) if row][1:]
     if columns is not None:  # a column check in Frame
         return Frame(*columns, lines=[line for line, _ in records])
-    # numpy counts data rows from 0 in a conversion error, from 1 in a field-count error
+    # numpy counts the rows of its call from 0 in a conversion error, from 1 in a
+    # field-count error; the calls before it parsed the first ``parsed`` rows
     found = re.search(r"at row (\d+)(?:, column (\d+))?", str(fault))
     if found is None:
         raise fault
-    line, fields = records[int(found[1]) - (found[2] is None)]
+    line, fields = records[parsed + int(found[1]) - (found[2] is None)]
     if found[2] is None:
         raise ValueError(f"frame CSV line {line}: expected {len(CSV_HEADER)} fields")
     k = int(found[2]) - 1

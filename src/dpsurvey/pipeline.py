@@ -125,10 +125,11 @@ class ReleaseSpec:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One run's settings.  Construction checks every rule that ties them
-    together (known names, the cells that benchmarks and DP propensities
-    need, the budget as the sum of the epsilons, ...), so a config built in
-    code fails as a config file does, with the same ``ConfigError`` path."""
+    """One run's settings.  Construction checks every rule on them (each
+    epsilon and the budget > 0, known names, the cells that benchmarks and DP
+    propensities need, the budget as the sum of the epsilons, ...), so a
+    config built in code fails as a config file does, with the same
+    ``ConfigError`` path."""
 
     frame_path: str
     universe: ValueUniverse
@@ -147,6 +148,17 @@ class PipelineConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        for i, spec in enumerate(self.releases):
+            if spec.audited_sensitivity is not None:
+                _number(spec.audited_sensitivity, f"releases[{i}].audited_sensitivity",
+                        nonnegative=True)
+            _number(spec.epsilon, f"releases[{i}].epsilon", positive=True)
+        for path, epsilon in (("adjustment.dp_propensities.epsilon", self.dp_propensity_epsilon),
+                              ("imputation.epsilon", self.imputation_epsilon),
+                              ("audit.design_stage.epsilon", self.audit_design_stage_epsilon),
+                              ("budget", self.budget)):
+            if epsilon is not None:
+                _number(epsilon, path, positive=True)
         starts = sorted(SUPPORTED_START_INVARIANT)
         if self.mechanism_start not in starts:  # a list: a JSON value may be unhashable
             raise ConfigError("mechanism_start",
@@ -324,9 +336,9 @@ def parse_config(text: str) -> PipelineConfig:
                        ("statistic", "epsilon"))
         audited = item.get("audited_sensitivity")
         if audited is not None:
-            audited = _number(audited, f"{path}.audited_sensitivity", nonnegative=True)
-        epsilon = _number(item["epsilon"], f"{path}.epsilon", positive=True)
-        releases.append(ReleaseSpec(item["statistic"], epsilon, audited))
+            audited = _number(audited, f"{path}.audited_sensitivity")
+        releases.append(ReleaseSpec(item["statistic"], _number(item["epsilon"], f"{path}.epsilon"),
+                                    audited))
 
     response_model = "full"
     if "response" in top:
@@ -363,27 +375,26 @@ def parse_config(text: str) -> PipelineConfig:
         if "dp_propensities" in adj:
             dp = _object(adj["dp_propensities"], "adjustment.dp_propensities", {"epsilon"},
                          ("epsilon",))
-            dp_prop_eps = _number(dp["epsilon"], "adjustment.dp_propensities.epsilon",
-                                  positive=True)
+            dp_prop_eps = _number(dp["epsilon"], "adjustment.dp_propensities.epsilon")
 
     imputation_method = imputation_eps = None
     if "imputation" in top:
         imp = _object(top["imputation"], "imputation", {"method", "epsilon"}, ("method",))
         imputation_method = imp["method"]
         if "epsilon" in imp:
-            imputation_eps = _number(imp["epsilon"], "imputation.epsilon", positive=True)
+            imputation_eps = _number(imp["epsilon"], "imputation.epsilon")
 
     audit_eps = None
     if "audit" in top:
         aud = _object(top["audit"], "audit", {"design_stage"})
         if "design_stage" in aud:
             ds = _object(aud["design_stage"], "audit.design_stage", {"epsilon"}, ("epsilon",))
-            audit_eps = _number(ds["epsilon"], "audit.design_stage.epsilon", positive=True)
+            audit_eps = _number(ds["epsilon"], "audit.design_stage.epsilon")
 
     config = PipelineConfig(
         frame_path=top["frame"], universe=universe, design=design,
         releases=tuple(releases), mechanism_start=top["mechanism_start"],
-        budget=_number(top["budget"], "budget", positive=True),
+        budget=_number(top["budget"], "budget"),
         response_model=response_model, cell_of=cell_of, benchmarks=benchmarks,
         regularize_bounds=regularize, dp_propensity_epsilon=dp_prop_eps,
         imputation_method=imputation_method, imputation_epsilon=imputation_eps,

@@ -178,6 +178,22 @@ RULES = [
     ("design-stage-audit", {"audit": {"design_stage": {"epsilon": 0.1}}},
      {"audit_design_stage_epsilon": 0.1}),
     ("budget", {"budget": 2.0}, {"budget": 2.0}),
+    # each epsilon is > 0, even where the others still sum to the budget
+    ("release-epsilon", {"releases": [{"statistic": "ht_mean", "epsilon": 2.0},
+                                      {"statistic": "mean", "epsilon": -1.0}]},
+     {"releases": (ReleaseSpec("ht_mean", 2.0), ReleaseSpec("mean", -1.0))}),
+    ("imputation-epsilon", {"imputation": {"method": "dp_mean", "epsilon": 0}},
+     {"imputation_method": "dp_mean", "imputation_epsilon": 0.0}),
+    ("dp-propensities-epsilon",
+     {"adjustment": {"cells": {"c": [1, 2]}, "dp_propensities": {"epsilon": 0}}},
+     {"cell_of": {1: "c", 2: "c"}, "dp_propensity_epsilon": 0.0}),
+    ("design-stage-audit-epsilon", {"mechanism_start": "frame", "invariant": "population",
+                                    "audit": {"design_stage": {"epsilon": -0.5}}},
+     {"mechanism_start": "frame", "audit_design_stage_epsilon": -0.5}),
+    ("budget-positive", {"budget": 0}, {"budget": 0.0}),
+    ("audited-sensitivity", {"releases": [{"statistic": "ht_mean", "epsilon": 1.0,
+                                           "audited_sensitivity": -1}]},
+     {"releases": (ReleaseSpec("ht_mean", 1.0, -1.0),)}),
     ("seed", {"seed": -1}, {"seed": -1}),
 ]
 

@@ -4,12 +4,14 @@ import math
 import os
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsurvey import frames
 from dpsurvey.designs import StratifiedSRSWOR, allocate_strata
 from dpsurvey.frames import (
     Frame,
@@ -48,7 +50,7 @@ def test_frame_ordering_is_preserved():
 def test_strata_and_clusters_sorted_by_label():
     frame = make_frame([0] * 4, strata=["b", "a", "b", "a"], clusters=["y", "y", "x", "x"])
     assert list(frame.strata()) == ["a", "b"]
-    assert frame.strata()["a"] == (1, 3)
+    assert frame.strata()["a"].tolist() == [1, 3]
     assert list(frame.clusters()) == ["x", "y"]
 
 
@@ -284,14 +286,20 @@ def plain_grouping(labels):
     return [(label, tuple(groups[label])) for label in sorted(groups)]
 
 
+def grouping(groups):
+    """A frame's label -> positions map in plain_grouping's form; the arrays are read-only."""
+    assert not any(positions.flags.writeable for positions in groups.values())
+    return [(label, tuple(positions.tolist())) for label, positions in groups.items()]
+
+
 @given(frame_columns())
 @settings(max_examples=50, deadline=None)
 def test_strata_and_clusters_match_a_plain_grouping(columns):
     frame = make_frame(**columns)
-    assert list(frame.strata().items()) == plain_grouping(columns["strata"])
-    assert list(frame.clusters().items()) == plain_grouping(columns["clusters"])
+    assert grouping(frame.strata()) == plain_grouping(columns["strata"])
+    assert grouping(frame.clusters()) == plain_grouping(columns["clusters"])
     frame.strata().clear()  # callers get their own copy
-    assert list(frame.strata().items()) == plain_grouping(columns["strata"])
+    assert grouping(frame.strata()) == plain_grouping(columns["strata"])
 
 
 # Differential test of the frame's columns, label codes and id index against
@@ -303,12 +311,25 @@ Y_CELLS = st.one_of(st.sampled_from(["", " ", "  \t"]), FLOATS.map(repr),
 INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
 
 
+# a fault per kind: (column, cell); no column drops the last field, and
+# "repeat" takes an earlier record's id
+FAULTS = [(0, "2.5"), (1, "zz"), (2, "1e"), (5, "1,5"), (2, "0"), (1, "inf"), (None, None),
+          (0, "repeat")]
+
+
 @st.composite
-def csv_texts(draw):
+def csv_texts(draw, labels=RAW_LABELS, faults=0):
     n = draw(st.integers(1, 8))
     rows = [[str(unit), draw(Y_CELLS), repr(draw(st.floats(0.0, 1e6, exclude_min=True))),
-             draw(RAW_LABELS), draw(RAW_LABELS), repr(draw(st.floats(0.0, 1.0, exclude_min=True)))]
+             draw(labels), draw(labels), repr(draw(st.floats(0.0, 1.0, exclude_min=True)))]
             for unit in draw(st.lists(INT64, min_size=n, max_size=n, unique=True))]
+    for _ in range(draw(st.integers(0, faults))):
+        at = draw(st.integers(0, n - 1))
+        column, cell = draw(st.sampled_from(FAULTS))
+        if column is None:
+            del rows[at][-1]
+        elif column < len(rows[at]):
+            rows[at][column] = rows[at - 1][0] if cell == "repeat" else cell
     ending = draw(st.sampled_from(["\n", "\r\n"]))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator=ending)
@@ -345,8 +366,8 @@ def test_frame_columns_labels_and_index_match_a_plain_csv_parse(text, others, da
     assert frame.propensity_array.tolist() == ref["propensities"]
     assert frame.stratum_labels == tuple(ref["strata"])
     assert frame.cluster_labels == tuple(ref["clusters"])
-    assert list(frame.strata().items()) == plain_grouping(ref["strata"])
-    assert list(frame.clusters().items()) == plain_grouping(ref["clusters"])
+    assert grouping(frame.strata()) == plain_grouping(ref["strata"])
+    assert grouping(frame.clusters()) == plain_grouping(ref["clusters"])
 
     position_of = {unit: p for p, unit in enumerate(ref["ids"])}
     wanted = data.draw(st.lists(st.sampled_from(ref["ids"]), max_size=10))
@@ -362,10 +383,103 @@ def test_frame_columns_labels_and_index_match_a_plain_csv_parse(text, others, da
     kept = data.draw(st.lists(st.integers(0, frame.n - 1), min_size=1, max_size=8, unique=True))
     part = frame.select(kept)
     assert part.stratum_labels == tuple(ref["strata"][p] for p in kept)
-    assert list(part.clusters().items()) == plain_grouping([ref["clusters"][p] for p in kept])
+    assert grouping(part.clusters()) == plain_grouping([ref["clusters"][p] for p in kept])
 
     n = data.draw(st.integers(len(frame.strata()), frame.n))
     allocation = allocate_strata("proportional", frame, n)
     sizes = {label: ref["strata"].count(label) for label in allocation}
     assert StratifiedSRSWOR(n).pi(frame).tolist() == [
         allocation[label] / sizes[label] for label in ref["strata"]]
+
+
+# The chunked parse against one loadtxt call over the whole input.  A short
+# input is parsed in one call, so patching _CHUNK_ROWS down is the only
+# difference between the two loads.
+def load_outcome(text):
+    """The loaded frame, array by array as (dtype, bytes) with its label names,
+    or the load's error text; a warning fails the load."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frame = load_frame_csv(io.StringIO(text, newline=""))
+    except ValueError as err:
+        return str(err)
+    arrays = (frame.id_array, frame.y_array, frame.x_array, frame.stratum_codes,
+              frame.cluster_codes, frame.propensity_array, frame._order, frame._sorted_ids)
+    return ([(array.dtype.str, array.tobytes()) for array in arrays],
+            frame.stratum_names, frame.cluster_names)
+
+
+CHUNK_ROWS = (1, 2, 3, 7)
+
+
+@given(csv_texts(labels=st.one_of(RAW_LABELS, st.text(st.sampled_from("a,\n"), max_size=4)),
+                 faults=2))
+@settings(max_examples=150, deadline=None)
+def test_a_chunked_load_gives_the_one_call_frame_or_error(text):
+    expected = load_outcome(text)
+    for rows in CHUNK_ROWS:
+        with mock.patch.object(frames, "_CHUNK_ROWS", rows):
+            assert load_outcome(text) == expected, rows
+
+
+def test_chunks_stop_at_the_first_short_one_and_a_short_input_takes_one_call():
+    def max_rows(n_rows):
+        text = csv_text({"ids": list(range(1, n_rows + 1)), "ys": [0.5] * n_rows,
+                         "xs": [1.0] * n_rows, "strata": ["a"] * n_rows,
+                         "clusters": ["b"] * n_rows, "propensities": [1.0] * n_rows})
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+            assert load_frame_csv(io.StringIO(text)).n == n_rows
+        return [call.kwargs["max_rows"] for call in spy.call_args_list]
+
+    assert max_rows(5) == [None]
+    with mock.patch.object(frames, "_CHUNK_ROWS", 2):
+        assert max_rows(5) == [2, 2, 2]
+        assert max_rows(4) == [2, 2, 2]  # an exact multiple ends on an empty chunk
+
+
+SEVEN_ROWS = "".join(f"{unit},0.5,1,a,b,1\n" for unit in range(1, 8))
+
+
+@pytest.mark.parametrize("unit, where", [(1, "first"), (4, "middle"), (7, "last")])
+@pytest.mark.parametrize("fault, cell, message", [
+    ("1,0.5,1,a,b,1", "{unit},0.5,zz,a,b,1", "cannot parse x 'zz'"),
+    ("1,0.5,1,a,b,1", "{unit},0.5", "expected 6 fields"),
+    ("1,0.5,1,a,b,1", "{unit},0.5,0,a,b,1", "record {unit}: size measure x must be positive, "
+                                            "got 0.0"),
+], ids=["parse", "fields", "column"])
+def test_a_fault_in_any_chunk_names_its_csv_line(unit, where, fault, cell, message):
+    rows = SEVEN_ROWS.replace(f"{unit},0.5,1,a,b,1", cell.format(unit=unit))
+    text = "id,y,x,stratum,cluster,propensity\n" + rows
+    expected = f"frame CSV line {unit + 1}: {message.format(unit=unit)}"
+    with mock.patch.object(frames, "_CHUNK_ROWS", 2):  # chunks of rows 1-2, 3-4, 5-6, 7
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            load_frame_csv(io.StringIO(text))
+
+
+def test_a_quoted_label_across_a_chunk_boundary_loads():
+    text = ('id,y,x,stratum,cluster,propensity\n1,0.5,1,"a,\nb",c,1\n'
+            '2,0.5,1,"d\n\ne",c,1\n3,,1,a,"x,y",1\n')
+    for rows in CHUNK_ROWS:
+        with mock.patch.object(frames, "_CHUNK_ROWS", rows):
+            frame = load_frame_csv(io.StringIO(text, newline=""))
+        assert frame.stratum_labels == ("a,\nb", "d\n\ne", "a")
+        assert frame.cluster_labels == ("c", "c", "x,y")
+
+
+def test_chunked_loads_from_a_pipe_a_handle_position_and_a_header_only_file():
+    text = "id,y,x,stratum,cluster,propensity\n1,0.5,1,a,b,1\n2,0.5,zz,a,b,1\n"
+    error = "^frame CSV line 3: cannot parse x 'zz'$"
+    with mock.patch.object(frames, "_CHUNK_ROWS", 1):
+        with pipe_with(text.replace("zz", "2")) as pipe:
+            assert load_frame_csv(pipe).x == (1.0, 2.0)
+        with pipe_with(text) as pipe, pytest.raises(ValueError, match=error):
+            load_frame_csv(pipe)
+        handle = io.StringIO("preamble\n" + text)
+        handle.readline()
+        with pytest.raises(ValueError, match=error):
+            load_frame_csv(handle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^frame must contain at least one record$"):
+                load_frame_csv(io.StringIO("id,y,x,stratum,cluster,propensity\n"))

@@ -14,6 +14,7 @@ weights; and the oracle's memory and enumeration-cap bounds.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import os
@@ -23,6 +24,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -55,7 +57,7 @@ from dpsurvey.designs import (
     inclusion_probs,
     sample_space,
 )
-from dpsurvey.frames import make_frame
+from dpsurvey.frames import CSV_HEADER, load_frame_csv, make_frame
 from dpsurvey.instances import design_library, four_unit_frame, frame_library
 
 Y_ONLY = NeighborRelation("none", "y-only")
@@ -584,6 +586,28 @@ def test_bench_shaped_audits_stay_under_a_memory_bound():
     instance = AuditInstance(name="mem-sens", statistic="ht_mean", y_grid=(0.0, 0.5, 1.0),
                              design=SRSWOR(2), frame=frame, n_pop=7)
     assert traced_peak(exact_sensitivity, instance, POP_Y) <= 1.5e6
+
+
+def test_bench_shaped_frame_load_stays_under_a_memory_bound(tmp_path):
+    # the survey benchmark's frame shape: 10 strata, 10% of y missing, x in
+    # {1, 2, 4}, propensities in [0.5, 1).  Parsed in chunks, the load peaks
+    # at ~1.4x the finished frame's own arrays; one loadtxt call holding
+    # every label string peaks at ~3.1x.
+    rng = np.random.default_rng(20)
+    n = 50_000
+    path = tmp_path / "frame.csv"
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(
+            (unit, "" if missing else repr(y), repr(x), f"s{h}", "0", repr(p))
+            for unit, y, missing, x, h, p in zip(
+                range(1, n + 1), rng.random(n).tolist(), (rng.random(n) < 0.1).tolist(),
+                rng.choice([1.0, 2.0, 4.0], n).tolist(), rng.integers(10, size=n).tolist(),
+                rng.uniform(0.5, 1.0, n).tolist()))
+    frame = load_frame_csv(path)
+    own = sum(value.nbytes for value in vars(frame).values() if isinstance(value, np.ndarray))
+    assert traced_peak(load_frame_csv, path) <= 2 * own
 
 
 def hot_deck_reference(n_records, n_missing, y_grid):

@@ -417,6 +417,14 @@ def test_a_stratified_run_allocates_once(frame_csv):
     assert spy.call_count == 1
 
 
+def test_a_pps_run_computes_pi_once(frame_csv):
+    # the run's pi is the draw's calibration key: the draw does not compute it again
+    config = parse_config(minimal_config(frame_csv, design={"kind": "pps", "n": 3}))
+    with mock.patch.object(designs.PPS, "pi", autospec=True, side_effect=designs.PPS.pi) as spy:
+        run_pipeline(config)
+    assert spy.call_count == 1
+
+
 @pytest.mark.parametrize("design", [{"kind": "srswor", "n": 4}, {"kind": "srswr", "n": 5},
                                     {"kind": "stratified_srswor", "n": 4}])
 def test_repeated_and_absent_cell_ids_leave_the_report_unchanged(frame_csv, design):
