@@ -455,6 +455,52 @@ def test_pps_calibration_stops_at_the_rounding_floor():
         assert np.max(np.abs(inc / (inc + exc) - target)) <= 4 * np.finfo(float).eps
 
 
+def test_pps_calibrates_few_size_classes_per_class_and_continuous_sizes_per_unit():
+    # four distinct x: every pass runs over the classes; one x per unit: over the units
+    rng = np.random.default_rng(3)
+    shapes = {"class": rng.choice([1.0, 2.0, 3.0, 4.0], 300), "blocked": 1.0 + rng.random(300)}
+    for path, xs in shapes.items():
+        designs._pps_split_cached.cache_clear()
+        with mock.patch.object(designs, "_cps_masses", wraps=designs._cps_masses) as units, \
+                mock.patch.object(designs, "_class_masses", wraps=designs._class_masses) as classes:
+            draw(PPS(30), make_frame([0.0] * 300, xs=xs), np.random.default_rng(0))
+        assert (units.call_count == 0) == (path == "class"), path
+        assert (classes.call_count > 0) == (path == "class"), path
+
+
+def test_pps_class_calibration_stops_at_the_rounding_floor():
+    # the frames of test_pps_calibration_stops_at_the_rounding_floor, one target per class
+    for seed in range(10):
+        xs = np.random.default_rng(seed).choice([1.0, 2.0, 3.0, 4.0], 300)
+        target = inclusion_probs(PPS(30), make_frame([0.0] * 300, xs=xs))
+        targets, classes, counts = np.unique(target, return_inverse=True, return_counts=True)
+        with mock.patch.object(designs, "_class_masses", wraps=designs._class_masses) as spy:
+            odds = designs._cps_calibrate(targets, 30, counts)
+        assert spy.call_count <= 6
+        inc, exc = designs._class_masses(odds, 30, counts)
+        assert np.max(np.abs(inc / (inc + exc) - targets)) <= 4 * np.finfo(float).eps
+        inc, exc = designs._cps_masses(odds[classes], 30)
+        assert np.max(np.abs(inc / (inc + exc) - target)) <= 4 * np.finfo(float).eps
+
+
+@given(st.lists(st.tuples(st.integers(1, 100), st.integers(1, 333)), min_size=1, max_size=6,
+                unique_by=lambda size_and_count: size_and_count[0]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pps_class_calibration_matches_the_blocked_path(classes, data):
+    # up to six size classes of up to 333 units each, any n that leaves no certainty unit
+    xs = np.repeat([float(x) for x, _ in classes], [count for _, count in classes])
+    n = data.draw(st.integers(min_value=1, max_value=max(1, math.ceil(xs.sum() / xs.max()) - 1)))
+    target = n * xs / math.fsum(xs)
+    assume(target.max() < designs._CERTAIN)
+    targets, inverse, counts = np.unique(target, return_inverse=True, return_counts=True)
+    assert len(targets) == len(classes)
+    odds = designs._cps_calibrate(targets, n, counts)[inverse]
+    assert np.max(np.abs(odds / designs._cps_calibrate(target, n) - 1)) <= 1e-12
+    inc, exc = designs._cps_masses(odds, n)
+    floor = max(1e-14, 8 * len(xs) * np.finfo(float).eps)  # the blocked path's own acceptance
+    assert np.max(np.abs(inc / (inc + exc) - target)) <= floor
+
+
 def test_a_stratified_frame_is_allocated_once():
     # pi, space_size, space and draw share one allocation per frame, and the
     # audit's sampling stage (pi, then sample_space, on a fresh frame) makes one
