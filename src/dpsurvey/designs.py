@@ -81,7 +81,8 @@ def check_cap(count: int, cap: int | None = None) -> None:
 
 
 class PPSCalibrationError(RuntimeError):
-    """Conditional-Poisson calibration failed; ``residual`` is the last max error."""
+    """Conditional-Poisson calibration failed, or its odds left a size class no count weight;
+    ``residual`` is the last max error, or that class's count-weight total."""
 
     def __init__(self, reason: str, residual: float):
         self.residual = residual
@@ -338,7 +339,7 @@ class PPS(Design):
         return np.minimum(pi, 1.0)
 
     def _split(self, frame: Frame, pi: np.ndarray | None = None):
-        """Certainty units, the other units, their sample size and calibrated odds.
+        """Certainty units, the other units' positions, their sample size and calibrated odds.
 
         inclusion_probs rejects n out of range and pi above one; the odds
         calibration is cached by (n, pi) so repeated draws skip the fixed point.
@@ -346,15 +347,26 @@ class PPS(Design):
         """
         if pi is None:
             pi = inclusion_probs(self, frame)
-        return _pps_split_cached(self.n, pi.tobytes())
+        return _pps_split_cached(self.n, pi.tobytes())[:4]
 
     def draw(self, frame, rng, pi=None):
-        certain, rest, n_rest, odds = self._split(frame, pi)
+        if pi is None:
+            pi = inclusion_probs(self, frame)
+        certain, rest, remaining, odds, by_class = _pps_split_cached(self.n, pi.tobytes())
+        if by_class is not None:  # count-first: each class's count, then an SRSWOR in the class
+            picks = [np.array(certain, dtype=np.intp)]
+            for c, (positions, pmf, tail) in enumerate(zip(*by_class)):
+                weights = (pmf[:remaining + 1] * tail[remaining::-1]).cumsum()
+                if not 0.0 < weights[-1] < math.inf:
+                    raise PPSCalibrationError(f"left size class {c} no count weight", weights[-1])
+                k = int((weights / weights[-1]).searchsorted(rng.random(), side="right"))
+                picks.append(positions[rng.choice(len(positions), size=k, replace=False)])
+                remaining -= k
+            return np.sort(np.concatenate(picks)).tolist()
         chosen = list(certain)
-        remaining = n_rest
         # unit i is taken with probability o_i e_{r-1}(tail) / e_r(odds[i:]), where
         # tail = odds[i + 1:] and e_r(tail) is exactly 0 once r exceeds its length
-        for start, end, row in _tail_blocks(odds, n_rest):
+        for start, end, row in _tail_blocks(odds, remaining):
             table = _esp_columns(row, odds[start:end][::-1])
             for i in range(start, end):
                 if remaining == 0:
@@ -362,7 +374,7 @@ class PPS(Design):
                 tail = table[:, end - 1 - i]
                 take = odds[i] * tail[remaining - 1]
                 if rng.random() < take / (tail[remaining] + take):
-                    chosen.append(rest[i])
+                    chosen.append(int(rest[i]))
                     remaining -= 1
         return sorted(chosen)
 
@@ -375,7 +387,7 @@ class PPS(Design):
         combos = list(itertools.combinations(range(len(rest)), n_rest))
         weights = [math.prod(odds[idx] for idx in combo) for combo in combos]
         total = math.fsum(weights)  # e_n(odds), summed exactly from its terms
-        return [(tuple(sorted(certain + [rest[idx] for idx in combo])), float(weight / total))
+        return [(tuple(sorted(certain + rest[list(combo)].tolist())), float(weight / total))
                 for combo, weight in zip(combos, weights)]
 
     def sampling_rate(self, frame):
@@ -642,28 +654,34 @@ def _cps_masses(odds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return inc, exc
 
 
-def _class_masses(odds: np.ndarray, n: int, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per class of counts[c] units sharing odds[c], a unit's _cps_masses up to one factor.
-
-    Under Poisson sampling a class's count is binomial; its pmf over 0..n is the exp
-    of a cumsum of logs, so every value lies in [0, 1].  Prefix and suffix products
-    truncated at n give P(S_-u = n-1) and P(S_-u = n) for a unit u of class c as sums
-    of positive terms; inc_c and exc_c are those times o_c and 1.  O(C n^2).
-    """
-    n_classes, both = len(odds), np.tile(odds, 2)[:, None]
-    m = np.concatenate([counts, counts - 1])[:, None]  # each class, then its units but one
+def _class_pmfs(odds: np.ndarray, n: int, counts: np.ndarray) -> tuple[np.ndarray, list]:
+    """Poisson-sampling count pmfs over 0..n: row c of counts[c] units of odds[c], row C + c of
+    one unit fewer, each the exp of a cumsum of logs so every value lies in [0, 1]; and
+    tails[c], the pmf of the count of classes c+1.. truncated at n.  O(C n^2)."""
+    both, m = np.tile(odds, 2)[:, None], np.concatenate([counts, counts - 1])[:, None]
     with np.errstate(divide="ignore"):  # log 0 = -inf: a pmf is 0 above its m
         steps = np.log(np.maximum(m - np.arange(n), 0) / np.arange(1, n + 1)) + np.log(both)
     pmfs = np.exp(np.cumsum(np.hstack([-m * np.log1p(both), steps]), axis=1))
-    prefix, suffix = [np.eye(1, n + 1)[0]], [np.eye(1, n + 1)[0]]
-    for c in range(n_classes - 1):
-        prefix.append(np.convolve(prefix[-1], pmfs[c])[:n + 1])
-        suffix.append(np.convolve(suffix[-1], pmfs[n_classes - 1 - c])[:n + 1])
-    inc, exc = np.empty(n_classes), np.empty(n_classes)
-    for c, (head, tail) in enumerate(zip(prefix, reversed(suffix))):
-        others = np.convolve(head, pmfs[n_classes + c])[:n + 1]
+    tails = [np.eye(1, n + 1)[0]]
+    for c in range(len(odds) - 1, 0, -1):
+        tails.append(np.convolve(tails[-1], pmfs[c])[:n + 1])
+    return pmfs, tails[::-1]
+
+
+def _class_masses(odds: np.ndarray, n: int, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per class of counts[c] units sharing odds[c], a unit's _cps_masses up to one factor.
+
+    The product of the pmfs of the classes before c (_class_pmfs), of c's other units and
+    of tails[c] gives P(S_-u = n-1) and P(S_-u = n) for a unit u of class c as sums of
+    positive terms; inc_c and exc_c are those times o_c and 1.  O(C n^2)."""
+    pmfs, tails = _class_pmfs(odds, n, counts)
+    inc, exc, head = np.empty(len(odds)), np.empty(len(odds)), np.eye(1, n + 1)[0]
+    for c, tail in enumerate(tails):
+        others = np.convolve(head, pmfs[len(odds) + c])[:n + 1]
         inc[c] = odds[c] * np.dot(others[:n], tail[n - 1::-1])
         exc[c] = np.dot(others, tail[::-1])
+        if c + 1 < len(odds):
+            head = np.convolve(head, pmfs[c])[:n + 1]
     return inc, exc
 
 
@@ -701,17 +719,20 @@ def _cps_calibrate(target_pi: np.ndarray, n: int, counts: np.ndarray | None = No
 
 @functools.lru_cache(maxsize=4)
 def _pps_split_cached(n: int, pi_bytes: bytes):
-    """PPS._split of targets pi; calibrated per class when its passes cost less than per unit."""
+    """PPS._split of targets pi, then the count-first draw's (members, pmfs, tails) per class,
+    or None when the odds are calibrated per unit."""
     pi = np.frombuffer(pi_bytes)
-    certain = np.flatnonzero(pi >= _CERTAIN).tolist()
-    rest = np.flatnonzero(pi < _CERTAIN).tolist()
+    certain, rest = np.flatnonzero(pi >= _CERTAIN).tolist(), np.flatnonzero(pi < _CERTAIN)
     n_rest = n - len(certain)  # >= 0: the targets sum to n and each is at most one
     if not n_rest:
-        return certain, rest, n_rest, np.zeros(len(rest))
+        return certain, rest, n_rest, np.zeros(len(rest)), None
     targets, classes, counts = np.unique(pi[rest], return_inverse=True, return_counts=True)
-    if len(targets) * (_CLASS_FIXED_COST / (n_rest + 1) + n_rest + 1) <= _UNIT_COST * len(rest):
-        return certain, rest, n_rest, _cps_calibrate(targets, n_rest, counts)[classes]
-    return certain, rest, n_rest, _cps_calibrate(pi[rest], n_rest)
+    if len(targets) * (_CLASS_FIXED_COST / (n_rest + 1) + n_rest + 1) > _UNIT_COST * len(rest):
+        return certain, rest, n_rest, _cps_calibrate(pi[rest], n_rest), None
+    odds = _cps_calibrate(targets, n_rest, counts)
+    pmfs, tails = _class_pmfs(odds, n_rest, counts)
+    members = np.split(rest[np.argsort(classes, kind="stable")], np.cumsum(counts)[:-1])
+    return certain, rest, n_rest, odds[classes], (members, pmfs[:len(odds)], tails)
 
 
 # ---------------------------------------------------------------------------

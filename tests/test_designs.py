@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import time
@@ -501,6 +502,122 @@ def test_pps_class_calibration_matches_the_blocked_path(classes, data):
     assert np.max(np.abs(inc / (inc + exc) - target)) <= floor
 
 
+@contextlib.contextmanager
+def class_path():
+    """Every PPS split with a unit left to draw is calibrated per class and draws count-first.
+
+    The split cache is cleared on the way in and out, so no forced split outlives the block.
+    """
+    designs._pps_split_cached.cache_clear()
+    try:
+        with mock.patch.multiple(designs, _CLASS_FIXED_COST=0, _UNIT_COST=10 ** 9):
+            yield
+    finally:
+        designs._pps_split_cached.cache_clear()
+
+
+def assert_count_first_law_is_the_enumerated_design(n, frame):
+    """Each sample's probability under the count-first draw equals PPS(n).space within 1e-15.
+
+    The draw takes class c's count k with weight pmf_c(k) P(later classes hold r - k), then
+    one of the C(m_c, k) subsets of the class uniformly; a sample is one such path.
+    """
+    certain, rest, n_rest, _, (members, pmfs, tails) = designs._pps_split_cached(
+        n, inclusion_probs(PPS(n), frame).tobytes())
+    assert sorted(np.concatenate(members).tolist()) == rest.tolist()
+    law = {}
+    for picked in itertools.combinations(rest.tolist(), n_rest):
+        prob, remaining = 1.0, n_rest
+        for positions, pmf, tail in zip(members, pmfs, tails):
+            k = len(set(picked) & set(positions.tolist()))
+            weights = pmf[:remaining + 1] * tail[remaining::-1]
+            prob *= weights[k] / math.fsum(weights) / math.comb(len(positions), k)
+            remaining -= k
+        law[tuple(sorted(certain + list(picked)))] = prob
+    space = PPS(n).space(frame)
+    assert len(law) == len(space)
+    for sample, prob in space:
+        assert abs(law[sample] - prob) <= 1e-15, (n, sample)
+
+
+def test_count_first_draw_law_is_the_enumerated_design_on_every_library_frame():
+    checked = 0
+    with class_path():
+        for frame in frame_library():
+            for n in range(1, frame.n + 1):
+                try:
+                    pi = inclusion_probs(PPS(n), frame)
+                except CertaintyUnitError:
+                    continue
+                if np.count_nonzero(pi >= designs._CERTAIN) < n:  # a unit left to draw
+                    assert_count_first_law_is_the_enumerated_design(n, frame)
+                    checked += 1
+    assert checked >= 10
+
+
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=9), st.data())
+@settings(max_examples=100, deadline=None)
+def test_count_first_draw_law_is_the_enumerated_design_with_certainty_units(xs, data):
+    # at most four size classes; a unit with n x / sum(x) = 1 is a certainty unit
+    n = data.draw(st.integers(1, len(xs) - 1))
+    frame = make_frame([0.0] * len(xs), xs=[float(x) for x in xs])
+    assume(n * max(xs) <= sum(xs))
+    pi = inclusion_probs(PPS(n), frame)
+    assume(np.count_nonzero(pi >= designs._CERTAIN) < n)
+    with class_path():
+        assert_count_first_law_is_the_enumerated_design(n, frame)
+
+
+def test_count_first_draws_follow_the_enumerated_joint_design():
+    # three size classes of one, three and two units; no selection pass runs
+    frame = make_frame([0] * 6, xs=[3.0, 3.0, 2.0, 2.0, 2.0, 1.0])
+    trials = 20_000
+    rng = np.random.default_rng(456)
+    with class_path(), mock.patch.object(designs, "_esp_columns",
+                                         wraps=designs._esp_columns) as columns:
+        space = dict(sample_space(PPS(3), frame))
+        counts = {sample: 0 for sample in space}
+        for _ in range(trials):
+            counts[draw(PPS(3), frame, rng).ids] += 1
+    assert columns.call_count == 0
+    for sample, prob in space.items():
+        se = math.sqrt(prob * (1 - prob) / trials)
+        assert abs(counts[sample] / trials - prob) < 5 * se, sample
+
+
+def test_a_class_frame_draws_count_first_and_continuous_sizes_sequentially():
+    # a bench-shaped frame never builds a tail table; a continuous-x warm draw does
+    rng = np.random.default_rng(3)
+    shapes = {True: rng.choice([1.0, 2.0, 3.0, 4.0], 300), False: 1.0 + rng.random(300)}
+    for count_first, xs in shapes.items():
+        frame = make_frame([0.0] * 300, xs=xs)
+        designs._pps_split_cached.cache_clear()
+        with mock.patch.object(designs, "_tail_blocks", wraps=designs._tail_blocks) as blocks, \
+                mock.patch.object(designs, "_esp_columns", wraps=designs._esp_columns) as columns:
+            for seed in range(2):  # cold, then warm
+                cold = (blocks.call_count, columns.call_count)
+                assert draw(PPS(30), frame, np.random.default_rng(seed)).size == 30
+        if count_first:
+            assert blocks.call_count == columns.call_count == 0
+        else:
+            assert blocks.call_count - cold[0] == 1 and columns.call_count > cold[1]
+
+
+def test_count_weights_that_vanish_or_are_not_finite_raise_a_typed_error_naming_the_class():
+    frame = make_frame([0] * 6, xs=[3.0, 3.0, 2.0, 2.0, 2.0, 1.0])
+    pi = inclusion_probs(PPS(3), frame)
+    with class_path():
+        *split, (members, pmfs, tails) = designs._pps_split_cached(3, pi.tobytes())
+        for bad in (0.0, math.nan, math.inf):
+            broken = pmfs.copy()
+            broken[1] = bad
+            with mock.patch.object(designs, "_pps_split_cached",
+                                   return_value=(*split, (members, broken, tails))):
+                with pytest.raises(PPSCalibrationError, match="size class 1 no count weight"), \
+                        np.errstate(invalid="ignore"):  # inf * 0 in the weights
+                    draw(PPS(3), frame, np.random.default_rng(0))
+
+
 def test_a_stratified_frame_is_allocated_once():
     # pi, space_size, space and draw share one allocation per frame, and the
     # audit's sampling stage (pi, then sample_space, on a fresh frame) makes one
@@ -557,6 +674,20 @@ def test_draw_is_stable_across_versions(kind):
     design, ids, next_uniform = DRAW_PINS[kind]
     rng = np.random.default_rng(20240807)
     assert draw(design, frame_library()[2], rng).ids == ids
+    assert rng.random() == next_uniform
+
+
+# The same for a count-first PPS draw: frame_library()[2] has two size classes,
+# and the split is forced onto the class path, which that desk-scale frame
+# would not take by cost.  The sequential draw gives (1, 2, 4) here.
+CLASS_DRAW_PIN = (PPS(3), (3, 4, 5), 0.7488627517077001)
+
+
+def test_count_first_draw_is_stable_across_versions():
+    design, ids, next_uniform = CLASS_DRAW_PIN
+    rng = np.random.default_rng(20240807)
+    with class_path():
+        assert draw(design, frame_library()[2], rng).ids == ids
     assert rng.random() == next_uniform
 
 
