@@ -6,9 +6,11 @@ proportional stratified SRSWOR of N/100 units, adjusts within strata,
 imputes by DP regression and releases an HT mean and a mean.  It then times
 ``load_frame_csv``, the first ``strata()`` call, the stratified inclusion
 probabilities and one ``run_pipeline`` (which loads the frame again).  The
-load and the run are then each called once more under ``tracemalloc``, whose
-peak is the memory that call itself allocates, numpy buffers included; the
-traced calls run several times slower and are not timed.
+config parse, the load and the run are then each called once more under
+``tracemalloc``, whose peak is the memory that call itself allocates, numpy
+buffers included; for the parse it also reports what the parsed config keeps
+(its adjustment cells).  The traced calls run several times slower and are
+not timed.
 
 Usage: python scripts/run_frame_scale.py [N] [seed]    (default 10000 1)
 """
@@ -72,12 +74,13 @@ def timed(fn, *args):
     return result, time.perf_counter() - start
 
 
-def peak_mb(fn, *args) -> float:
-    """The tracemalloc peak of one call, in MB."""
+def traced_mb(fn, *args) -> tuple[float, float]:
+    """The tracemalloc peak of one call and what its result still holds, in MB."""
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        result = fn(*args)  # held: "kept" is what is still allocated while it lives
+        kept, peak = tracemalloc.get_traced_memory()
+        return peak / 2 ** 20, kept / 2 ** 20
     finally:
         tracemalloc.stop()
 
@@ -94,10 +97,12 @@ def main(argv: list[str]) -> int:
         if len(strata) != STRATA or report.n_population != n_frame:
             raise SystemExit(f"expected {STRATA} strata and N={n_frame}")
         del frame, strata, report  # the traced calls start from the loaded config alone
-        load_mb = peak_mb(load_frame_csv, config.frame_path)
-        run_mb = peak_mb(run_pipeline, config, seed)
+        parse_mb, kept_mb = traced_mb(parse_config, text)
+        load_mb, _ = traced_mb(load_frame_csv, config.frame_path)
+        run_mb, _ = traced_mb(run_pipeline, config, seed)
     print(f"survey run on N={n_frame}, seed {seed}")
-    print(f"  parse_config   {config_s:10.4f} s   adjustment cells over every id")
+    print(f"  parse_config   {config_s:10.4f} s {parse_mb:8.1f} MB peak {kept_mb:8.1f} MB kept   "
+          "adjustment cells over every id")
     print(f"  load_frame_csv {load_s:10.4f} s {load_mb:8.1f} MB peak")
     print(f"  first strata() {strata_s:10.4f} s")
     print(f"  stratified pi  {pi_s:10.4f} s   allocation, then one gather")

@@ -50,8 +50,8 @@ def _cmd_sample(args) -> int:
     seed = _resolve_seed(config, args.seed)
     frame = load_frame_csv(config.frame_path)
     sample = draw(config.design, frame, np.random.default_rng(seed))
-    rows = ([unit, "" if np.isnan(y) else repr(y), repr(pi), repr(w)]
-            for unit, y, pi, w in zip(sample.ids, sample.y, sample.pi, sample.w))
+    rows = ([unit, "" if np.isnan(y) else repr(y), repr(pi), repr(w)] for unit, y, pi, w in
+            zip(sample.ids, sample.y.tolist(), sample.pi.tolist(), sample.w.tolist()))
     _write_text(write_csv(["id", "y", "pi", "w"], rows), args.out)
     return 0
 

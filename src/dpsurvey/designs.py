@@ -18,12 +18,12 @@ import itertools
 import math
 import os
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .frames import Frame
+from .frames import Frame, _column, _frozen
 
 __all__ = [
     "Design",
@@ -100,38 +100,53 @@ class CertaintyUnitError(ValueError):
             "reduce n or rescale the size measure")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedSample:
-    """Selected units with their inclusion probabilities and weights.
+    """A sample's rows in sample order: frame positions, and inclusion probabilities,
+    weights and y as read-only float columns.  ``ids`` is a tuple view.
 
-    ``w`` starts as the design weight 1/pi; adjustment steps replace it via
-    :meth:`with_weights`, leaving ``pi`` untouched.
+    A unit drawn more than once (SRSWR) fills one row per draw.  ``w`` starts as 1/pi;
+    adjustment replaces it via :meth:`with_weights`, leaving ``pi`` untouched.
     """
 
-    ids: tuple[int, ...]
-    pi: tuple[float, ...]
-    w: tuple[float, ...]
-    y: tuple[float, ...]
+    frame: Frame
+    positions: np.ndarray
+    pi: np.ndarray
+    w: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.ids) == len(self.pi) == len(self.w) == len(self.y)):
+        for name, dtype in {"positions": np.intp, "pi": float, "w": float, "y": float}.items():
+            object.__setattr__(self, name, _column(getattr(self, name), dtype))
+        if not len(self.positions) == len(self.pi) == len(self.w) == len(self.y):
             raise ValueError("sample columns must have equal length")
-        for unit, p in zip(self.ids, self.pi):
-            if not (0.0 < p <= 1.0):
-                raise ValueError(f"unit {unit}: inclusion probability {p!r} outside (0, 1]")
-        for unit, weight in zip(self.ids, self.w):
-            if not (weight > 0 and math.isfinite(weight)):
-                raise ValueError(f"unit {unit}: weight {weight!r} must be positive and finite")
+        ok_pi = (self.pi > 0.0) & (self.pi <= 1.0)
+        ok = ok_pi & (self.w > 0.0) & (self.w < math.inf)
+        if not ok.all():  # the first bad pi, else the first bad weight
+            i = int(np.argmin(ok if ok_pi.all() else ok_pi))
+            fault = (f"weight {self.w[i].item()!r} must be positive and finite" if ok_pi[i]
+                     else f"inclusion probability {self.pi[i].item()!r} outside (0, 1]")
+            raise ValueError(f"unit {self.frame.id_array[self.positions[i]]}: {fault}")
 
-    @property
-    def size(self) -> int:
-        return len(self.ids)
+    ids = functools.cached_property(
+        lambda self: tuple(self.frame.id_array[self.positions].tolist()))
+    size = property(lambda self: len(self.positions))
+
+    def units(self) -> tuple[np.ndarray, np.ndarray]:
+        """(each distinct unit's first row, each row's unit number): the one rule
+        for repeated draws, under which a unit drawn more than once is one unit."""
+        return np.unique(self.positions, return_index=True, return_inverse=True)[1:]
+
+    def take(self, rows) -> "WeightedSample":
+        """The rows at the given row indices or boolean mask, in that order."""
+        return WeightedSample(self.frame, *(_frozen(column[rows]) for column in
+                                            (self.positions, self.pi, self.w, self.y)))
 
     def with_weights(self, new_w) -> "WeightedSample":
-        return WeightedSample(self.ids, self.pi, tuple(float(v) for v in new_w), self.y)
+        return replace(self, w=new_w)
 
     def with_y(self, new_y) -> "WeightedSample":
-        return WeightedSample(self.ids, self.pi, self.w, tuple(float(v) for v in new_y))
+        return replace(self, y=new_y)
 
 
 def _validate_fixed_size(n: int, available: int, what: str):
@@ -560,11 +575,10 @@ def allocate_strata(allocation: str, frame: Frame, n: int) -> dict[str, int]:
 
 def build_sample(frame: Frame, positions, pi: np.ndarray) -> WeightedSample:
     """Assemble a WeightedSample for the given frame positions (repeats allowed)."""
-    positions = np.asarray(positions, dtype=np.intp)
-    pis = np.asarray(pi, dtype=float)[positions]
-    return WeightedSample(tuple(frame.id_array[positions].tolist()), tuple(pis.tolist()),
-                          tuple((1.0 / pis).tolist()),
-                          tuple(frame.y_array[positions].tolist()))
+    positions = _column(positions, np.intp)
+    pis = _frozen(np.asarray(pi, dtype=float)[positions])
+    return WeightedSample(frame, positions, pis, _frozen(1.0 / pis),
+                          _frozen(frame.y_array[positions]))
 
 
 def draw(design: Design, frame: Frame, rng: np.random.Generator,

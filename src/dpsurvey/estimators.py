@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .designs import WeightedSample
 
 __all__ = [
@@ -33,14 +35,6 @@ class HTEstimate:
     n_used: int
 
 
-def _distinct_units(sample: WeightedSample):
-    """(id, w, y) triples with repeated draws of a unit counted once."""
-    seen = {}
-    for unit, weight, value in zip(sample.ids, sample.w, sample.y):
-        seen.setdefault(unit, (weight, value))
-    return [(unit, weight, value) for unit, (weight, value) in seen.items()]
-
-
 def ht_mean(sample: WeightedSample, n_pop: int) -> HTEstimate:
     """Weighted mean sum(w_i * y_i) / n_pop over the distinct sampled units.
 
@@ -54,14 +48,15 @@ def ht_mean(sample: WeightedSample, n_pop: int) -> HTEstimate:
 
 def ht_total(sample: WeightedSample) -> HTEstimate:
     """Weighted total sum(w_i * y_i) over the distinct sampled units."""
-    units = _distinct_units(sample)
-    if not units:
+    first, _ = sample.units()
+    if not len(first):
         raise ValueError("cannot estimate from an empty sample")
-    for unit, _, value in units:
-        if math.isnan(value):
-            raise ValueError(f"unit {unit} has a missing y value; impute before estimating")
-    total = math.fsum(weight * value for _, weight, value in units)
-    return HTEstimate(total, "ht_total", len(units))
+    y = sample.y[first]
+    missing = first[np.isnan(y)]
+    if len(missing):
+        raise ValueError(f"unit {sample.ids[missing.min()]} has a missing y value; "
+                         "impute before estimating")
+    return HTEstimate(math.fsum((sample.w[first] * y).tolist()), "ht_total", len(first))
 
 
 def unweighted_mean(values) -> HTEstimate:

@@ -285,9 +285,6 @@ class ValueUniverse:
     def value_range(self) -> float:
         return self.y_max - self.y_min
 
-    def clamp_y(self, value: float) -> float:
-        return min(self.y_max, max(self.y_min, value))
-
 
 def make_frame(ys, xs=None, strata=None, clusters=None, propensities=None, ids=None) -> Frame:
     """Build a frame from parallel sequences, filling defaults."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -468,23 +467,15 @@ def round_report(report_dict: dict, ndigits: int = 6) -> dict:
     return rounded
 
 
-def _simulate_response(config: PipelineConfig, sample: WeightedSample, frame: Frame,
-                       rng: np.random.Generator):
-    if config.response_model == "full":
-        return [True] * sample.size
-    # one uniform per sampled unit, in sample order: the same stream as a
-    # scalar rng.random() per unit
-    propensity = frame.propensity_array[frame.positions(sample.ids)]
-    return (rng.random(sample.size) < propensity).tolist()
-
-
-def _respondent_sample(sample: WeightedSample, flags) -> WeightedSample:
-    kept = [i for i, flag in enumerate(flags) if flag]
-    if not kept:
+def _simulate_response(config: PipelineConfig, sample: WeightedSample,
+                       rng: np.random.Generator) -> np.ndarray:
+    """One response flag per sampled row; at least one row responds."""
+    # one uniform per row, in sample order: the stream of a scalar rng.random() per row
+    flags = (np.ones(sample.size, dtype=bool) if config.response_model == "full"
+             else rng.random(sample.size) < sample.frame.propensity_array[sample.positions])
+    if not flags.any():
         raise ValueError("no respondents; cannot continue the pipeline")
-    return WeightedSample(
-        tuple(sample.ids[i] for i in kept), tuple(sample.pi[i] for i in kept),
-        tuple(sample.w[i] for i in kept), tuple(sample.y[i] for i in kept))
+    return flags
 
 
 def _adjust_stage(config: PipelineConfig, full_sample: WeightedSample,
@@ -511,44 +502,39 @@ def _adjust_stage(config: PipelineConfig, full_sample: WeightedSample,
     return respondents.with_weights(weights)
 
 
-def _impute_stage(config: PipelineConfig, respondents: WeightedSample, frame: Frame,
-                  ledger: PrivacyLedger, rng: np.random.Generator,
-                  seed: int) -> WeightedSample:
+def _impute_stage(config: PipelineConfig, respondents: WeightedSample, ledger: PrivacyLedger,
+                  rng: np.random.Generator, seed: int) -> WeightedSample:
     if config.imputation_method is None:
         return respondents
     universe = config.universe
 
     if config.imputation_method == "hot_deck":
-        data = np.array([[v] for v in respondents.y])
-        filled, _ = hot_deck(data, rng)
-        return respondents.with_y(tuple(float(v) for v in filled[:, 0]))
+        filled, _ = hot_deck(respondents.y, rng)
+        return respondents.with_y(filled[:, 0])
 
     if config.imputation_method == "dp_mean":
-        data = np.array([[v] for v in respondents.y])
+        data = respondents.y.reshape(-1, 1)
         params = fit_dp_mean_model(
             data, [(universe.y_min, universe.y_max)], config.imputation_epsilon, rng, ledger=ledger)
         y_column = 0
     else:
         # dp_regression: predict y from the frame's size measure x
-        xs = frame.x_array[frame.positions(respondents.ids)]
-        data = np.column_stack([xs, respondents.y])
+        data = np.column_stack([respondents.frame.x_array[respondents.positions], respondents.y])
         x_bounds = (min(universe.x_values), max(universe.x_values))
         params = fit_dp_regression(
             data, predictors=(0,), target=1,
             bounds=[x_bounds, (universe.y_min, universe.y_max)],
             eps1=config.imputation_epsilon, rng=rng, ledger=ledger)
         y_column = 1
-    new_y = list(respondents.y)
-    for i, (unit, y) in enumerate(zip(respondents.ids, respondents.y)):
-        if math.isnan(y):
-            row = impute_parametric(data[i], params, record_rng(seed, unit))
-            new_y[i] = float(row[y_column])
+    new_y = respondents.y.copy()
+    for i in np.flatnonzero(np.isnan(new_y)).tolist():
+        row = impute_parametric(data[i], params, record_rng(seed, respondents.ids[i]))
+        new_y[i] = row[y_column]
     return respondents.with_y(new_y)
 
 
 def _resolve_sensitivity(config: PipelineConfig, spec: ReleaseSpec,
-                         processed: WeightedSample, frame: Frame,
-                         pi: np.ndarray) -> tuple[float, str]:
+                         processed: WeightedSample, pi: np.ndarray) -> tuple[float, str]:
     """(delta_f, source) for one release, or raise ReleaseRefusedError.
 
     Closed forms are only sound when the quantities they depend on are
@@ -581,7 +567,7 @@ def _resolve_sensitivity(config: PipelineConfig, spec: ReleaseSpec,
         delta = analytic_sensitivity(statistic).delta_f
         if config.mechanism_start == "responding-sample":
             # a unit drawn more than once (SRSWR) fills one row per draw with its y
-            delta *= max(Counter(processed.ids).values())
+            delta *= int(np.bincount(processed.units()[1]).max())
         return delta, "analytic-equal-weights"
     # weighted statistics
     if config.invariant != "frame":
@@ -589,28 +575,26 @@ def _resolve_sensitivity(config: PipelineConfig, spec: ReleaseSpec,
             f"refusing to release {spec.statistic!r}: weights are data under the "
             f"{config.invariant!r} invariant and no audited sensitivity was "
             f"supplied; {hint}")
-    unit_weight = Counter()
-    for unit, w in zip(processed.ids, processed.w):
-        unit_weight[unit] += w
-    w_max = max(float(np.max(1.0 / pi)), max(unit_weight.values()))
+    # each unit's weights summed in sample order, from 0.0
+    unit_weight = np.bincount(processed.units()[1], weights=processed.w)
+    w_max = max(float(np.max(1.0 / pi)), float(unit_weight.max()))
     # a total is a mean over a population of one
-    n_pop = frame.n if spec.statistic == "ht_mean" else 1
+    n_pop = processed.frame.n if spec.statistic == "ht_mean" else 1
     statistic = HTMeanFixedWeights(w_max, value_range, n_pop)
     return analytic_sensitivity(statistic).delta_f, "analytic-fixed-weights"
 
 
-def _release_stage(config: PipelineConfig, processed: WeightedSample, frame: Frame,
-                   pi: np.ndarray, ledger: PrivacyLedger,
-                   rng: np.random.Generator) -> list[dict]:
+def _release_stage(config: PipelineConfig, processed: WeightedSample, pi: np.ndarray,
+                   ledger: PrivacyLedger, rng: np.random.Generator) -> list[dict]:
     released = []
     for spec in config.releases:
         if spec.statistic == "ht_mean":
-            value = ht_mean(processed, frame.n).value
+            value = ht_mean(processed, processed.frame.n).value
         elif spec.statistic == "ht_total":
             value = ht_total(processed).value
         else:
             value = unweighted_mean(processed.y).value
-        delta, source = _resolve_sensitivity(config, spec, processed, frame, pi)
+        delta, source = _resolve_sensitivity(config, spec, processed, pi)
         noisy = release_laplace(value, delta, spec.epsilon, rng)
         ledger.charge(f"release[{spec.statistic}]", spec.epsilon, delta)
         released.append({
@@ -695,14 +679,14 @@ def run_pipeline(config: PipelineConfig, seed: int | None = None) -> RunReport:
         pi = inclusion_probs(config.design, frame)
         sample = designs.draw(config.design, frame, rng, pi)
     with _stage("respond"):
-        flags = _simulate_response(config, sample, frame, rng)
-        respondents = _respondent_sample(sample, flags)
+        flags = _simulate_response(config, sample, rng)
+        respondents = sample.take(flags)
     with _stage("adjust"):
         adjusted = _adjust_stage(config, sample, respondents, flags, ledger, rng)
     with _stage("impute"):
-        processed = _impute_stage(config, adjusted, frame, ledger, rng, seed)
+        processed = _impute_stage(config, adjusted, ledger, rng, seed)
     with _stage("release"):
-        released = _release_stage(config, processed, frame, pi, ledger, rng)
+        released = _release_stage(config, processed, pi, ledger, rng)
 
     audit = _audit_stage(config, frame)
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -200,3 +201,44 @@ def test_audit_amplification_requires_rate_for_poisson(capsys):
     assert main(["audit-amplification", "--design", "poisson", "--eps", "0.1"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert "rate" in err["message"]
+
+
+# sha256 of the `sample` CSV, recorded when samples were still tuples: a
+# reordered row or a numpy scalar repr such as np.float64(0.2) moves the hash
+SAMPLE_CSV_PINS = [
+    ({"kind": "srswr", "n": 6}, 11,
+     "274014f8084cd6989e67cb7b028f897bfff4a2d83c3d44022cd731a2b43bf273"),
+    ({"kind": "pps", "n": 3}, 12,
+     "0ad7f72eea6a0e68b554c3057ca2a29d2b76343d9c397de1cb2c21086ab9261c"),
+    ({"kind": "stratified_srswor", "n": 4, "allocation": "proportional"}, 13,
+     "a2bdf5e52a42cfb8862a4289be8a7ac4528ff2d95afd74d190b3e3d96249326d"),
+]
+
+
+@pytest.mark.parametrize("design, seed, digest", SAMPLE_CSV_PINS,
+                         ids=[design["kind"] for design, _, _ in SAMPLE_CSV_PINS])
+def test_sample_csv_bytes_are_pinned(tmp_path, design, seed, digest):
+    frame = make_frame([0.2, float("nan"), 0.4, 1.0, 0.0, 0.7, float("nan"), 0.35],
+                       xs=[1.0, 2.0, 3.0, 1.0, 2.0, 4.0, 1.0, 2.0],
+                       strata=["a", "a", "a", "a", "b", "b", "b", "b"])
+    frame_path = tmp_path / "frame.csv"
+    dump_frame_csv(frame, frame_path)
+    config = {
+        "frame": str(frame_path),
+        "universe": {"y_min": 0.0, "y_max": 1.0, "x_values": [1.0, 2.0, 3.0, 4.0]},
+        "design": design,
+        "releases": [{"statistic": "mean", "epsilon": 1.0, "audited_sensitivity": 1.0}],
+        "mechanism_start": "processed-data",
+        "invariant": "none",
+        "budget": 1.0,
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "sample.csv"
+    assert main(["sample", str(config_path), "--seed", str(seed), "--out", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+    if design["kind"] == "srswr":
+        assert len({row[0] for row in rows}) < len(rows)  # a unit drawn twice
+    if design["kind"] == "stratified_srswor":
+        assert "" in [row[1] for row in rows]  # a missing y
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, out.read_text()

@@ -23,7 +23,9 @@ from dpsurvey.designs import (
     StratifiedSRSWOR,
     Systematic,
     TwoStageDesign,
+    WeightedSample,
     allocate_strata,
+    build_sample,
     design_weights,
     draw,
     inclusion_probs,
@@ -165,6 +167,69 @@ def test_draw_weights_are_exact_reciprocals():
         sample = draw(design, frame, np.random.default_rng(11))
         for pi, w in zip(sample.pi, sample.w):
             assert w == 1.0 / pi
+
+
+def test_draw_positions_index_the_rows_the_sample_holds():
+    # a sampled row names its unit by frame position; ids, y and pi are read there
+    repeats = 0
+    for frame in frame_library():
+        for design in design_library(frame):
+            pi = inclusion_probs(design, frame)
+            for seed in range(4):
+                sample = draw(design, frame, np.random.default_rng(seed))
+                at = sample.positions
+                assert sample.ids == tuple(frame.id_array[at].tolist())
+                assert sample.y.tolist() == frame.y_array[at].tolist()
+                assert sample.pi.tolist() == pi[at].tolist()
+                repeats += len(set(at.tolist())) < sample.size
+    assert repeats  # SRSWR(2) draws a unit twice on some frame and seed
+
+
+@pytest.mark.parametrize("column, value, fault", [
+    ("pi", 0.0, "inclusion probability 0.0 outside (0, 1]"),
+    ("pi", 1.5, "inclusion probability 1.5 outside (0, 1]"),
+    ("pi", math.nan, "inclusion probability nan outside (0, 1]"),
+    ("w", 0.0, "weight 0.0 must be positive and finite"),
+    ("w", math.inf, "weight inf must be positive and finite"),
+    ("w", math.nan, "weight nan must be positive and finite"),
+])
+def test_weighted_sample_names_the_unit_of_a_bad_pi_or_weight(column, value, fault):
+    frame = make_frame([0.1, 0.2, 0.3], ids=[7, 8, 9])
+    sample = build_sample(frame, [0, 1, 2], [0.5, 0.25, 0.5])
+    values = getattr(sample, column).copy()
+    values[1] = value
+    with pytest.raises(ValueError) as excinfo, np.errstate(divide="ignore"):
+        if column == "pi":
+            build_sample(frame, [0, 1, 2], values)
+        else:
+            sample.with_weights(values)
+    assert str(excinfo.value) == f"unit 8: {fault}"
+
+
+def test_weighted_sample_reports_a_bad_pi_before_an_earlier_bad_weight():
+    frame = make_frame([0.1, 0.2, 0.3], ids=[7, 8, 9])
+    with pytest.raises(ValueError, match=r"^unit 9: inclusion probability 2\.0 outside"):
+        WeightedSample(frame, [0, 1, 2], [0.5, 0.5, 2.0], [0.0, 2.0, 0.5], frame.y_array)
+
+
+def test_weighted_sample_columns_are_read_only_and_derived_samples_copy():
+    frame = make_frame([0.1, math.nan, 0.3], ids=[7, 8, 9])
+    positions = np.array([2, 0, 2])
+    sample = build_sample(frame, positions, [0.5, 0.25, 0.5])
+    positions[0] = 1  # the caller's array stays the caller's
+    assert sample.ids == (9, 7, 9)
+    for column in (sample.positions, sample.pi, sample.w, sample.y):
+        with pytest.raises(ValueError):
+            column[0] = 1
+    new_y = np.array([1.0, 2.0, 3.0])
+    filled = sample.with_y(new_y)
+    new_y[0] = 5.0
+    part = sample.take([1, 2])
+    assert filled.y.tolist() == [1.0, 2.0, 3.0]
+    assert (part.ids, part.y.tolist(), part.w.tolist()) == ((7, 9), [0.1, 0.3], [2.0, 2.0])
+    assert (sample.ids, sample.y.tolist()) == ((9, 7, 9), [0.3, 0.1, 0.3])
+    first, unit_of = sample.units()  # a unit drawn twice is one unit
+    assert (first.tolist(), unit_of.tolist()) == ([1, 0], [1, 0, 1])
 
 
 def test_draw_inclusion_frequencies_match_probabilities():

@@ -2,15 +2,16 @@ import math
 
 import pytest
 
-from dpsurvey.designs import WeightedSample, build_sample, inclusion_probs, sample_space
+from dpsurvey.designs import build_sample, inclusion_probs, sample_space
 from dpsurvey.estimators import ht_mean, ht_total, unweighted_mean
+from dpsurvey.frames import make_frame
 from dpsurvey.instances import design_library, frame_library
 from dpsurvey.mechanisms import BoundedMean, HTMeanFixedWeights, analytic_sensitivity
 
 
 def sample_with(weights, ys):
-    pis = tuple(1.0 / w for w in weights)
-    return WeightedSample(tuple(range(1, len(ys) + 1)), pis, tuple(weights), tuple(ys))
+    pis = [1.0 / w for w in weights]
+    return build_sample(make_frame(ys), range(len(ys)), pis)
 
 
 def test_ht_mean_direct_formula():
@@ -28,7 +29,7 @@ def test_ht_mean_equal_weights_equals_unweighted_mean():
 
 
 def test_ht_mean_counts_repeated_draws_once():
-    sample = WeightedSample((1, 1, 2), (0.5, 0.5, 0.5), (2.0, 2.0, 2.0), (1.0, 1.0, 3.0))
+    sample = build_sample(make_frame([1.0, 3.0]), [0, 0, 1], [0.5, 0.5])
     assert ht_mean(sample, 4).value == pytest.approx((2.0 * 1.0 + 2.0 * 3.0) / 4)
 
 

@@ -155,7 +155,6 @@ def test_universe_validation():
     universe = ValueUniverse(0.0, 1.0, x_values=(2.0, 1.0))
     assert universe.x_values == (1.0, 2.0)
     assert universe.value_range() == 1.0
-    assert universe.clamp_y(1.5) == 1.0
 
 
 def test_with_y_and_with_x_copy():

@@ -9,7 +9,7 @@ import pytest
 
 from dpsurvey import designs
 from dpsurvey.estimators import ReleaseRefusedError
-from dpsurvey.frames import ValueUniverse, dump_frame_csv, make_frame
+from dpsurvey.frames import Frame, ValueUniverse, dump_frame_csv, make_frame
 from dpsurvey.mechanisms import PrivacyLedger
 from dpsurvey.pipeline import (
     ConfigError,
@@ -423,6 +423,26 @@ def test_a_pps_run_computes_pi_once(frame_csv):
     with mock.patch.object(designs.PPS, "pi", autospec=True, side_effect=designs.PPS.pi) as spy:
         run_pipeline(config)
     assert spy.call_count == 1
+
+
+def test_a_run_names_sampled_units_by_frame_position(tmp_path):
+    # the draw's positions carry through response, imputation and release:
+    # no stage maps ids back to the frame
+    frame = make_frame([0.2, math.nan, 0.4, 1.0, 0.6, math.nan],
+                       xs=[1.0, 2.0, 2.0, 1.0, 2.0, 1.0],
+                       propensities=[0.9, 0.8, 1.0, 0.7, 1.0, 0.95])
+    path = tmp_path / "frame.csv"
+    dump_frame_csv(frame, path)
+    config = parse_config(minimal_config(
+        str(path), universe={"y_min": 0.0, "y_max": 1.0, "x_values": [1.0, 2.0]},
+        design={"kind": "srswor", "n": 5}, response={"model": "propensity"},
+        imputation={"method": "dp_regression", "epsilon": 0.5},
+        releases=[{"statistic": "ht_mean", "epsilon": 0.5}]))
+    with mock.patch.object(Frame, "positions", autospec=True, side_effect=Frame.positions) as spy:
+        report = run_pipeline(config)
+    assert spy.call_count == 0
+    assert [c["label"] for c in report.ledger_charges] == ["impute-fit[regression]",
+                                                           "release[ht_mean]"]
 
 
 @pytest.mark.parametrize("design", [{"kind": "srswor", "n": 4}, {"kind": "srswr", "n": 5},
