@@ -25,7 +25,6 @@ from .designs import (
     Systematic,
     WeightedSample,
     allocate_strata,
-    design_weights,
     draw,
     inclusion_probs,
     sample_space,
@@ -37,7 +36,6 @@ from .imputation import (
     fit_dp_mean_model,
     fit_dp_regression,
     hot_deck,
-    imputation_privacy_loss,
     impute_dataset,
     impute_parametric,
 )

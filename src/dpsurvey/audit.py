@@ -316,7 +316,7 @@ def _sampling_stage(instance: AuditInstance, ys=None, xs=None,
     if instance.design is None:
         n = instance.n_slots
         return [tuple(range(n))], [1.0], instance.weights or (1.0,) * n
-    frame = instance.frame.with_y(instance.frame.y if ys is None else ys)
+    frame = instance.frame if ys is None else instance.frame.with_y(ys)
     if xs is not None and tuple(xs) != tuple(instance.frame.x):
         frame = frame.with_x(xs)
     pi = inclusion_probs(instance.design, frame)
@@ -513,7 +513,7 @@ class DiscretizedLaplace:
         mids.append(hi)
         return mids
 
-    def event_probs(self, truth, categories=None) -> dict:
+    def event_probs(self, truth) -> dict:
         scale = self.delta_f / _epsilon_value(self.epsilon)
         if scale == 0.0:
             probs = {}
@@ -806,29 +806,26 @@ def hot_deck_mean_sensitivity(n_records: int, n_missing: int, y_grid) -> Sensiti
     return Sensitivity(_scan_tables(instance, _sample_tables(samples, (1.0,) * n_observed)))
 
 
-def imputation_composition_epsilon(eps1, eps2, *, y_grid=(0.0, 1.0), n_records: int = 3,
-                                   n_missing: int = 1, n_cells: int = 8
-                                   ) -> EffectiveEpsilonReport:
+def imputation_composition_epsilon(eps1, eps2, *, n_records: int = 3) -> EffectiveEpsilonReport:
     """Exact effective epsilon of DP-fit -> parametric impute -> DP release.
 
-    Both stages use the discretized-Laplace surrogate so the whole output
-    distribution is enumerable.  The released output is the joint (fitted
-    parameter cell, final statistic cell), the canonical object sequential
-    composition bounds by eps1 + eps2.
+    y takes values in {0, 1} and one of the ``n_records`` records is
+    missing.  Both stages use the discretized-Laplace surrogate on 8 equal
+    cells of [0, 1] plus the two tails, so the whole output distribution is
+    enumerable.  The released output is the joint (fitted parameter cell,
+    final statistic cell), the canonical object sequential composition
+    bounds by eps1 + eps2.
     """
     eps1 = _epsilon_value(eps1)
     eps2 = _epsilon_value(eps2)
-    grid = tuple(sorted(float(v) for v in y_grid))
-    lo, hi = grid[0], grid[-1]
-    value_range = hi - lo
-    n_observed = n_records - n_missing
+    n_observed = n_records - 1
     if n_observed < 1:
         raise ValueError("need at least one observed record")
 
-    edges = tuple(np.linspace(lo, hi, n_cells + 1))
-    fit_mech = DiscretizedLaplace(eps1, value_range / n_observed, edges)
-    release_mech = DiscretizedLaplace(eps2, value_range / n_records, edges)
-    theta_values = fit_mech.cell_midpoints(lo, hi)
+    edges = tuple(np.linspace(0.0, 1.0, 9))
+    fit_mech = DiscretizedLaplace(eps1, 1.0 / n_observed, edges)
+    release_mech = DiscretizedLaplace(eps2, 1.0 / n_records, edges)
+    theta_values = fit_mech.cell_midpoints(0.0, 1.0)
 
     def joint_distribution(observed):
         fit_truth = math.fsum(observed) / n_observed
@@ -838,7 +835,7 @@ def imputation_composition_epsilon(eps1, eps2, *, y_grid=(0.0, 1.0), n_records: 
             if p1 <= 0.0:
                 continue
             theta = theta_values[cell1]
-            completed_mean = (math.fsum(observed) + n_missing * theta) / n_records
+            completed_mean = (math.fsum(observed) + theta) / n_records
             for (_, cell2), p2 in release_mech.event_probs(completed_mean).items():
                 if p2 <= 0.0:
                     continue
@@ -846,7 +843,7 @@ def imputation_composition_epsilon(eps1, eps2, *, y_grid=(0.0, 1.0), n_records: 
         return dist
 
     instance = AuditInstance(name="imputation-composition", statistic="mean",
-                             y_grid=grid, size=n_observed)
+                             y_grid=(0.0, 1.0), size=n_observed)
     table = _pairs(instance, NeighborRelation("none", "y-only"))
     joint = [joint_distribution(table.dataset(row)) for row in range(len(table.codes))]
     events = sorted(set().union(*joint))

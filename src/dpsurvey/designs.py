@@ -42,7 +42,6 @@ __all__ = [
     "PPSCalibrationError",
     "default_enumeration_cap",
     "inclusion_probs",
-    "design_weights",
     "allocate_strata",
     "draw",
     "sample_space",
@@ -354,7 +353,9 @@ class PPS(Design):
         return np.minimum(pi, 1.0)
 
     def _split(self, frame: Frame, pi: np.ndarray | None = None):
-        """Certainty units, the other units' positions, their sample size and calibrated odds.
+        """Certainty units, the other units' positions, their sample size and calibrated
+        odds, then the count-first draw's (members, pmfs, tails) per size class, or None
+        when the odds are calibrated per unit.
 
         inclusion_probs rejects n out of range and pi above one; the odds
         calibration is cached by (n, pi) so repeated draws skip the fixed point.
@@ -362,12 +363,10 @@ class PPS(Design):
         """
         if pi is None:
             pi = inclusion_probs(self, frame)
-        return _pps_split_cached(self.n, pi.tobytes())[:4]
+        return _pps_split_cached(self.n, pi.tobytes())
 
     def draw(self, frame, rng, pi=None):
-        if pi is None:
-            pi = inclusion_probs(self, frame)
-        certain, rest, remaining, odds, by_class = _pps_split_cached(self.n, pi.tobytes())
+        certain, rest, remaining, odds, by_class = self._split(frame, pi)
         if by_class is not None:  # count-first: each class's count, then an SRSWOR in the class
             picks = [np.array(certain, dtype=np.intp)]
             for c, (positions, pmf, tail) in enumerate(zip(*by_class)):
@@ -398,7 +397,7 @@ class PPS(Design):
         return math.comb(frame.n - certain, self.n - certain)
 
     def space(self, frame):
-        certain, rest, n_rest, odds = self._split(frame)
+        certain, rest, n_rest, odds, _ = self._split(frame)
         combos = list(itertools.combinations(range(len(rest)), n_rest))
         weights = [math.prod(odds[idx] for idx in combo) for combo in combos]
         total = math.fsum(weights)  # e_n(odds), summed exactly from its terms
@@ -500,14 +499,6 @@ class TwoStageDesign(Design):
 def inclusion_probs(design: Design, frame: Frame) -> np.ndarray:
     """Per-unit inclusion probability over the whole frame, in frame order."""
     return design.pi(frame)
-
-
-def design_weights(pi) -> np.ndarray:
-    """Design weights w = 1/pi."""
-    pi = np.asarray(pi, dtype=float)
-    if np.any(pi <= 0.0) or np.any(pi > 1.0):
-        raise ValueError("inclusion probabilities must be in (0, 1]")
-    return 1.0 / pi
 
 
 def allocate_strata(allocation: str, frame: Frame, n: int) -> dict[str, int]:
@@ -733,8 +724,7 @@ def _cps_calibrate(target_pi: np.ndarray, n: int, counts: np.ndarray | None = No
 
 @functools.lru_cache(maxsize=4)
 def _pps_split_cached(n: int, pi_bytes: bytes):
-    """PPS._split of targets pi, then the count-first draw's (members, pmfs, tails) per class,
-    or None when the odds are calibrated per unit."""
+    """PPS._split of targets pi."""
     pi = np.frombuffer(pi_bytes)
     certain, rest = np.flatnonzero(pi >= _CERTAIN).tolist(), np.flatnonzero(pi < _CERTAIN)
     n_rest = n - len(certain)  # >= 0: the targets sum to n and each is at most one

@@ -31,8 +31,6 @@ class ReleaseRefusedError(RuntimeError):
 @dataclass(frozen=True)
 class HTEstimate:
     value: float
-    estimator: str  # "ht_mean" | "ht_total" | "unweighted_mean"
-    n_used: int
 
 
 def ht_mean(sample: WeightedSample, n_pop: int) -> HTEstimate:
@@ -43,7 +41,7 @@ def ht_mean(sample: WeightedSample, n_pop: int) -> HTEstimate:
     """
     if n_pop < 1:
         raise ValueError(f"population size must be >= 1, got {n_pop}")
-    return HTEstimate(ht_total(sample).value / n_pop, "ht_mean", n_pop)
+    return HTEstimate(ht_total(sample).value / n_pop)
 
 
 def ht_total(sample: WeightedSample) -> HTEstimate:
@@ -56,7 +54,7 @@ def ht_total(sample: WeightedSample) -> HTEstimate:
     if len(missing):
         raise ValueError(f"unit {sample.ids[missing.min()]} has a missing y value; "
                          "impute before estimating")
-    return HTEstimate(math.fsum((sample.w[first] * y).tolist()), "ht_total", len(first))
+    return HTEstimate(math.fsum((sample.w[first] * y).tolist()))
 
 
 def unweighted_mean(values) -> HTEstimate:
@@ -65,4 +63,4 @@ def unweighted_mean(values) -> HTEstimate:
         raise ValueError("cannot take the mean of an empty sample")
     if any(math.isnan(v) for v in values):
         raise ValueError("missing y values present; impute before estimating")
-    return HTEstimate(math.fsum(values) / len(values), "unweighted_mean", len(values))
+    return HTEstimate(math.fsum(values) / len(values))

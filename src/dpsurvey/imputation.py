@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanisms import (
-    PrivacyLedger,
-    PrivacyLoss,
-    _epsilon_value,
-    compose_sequential,
-    laplace_draws,
-    release_laplace,
-)
+from .mechanisms import PrivacyLedger, _epsilon_value, laplace_draws, release_laplace
 
 __all__ = [
     "ImputationParams",
@@ -35,7 +28,6 @@ __all__ = [
     "impute_parametric",
     "impute_dataset",
     "hot_deck",
-    "imputation_privacy_loss",
     "record_rng",
 ]
 
@@ -63,11 +55,10 @@ def _check_bounds(bounds, n_cols: int) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class ImputationParams:
-    """Fitted imputation model plus the privacy budget it consumed."""
+    """Fitted imputation model and the privacy budget of each released entry."""
 
     method: str                                    # "mean" | "regression"
     bounds: tuple[tuple[float, float], ...]
-    epsilon_spent: float
     epsilon_per_entry: float
     means: tuple[float, ...] | None = None         # mean model
     residual_scales: tuple[float, ...] | None = None
@@ -75,7 +66,6 @@ class ImputationParams:
     predictors: tuple[int, ...] | None = None
     target: int | None = None
     residual_scale: float = 0.0
-    n_fitted: int = 0
 
 
 def record_rng(seed: int, record_index: int) -> np.random.Generator:
@@ -123,9 +113,8 @@ def fit_dp_mean_model(data, bounds, eps1, rng, *, estimate_spread: bool = False,
     if ledger is not None:
         ledger.charge("impute-fit[mean]", eps_total)
     return ImputationParams(
-        method="mean", bounds=tuple(bounds), epsilon_spent=eps_total,
-        epsilon_per_entry=eps_entry, means=tuple(means),
-        residual_scales=tuple(spreads), n_fitted=int(fit_rows.shape[0]))
+        method="mean", bounds=tuple(bounds), epsilon_per_entry=eps_entry,
+        means=tuple(means), residual_scales=tuple(spreads))
 
 
 def _product_range(a_lo, a_hi, b_lo, b_hi) -> float:
@@ -206,10 +195,9 @@ def fit_dp_regression(data, predictors, target, bounds, eps1, rng, *,
     if ledger is not None:
         ledger.charge("impute-fit[regression]", eps_total)
     return ImputationParams(
-        method="regression", bounds=tuple(bounds), epsilon_spent=eps_total,
-        epsilon_per_entry=eps_entry, coefficients=tuple(float(v) for v in beta),
-        predictors=predictors, target=target, residual_scale=residual_scale,
-        n_fitted=n_fit)
+        method="regression", bounds=tuple(bounds), epsilon_per_entry=eps_entry,
+        coefficients=tuple(float(v) for v in beta), predictors=predictors, target=target,
+        residual_scale=residual_scale)
 
 
 def impute_parametric(record, params: ImputationParams, rng) -> np.ndarray:
@@ -281,11 +269,3 @@ def hot_deck(data, rng) -> tuple[np.ndarray, dict[int, int]]:
         missing = np.isnan(matrix[i])
         matrix[i, missing] = matrix[donor, missing]
     return matrix, donors
-
-
-def imputation_privacy_loss(eps1, eps2) -> PrivacyLoss:
-    """Total loss of a DP fit (eps1) followed by a DP analysis (eps2)."""
-    ledger = PrivacyLedger()
-    ledger.charge("imputation-fit", eps1)
-    ledger.charge("analysis", eps2)
-    return compose_sequential(ledger)

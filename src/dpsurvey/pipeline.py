@@ -74,7 +74,6 @@ from .mechanisms import (
 __all__ = [
     "ConfigError",
     "PipelineStageError",
-    "TwoStageDesign",
     "ReleaseSpec",
     "PipelineConfig",
     "RunReport",

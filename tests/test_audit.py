@@ -7,6 +7,7 @@ import pytest
 from dpsurvey.audit import (
     AuditInstance,
     DiscretizedLaplace,
+    EffectiveEpsilonReport,
     NeighborRelation,
     RandomizedResponse,
     SampledReleaseMechanism,
@@ -439,3 +440,15 @@ def test_mechanism_must_audit_the_declared_statistic_and_design(statistic, desig
         effective_epsilon(other, instance, POP_Y)
     with pytest.raises(ValueError, match="does not match the instance's"):
         reevaluate_witness(other, instance, POP_Y, report)
+
+
+def test_frame_level_sampling_and_a_report_without_a_witness_are_refused():
+    instance = AuditInstance(name="x", statistic="mean", y_grid=(0.0, 1.0),
+                             design=Poisson(0.5), frame=four_unit_frame())
+    mechanism = SampledReleaseMechanism("mean", RandomizedResponse(0.1), Poisson(0.5))
+    with pytest.raises(ValueError, match=r"^sampling inside the mechanism requires frame-level "
+                                         r"neighbors; use invariant 'population' or 'none'$"):
+        effective_epsilon(mechanism, instance, FRAME_Y)
+    report = EffectiveEpsilonReport(0.1, 0.0, "ok", None, None, 0)
+    with pytest.raises(ValueError, match=r"^report has no witness to re-evaluate$"):
+        reevaluate_witness(mechanism, instance, POP_Y, report)

@@ -26,7 +26,6 @@ from dpsurvey.designs import (
     WeightedSample,
     allocate_strata,
     build_sample,
-    design_weights,
     draw,
     inclusion_probs,
     sample_space,
@@ -69,16 +68,6 @@ def test_pps_certainty_unit_reported_with_id():
     with pytest.raises(CertaintyUnitError) as excinfo:
         inclusion_probs(PPS(2), frame)
     assert excinfo.value.unit_id == 7
-
-
-def test_design_weights_reciprocal():
-    assert tuple(design_weights([0.5, 0.25])) == (2.0, 4.0)
-    assert tuple(design_weights([1.0])) == (1.0,)
-    frame = make_frame([0] * 10)
-    w = design_weights(inclusion_probs(SRSWOR(2), frame))
-    assert np.allclose(w, 5.0)
-    with pytest.raises(ValueError):
-        design_weights([0.0, 0.5])
 
 
 def test_proportional_allocation_exact():
@@ -384,6 +373,14 @@ def test_pps_certainty_unit_always_drawn():
         assert 1 in draw(PPS(2), frame, np.random.default_rng(seed)).ids
 
 
+def test_pps_with_every_unit_certain_takes_the_frame_without_a_draw():
+    frame = make_frame([0] * 3, xs=[2.0] * 3)
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    assert draw(PPS(3), frame, rng).ids == (1, 2, 3)
+    assert rng.random() == reference.random()
+    assert sample_space(PPS(3), frame) == [((1, 2, 3), 1.0)]
+
+
 def test_pps_calibration_overflow_fails_fast_with_a_typed_error():
     # e_550 of 1100 unit odds overflows a double, which once ended the
     # calibration in a NaN; the scaled tables now draw, with finite
@@ -459,7 +456,7 @@ def test_pps_table_draw_matches_the_per_unit_tail_recursion(blocked, monkeypatch
         n_frame = int(gen.integers(5, 40))
         frame = make_frame([0.0] * n_frame, xs=gen.choice([1.0, 2.0, 3.0, 4.0], n_frame))
         n = int(gen.integers(1, n_frame // 3 + 2))
-        certain, rest, n_rest, odds = PPS(n)._split(frame)
+        certain, rest, n_rest, odds, _ = PPS(n)._split(frame)
         assert not certain and n_rest == n
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         assert PPS(n).draw(frame, rng) == _tail_recursion_draw(odds.tolist(), n, reference)

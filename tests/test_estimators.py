@@ -50,6 +50,11 @@ def test_ht_total():
     assert ht_total(sample_with([2, 4], [1, 1])).value == 6.0
 
 
+def test_ht_total_refuses_an_empty_sample():
+    with pytest.raises(ValueError, match=r"^cannot estimate from an empty sample$"):
+        ht_total(build_sample(make_frame([1.0]), [], []))
+
+
 def test_design_unbiasedness_by_enumeration():
     # sum over the sample space of p(s) * ht_mean(s) equals the frame mean
     for frame in frame_library():

@@ -157,6 +157,26 @@ def test_universe_validation():
     assert universe.value_range() == 1.0
 
 
+@pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)],
+                         ids=repr)
+def test_universe_refuses_a_bound_that_is_not_finite(bounds):
+    with pytest.raises(ValueError, match=r"^y bounds must be finite$"):
+        ValueUniverse(*bounds)
+
+
+@pytest.mark.parametrize("column", ["y", "x", "propensity", "strata", "clusters"])
+def test_frame_refuses_columns_of_unequal_length(column):
+    values = {"y": [0.1], "x": [1.0], "propensity": [1.0], "strata": ["A"], "clusters": ["a"]}
+    with pytest.raises(ValueError, match=r"^all frame columns must have the same length$"):
+        Frame([1, 2], **{column: values[column]})
+
+
+def test_positions_of_an_id_that_is_not_a_number_is_a_key_error():
+    with pytest.raises(KeyError) as excinfo:
+        make_frame([0.1, 0.2]).positions(["a"])
+    assert excinfo.value.args == ("no record with id a in frame",)
+
+
 def test_with_y_and_with_x_copy():
     frame = make_frame([0.0, 0.0], xs=[1.0, 1.0])
     other = frame.with_y([0.5, 1.0]).with_x([2.0, 3.0])

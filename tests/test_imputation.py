@@ -5,7 +5,6 @@ from dpsurvey.imputation import (
     fit_dp_mean_model,
     fit_dp_regression,
     hot_deck,
-    imputation_privacy_loss,
     impute_dataset,
     impute_parametric,
     record_rng,
@@ -146,13 +145,6 @@ def test_hot_deck_violates_conditional_independence():
             changed = True
             break
     assert changed
-
-
-def test_imputation_privacy_loss_is_the_sum():
-    assert imputation_privacy_loss(0.4, 0.6).epsilon == 1.0
-    assert imputation_privacy_loss(1.0, 1.0).epsilon == 2.0
-    with pytest.raises(ValueError):
-        imputation_privacy_loss(1.0, 0.0)
 
 
 def test_end_to_end_ledger_charges_fit_plus_release():

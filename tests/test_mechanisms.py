@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,26 @@ def test_analytic_sensitivity_rejects_bad_sizes():
         analytic_sensitivity(BoundedMean(1.0, -2))
     with pytest.raises(ValueError):
         analytic_sensitivity(HTMeanFixedWeights(0.0, 1.0, 10))
+
+
+@pytest.mark.parametrize("statistic, error, message", [
+    (HTMeanFixedWeights(1.0, 1.0, 0), ValueError, "n_pop must be >= 1, got 0"),
+    (HTMeanFixedWeights(1.0, -1.0, 3), ValueError, "value_range must be >= 0, got -1.0"),
+    (BoundedMean(-1.0, 3), ValueError, "value_range must be >= 0, got -1.0"),
+    ("mean", TypeError, "unknown statistic descriptor: 'mean'"),
+], ids=["fixed-weights-n-pop", "fixed-weights-range", "bounded-mean-range", "unknown"])
+def test_analytic_sensitivity_names_the_refused_field(statistic, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        analytic_sensitivity(statistic)
+
+
+def test_release_refuses_a_nan_and_zero_scale_draws_are_zeros():
+    with pytest.raises(ValueError, match=r"^value to release must be finite, got nan$"):
+        release_laplace(float("nan"), 1.0, 1.0, np.random.default_rng(0))
+    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+    assert laplace_draws(0.0, rng, size=3).tolist() == [0.0, 0.0, 0.0]
+    reference.random(size=3)  # the draws consume their uniforms all the same
+    assert rng.random() == reference.random()
 
 
 def test_compose_sequential_sums():

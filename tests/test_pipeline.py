@@ -533,6 +533,17 @@ def test_stage_errors_carry_stage_name(frame_csv, tmp_path):
     assert excinfo.value.stage == "load-frame"
 
 
+def test_a_response_draw_with_no_respondents_stops_the_run(tmp_path):
+    path = tmp_path / "frame.csv"
+    dump_frame_csv(make_frame([0.2, 0.5, 0.9], propensities=[0.01] * 3), path)
+    config = parse_config(minimal_config(str(path), design={"kind": "srswor", "n": 2},
+                                         response={"model": "propensity"}))
+    with pytest.raises(PipelineStageError, match=r"^stage 'respond': no respondents; "
+                                                 r"cannot continue the pipeline$") as excinfo:
+        run_pipeline(config, seed=1)
+    assert excinfo.value.stage == "respond"
+
+
 def test_y_outside_universe_rejected(tmp_path):
     frame = make_frame([0.2, 3.0])
     path = tmp_path / "bad.csv"

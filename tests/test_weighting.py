@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,22 @@ def test_poststratify_passes_unbenchmarked_cells_through():
 def test_poststratify_empty_cell_fails():
     with pytest.raises(CalibrationError):
         poststratify([1.0], ["a"], {"b": 2.0})
+
+
+@pytest.mark.parametrize("weights, total, message", [
+    ([1.0], 0.0, "cell 'a': benchmark must be > 0, got 0.0"),
+    ([1.0], -2.0, "cell 'a': benchmark must be > 0, got -2.0"),
+    ([0.0, 0.0], 1.0, "cell 'a': weight total is 0; cannot calibrate"),
+])
+def test_poststratify_refusals_name_the_cell(weights, total, message):
+    with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
+        poststratify(weights, ["a"] * len(weights), {"a": total})
+
+
+def test_no_respondent_in_any_cell_is_refused():
+    with pytest.raises(ValueError, match=r"^no respondents in any cell; "
+                                         r"nonresponse adjustment impossible$"):
+        estimate_propensities_cells(["a", "a", "b"], [False, False, False])
 
 
 def test_poststratify_idempotent():
