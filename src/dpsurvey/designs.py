@@ -80,8 +80,8 @@ def check_cap(count: int, cap: int | None = None) -> None:
 
 
 class PPSCalibrationError(RuntimeError):
-    """Conditional-Poisson calibration failed, or its odds left a size class no count weight;
-    ``residual`` is the last max error, or that class's count-weight total."""
+    """Conditional-Poisson calibration failed, or its odds left a count-tree node no split
+    weight; ``residual`` is the last max error, or that node's split-weight total."""
 
     def __init__(self, reason: str, residual: float):
         self.residual = residual
@@ -288,17 +288,13 @@ class StratifiedSRSWOR(Design):
         return size
 
     def space(self, frame):
-        allocation = self._allocation(frame)
-        strata = frame.strata()
-        per_stratum = []
-        prob = 1.0
-        for label, positions in strata.items():
-            per_stratum.append(list(itertools.combinations(positions.tolist(), allocation[label])))
-            prob /= math.comb(len(positions), allocation[label])
-        outcomes = []
-        for pick in itertools.product(*per_stratum):
-            outcomes.append((tuple(sorted(p for group in pick for p in group)), prob))
-        return outcomes
+        allocation, prob = self._allocation(frame), 1.0
+        per_stratum = [list(itertools.combinations(positions.tolist(), allocation[label]))
+                       for label, positions in frame.strata().items()]
+        for combos in per_stratum:
+            prob /= len(combos)
+        return [(tuple(sorted(p for group in pick for p in group)), prob)
+                for pick in itertools.product(*per_stratum)]
 
 
 @dataclass(frozen=True)
@@ -326,10 +322,8 @@ class ClusterSRSWOR(Design):
     def space(self, frame):
         clusters = [members.tolist() for members in frame.clusters().values()]
         prob = 1.0 / math.comb(len(clusters), self.m)
-        outcomes = []
-        for combo in itertools.combinations(clusters, self.m):
-            outcomes.append((tuple(sorted(p for members in combo for p in members)), prob))
-        return outcomes
+        return [(tuple(sorted(p for members in combo for p in members)), prob)
+                for combo in itertools.combinations(clusters, self.m)]
 
 
 @dataclass(frozen=True)
@@ -345,59 +339,37 @@ class PPS(Design):
     def pi(self, frame):
         _validate_fixed_size(self.n, frame.n, "PPS")
         x = frame.x_array
-        pi = self.n * x / math.fsum(x)
+        try:
+            total = math.fsum(x)
+        except OverflowError:
+            raise ValueError("PPS: the size measures x sum past the float range") from None
+        with np.errstate(over="ignore"):  # n x past the float range: pi > 1, reported below
+            pi = self.n * x / total
         over = pi > 1.0 + 1e-12
         if over.any():
             i = int(np.argmax(over))
-            raise CertaintyUnitError(int(frame.id_array[i]), float(pi[i]))
+            raise CertaintyUnitError(int(frame.id_array[i]), float(
+                pi[i] if pi[i] < math.inf else x[i] / total * self.n))
         return np.minimum(pi, 1.0)
 
     def _split(self, frame: Frame, pi: np.ndarray | None = None):
-        """Certainty units, the other units' positions, their sample size and calibrated
-        odds, then the count-first draw's (members, pmfs, tails) per size class, or None
-        when the odds are calibrated per unit.
-
-        inclusion_probs rejects n out of range and pi above one; the odds
-        calibration is cached by (n, pi) so repeated draws skip the fixed point.
-        ``pi``, when given, is this design's inclusion_probs on the frame.
-        """
+        """Certainty units, the other units' positions, their sample size, calibrated odds,
+        count tree (None if no unit is left to draw) and positions leaf by leaf, cached by
+        (n, pi); ``pi``, when given, is this design's inclusion_probs on the frame."""
         if pi is None:
             pi = inclusion_probs(self, frame)
         return _pps_split_cached(self.n, pi.tobytes())
 
     def draw(self, frame, rng, pi=None):
-        certain, rest, remaining, odds, by_class = self._split(frame, pi)
-        if by_class is not None:  # count-first: each class's count, then an SRSWOR in the class
-            picks = [np.array(certain, dtype=np.intp)]
-            for c, (positions, pmf, tail) in enumerate(zip(*by_class)):
-                weights = (pmf[:remaining + 1] * tail[remaining::-1]).cumsum()
-                if not 0.0 < weights[-1] < math.inf:
-                    raise PPSCalibrationError(f"left size class {c} no count weight", weights[-1])
-                k = int((weights / weights[-1]).searchsorted(rng.random(), side="right"))
-                picks.append(positions[rng.choice(len(positions), size=k, replace=False)])
-                remaining -= k
-            return np.sort(np.concatenate(picks)).tolist()
-        chosen = list(certain)
-        # unit i is taken with probability o_i e_{r-1}(tail) / e_r(odds[i:]), where
-        # tail = odds[i + 1:] and e_r(tail) is exactly 0 once r exceeds its length
-        for start, end, row in _tail_blocks(odds, remaining):
-            table = _esp_columns(row, odds[start:end][::-1])
-            for i in range(start, end):
-                if remaining == 0:
-                    return sorted(chosen)
-                tail = table[:, end - 1 - i]
-                take = odds[i] * tail[remaining - 1]
-                if rng.random() < take / (tail[remaining] + take):
-                    chosen.append(int(rest[i]))
-                    remaining -= 1
-        return sorted(chosen)
+        certain, _, _, _, tree, units = self._split(frame, pi)
+        return sorted(certain + ([] if tree is None else tree.draw(rng, units).tolist()))
 
     def space_size(self, frame):
         certain = np.count_nonzero(inclusion_probs(self, frame) >= _CERTAIN)
         return math.comb(frame.n - certain, self.n - certain)
 
     def space(self, frame):
-        certain, rest, n_rest, odds, _ = self._split(frame)
+        certain, rest, n_rest, odds, *_ = self._split(frame)
         combos = list(itertools.combinations(range(len(rest)), n_rest))
         weights = [math.prod(odds[idx] for idx in combo) for combo in combos]
         total = math.fsum(weights)  # e_n(odds), summed exactly from its terms
@@ -525,9 +497,14 @@ def allocate_strata(allocation: str, frame: Frame, n: int) -> dict[str, int]:
             ys = frame.y_array[positions].tolist()
             if any(math.isnan(v) for v in ys):
                 raise ValueError(f"stratum {label!r}: Neyman allocation needs observed y")
-            mean = math.fsum(ys) / len(ys)
-            weights[label] = sizes[label] * math.sqrt(
-                math.fsum((v - mean) ** 2 for v in ys) / len(ys))
+            try:
+                mean = math.fsum(ys) / len(ys)
+                spread = math.sqrt(math.fsum((v - mean) ** 2 for v in ys) / len(ys))
+            except OverflowError:
+                spread = math.inf
+            if spread == math.inf:
+                raise ValueError(f"stratum {label!r}: the spread of y overflows a float")
+            weights[label] = sizes[label] * spread
     else:
         raise ValueError(f"unknown allocation {allocation!r}")
 
@@ -540,10 +517,8 @@ def allocate_strata(allocation: str, frame: Frame, n: int) -> dict[str, int]:
     counts = {label: math.floor(quotas[label]) for label in labels}
     short = n - sum(counts.values())
     by_remainder = sorted(labels, key=lambda lb: (-(quotas[lb] - counts[lb]), lb))
-    for label in itertools.islice(itertools.cycle(by_remainder), max(short, 0)):
+    for label in itertools.islice(itertools.cycle(by_remainder), short):  # floors sum <= n
         counts[label] += 1
-    for label in itertools.islice(itertools.cycle(reversed(by_remainder)), max(-short, 0)):
-        counts[label] -= 1
 
     # Repair into [1, N_h], moving one unit at a time, deterministically.
     while True:
@@ -590,130 +565,156 @@ def draw(design: Design, frame: Frame, rng: np.random.Generator,
 # Conditional Poisson (rejective) machinery for fixed-size PPS
 # ---------------------------------------------------------------------------
 
-# e_k(odds), the k-th elementary symmetric polynomial, weighs the size-k samples.
-# Rows e_0..e_n grow one unit at a time by the positive update e_k += o e_{k-1},
-# one numpy pass per k over a block of units.  Values grow by at most about
-# 2**_CPS_GROWTH_BITS inside a block, and the row carried between blocks is
-# rescaled by an exact power of two: only ratios at one scale are ever read.
+# Conditional Poisson sampling is Poisson sampling with working odds, conditioned on the
+# sample size n (Hajek 1964; Chen, Dempster & Liu 1994).  Units of equal target share one
+# odds and form a size class, a continuous size measure giving classes of one, and the
+# classes are the leaves of one count tree.  Every value in it is a probability and every
+# product a sum of positive terms, so nothing overflows at large n or near pi = 1.
 
 _CERTAIN = 1.0 - 1e-15  # a PPS target at or above this is a certainty unit
-_CPS_GROWTH_BITS = 400
-_CPS_BLOCK_FLOATS = 1 << 20  # block rows are capped near this many floats per table
-# A calibration pass costs ~12 us + 0.55 ns (n + 1)^2 per class of equal targets, and at
-# least 12 ns (n + 1) per unit: 22,000 and 22 in units of 0.55 ns, measured on one core.
-_CLASS_FIXED_COST, _UNIT_COST = 22_000, 22
+_DIRECT_WIDTH = 64
 
 
-def _rescaled(row: np.ndarray) -> np.ndarray:
-    """The row divided by the power of two that puts its maximum in [0.5, 1)."""
-    return np.ldexp(row, -math.frexp(float(row.max()))[1])
+def _convolve(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Entries lo..hi-1 of each row of a convolved with the same row of b; by FFT, its
+    negative round-off clipped to 0, when both rows are wider than _DIRECT_WIDTH."""
+    short = min(a.shape[1], b.shape[1])
+    if short > _DIRECT_WIDTH + 1:
+        size = 1 << (a.shape[1] + b.shape[1] - 2 - lo).bit_length()  # no wrap onto lo..hi-1
+        out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:, lo:hi]
+        return np.maximum(out, 0.0, out=out)
+    if len(a) <= short:  # few rows: one np.convolve per row
+        return np.array([np.convolve(x, y)[lo:hi] for x, y in zip(a, b)])
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+    for j in range(b.shape[1]):  # few columns of b: one shift and add per column
+        out[:, j:j + a.shape[1]] += a * b[:, j, None]
+    return out[:, lo:hi]
 
 
-def _esp_columns(start: np.ndarray, odds: np.ndarray) -> np.ndarray:
-    """Column j holds e_0..e_n of the units behind ``start`` plus odds[..., :j];
-    leading axes stack independent tables, one multiply and accumulate per k for all."""
-    table = np.empty((*start.shape, odds.shape[-1] + 1))
-    table[..., 0, :] = start[..., :1]
-    for k in range(1, start.shape[-1]):
-        np.multiply(odds, table[..., k - 1, :-1], out=table[..., k, 1:])
-        table[..., k, 0] = start[..., k]
-        np.add.accumulate(table[..., k, :], axis=-1, out=table[..., k, :])
-    return table
+@functools.lru_cache(maxsize=4)
+def _tree_layout(widths: bytes, n: int) -> tuple[list, int, list]:
+    """A count tree's layout for sorted leaf widths min(count, n), padded with empty leaves
+    to a power of two, node i of level h holding leaves i 2^h .. (i + 1) 2^h - 1: groups of
+    classes of one width (first, end, width, span), the leaf floats, and per level below the
+    root its runs of sibling pairs of equal widths (first parent, pairs, left width, right
+    width, parent width, span, parent span), a level's pmfs one flat array."""
+    widths = np.frombuffer(widths, dtype=np.intp)
+    classes = len(widths)
+    widths = np.concatenate([widths, np.zeros((1 << (classes - 1).bit_length()) - classes, int)])
+    starts = np.cumsum(np.append(0, widths + 1))
+    edges = [0, *(np.flatnonzero(np.diff(widths[:classes])) + 1).tolist(), classes]
+    groups = [(g, end, int(widths[g]), slice(starts[g], starts[end]))
+              for g, end in zip(edges, edges[1:])]
+    floats, levels = int(starts[-1]), []
+    while len(widths) > 1:
+        left, right = widths[::2], widths[1::2]
+        parents = np.minimum(left + right, n)
+        above = np.cumsum(np.append(0, parents + 1))
+        edges = [0, *(np.flatnonzero(np.diff(left * (n + 1) + right)) + 1).tolist(), len(left)]
+        levels.append([(p, end - p, int(left[p]), int(right[p]), int(parents[p]),
+                        slice(starts[2 * p], starts[2 * end]), slice(above[p], above[end]))
+                       for p, end in zip(edges, edges[1:])])
+        widths, starts = parents, above
+    return groups, floats, levels
 
 
-def _tail_blocks(odds: np.ndarray, n: int) -> list[tuple[int, int, np.ndarray]]:
-    """(start, end, row) per block of units, in unit order: row is e_0..e_n of odds[end:].
+class _CountTree:
+    """Poisson-count pmfs, at per-class odds, over a balanced binary tree of size classes:
+    a node's pmf over 0..min(units, n) is its children's product truncated at n, and down,
+    a node of width w gets the window [n - w, n] of the pmf of the count outside it, its
+    parent's window times its sibling's pmf.  A draw sends the root's n units down, a node's
+    k splitting j : k - j with weight L(j) R(k - j).  Leaf g < C is class ``order[g]``."""
 
-    Blocks end where the cumulative growth crosses a multiple of the bound, or
-    after ``cap`` units.  One backward pass keeps only each block's boundary row,
-    up to a power-of-two scale; callers build the block's tail table from it, one
-    block at a time: O((blocks + cap) * n) memory.
-    """
-    cap = max(math.isqrt(len(odds)) + 1, _CPS_BLOCK_FLOATS // (n + 1))
-    band = np.cumsum(np.log2(1.0 + odds)) // _CPS_GROWTH_BITS
-    edges = sorted({*range(0, len(odds), cap), *(np.flatnonzero(np.diff(band)) + 1).tolist()})
-    blocks = list(zip(edges, edges[1:] + [len(odds)]))
-    rows = [np.eye(1, n + 1)[0]]
-    for start, end in reversed(blocks[1:]):
-        rows.append(_rescaled(_esp_columns(rows[-1], odds[start:end][::-1])[:, -1]))
-    return [(start, end, row) for (start, end), row in zip(blocks, reversed(rows))]
+    def __init__(self, counts: np.ndarray, n: int, odds: np.ndarray):
+        widths = np.minimum(counts, n).astype(np.intp)
+        self.n, self.order = n, np.argsort(widths, kind="stable")
+        self.counts = counts[self.order]
+        self.groups, floats, self.levels = _tree_layout(widths[self.order].tobytes(), n)
+        self.up = [np.ones(floats)]  # an empty leaf's pmf is [1]
+        for first, end, w, span in self.groups:  # binomial pmfs, the exp of a cumsum of logs
+            m, o = self.counts[first:end, None], odds[self.order[first:end], None]
+            steps = np.log((m - np.arange(w)) / np.arange(1, w + 1)) + np.log(o)
+            self.up[0][span] = np.exp(np.cumsum(np.concatenate(
+                [-m * np.log1p(o), steps], axis=1), axis=1)).ravel()
+        for runs in self.levels[:-1]:  # the root's pmf is never read
+            below, above = self.up[-1], np.empty(runs[-1][6].stop)
+            for _, pairs, wl, _, wp, span, to in runs:
+                rows = below[span].reshape(pairs, -1)
+                above[to] = _convolve(rows[:, wl + 1:], rows[:, :wl + 1], 0, wp + 1).ravel()
+            self.up.append(above)
+
+    def masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per class, the weights (at one scale) of the size-n samples that hold a unit of it
+        and that do not: its leaf's pmf times its reversed window is P(k of the m units,
+        S = n), and a unit lies in k of m of those samples."""
+        window = np.eye(1, self.n + 1)[0]  # nothing lies outside the root
+        for runs, below in zip(reversed(self.levels), reversed(self.up)):
+            windows = np.empty(len(below))
+            for _, pairs, wl, wr, wp, span, to in runs:
+                rows, out = below[span].reshape(pairs, -1), windows[span].reshape(pairs, -1)
+                outside = window[to].reshape(pairs, -1)
+                out[:, :wl + 1] = _convolve(outside, rows[:, wl + 1:], wp - wl, wp + 1)
+                out[:, wl + 1:] = _convolve(outside, rows[:, :wl + 1], wp - wr, wp + 1)
+            window = windows
+        inc, exc = np.empty(len(self.order)), np.empty(len(self.order))
+        for first, end, w, span in self.groups:
+            rows, k, classes = (end - first, w + 1), np.arange(w + 1), self.order[first:end]
+            both = self.up[0][span].reshape(rows) * window[span].reshape(rows)[:, ::-1]
+            inc[classes] = both @ k
+            exc[classes] = (both * (self.counts[first:end, None] - k)).sum(axis=1)
+        return inc, exc
+
+    def draw(self, rng: np.random.Generator, units: np.ndarray) -> np.ndarray:
+        """n of the units, given leaf by leaf: a uniform per pair whose parent gets units
+        splits its count, and each leaf takes its count by SRSWOR."""
+        taken = np.array([self.n])
+        for h in range(len(self.levels), 0, -1):
+            below, split = self.up[h - 1], np.zeros(2 * len(taken), dtype=np.intp)
+            for p, pairs, wl, wr, _, span, _ in self.levels[h - 1]:
+                live = p + np.flatnonzero(taken[p:p + pairs])
+                start, j = span.start + (live - p)[:, None] * (wl + wr + 2), np.arange(wl + 1)
+                right = taken[live, None] - j  # the right child's count if the left gets j
+                cum = (below[start + j] * np.where((right >= 0) & (right <= wr), below.take(
+                    start + wl + 1 + right, mode="clip"), 0.0)).cumsum(axis=1)
+                if len(live) and not 0.0 < cum[:, -1].min() <= cum[:, -1].max() < math.inf:
+                    dead = np.argmax(~(cum[:, -1] > 0.0) | (cum[:, -1] == math.inf))
+                    classes = sorted(self.order[live[dead] << h:live[dead] + 1 << h].tolist())
+                    raise PPSCalibrationError(f"left size classes {classes} no count weight",
+                                              float(cum[dead, -1]))
+                left = (cum <= cum[:, -1:] * rng.random((len(live), 1))).sum(axis=1)
+                split[2 * live], split[2 * live + 1] = left, taken[live] - left
+            taken = split
+        taken, full = taken[:len(self.order)], taken[:len(self.order)] == self.counts
+        starts = np.cumsum(self.counts) - self.counts
+        return np.concatenate([units[np.repeat(full, self.counts)], *(
+            units[starts[g] + rng.choice(self.counts[g], size=taken[g], replace=False)]
+            for g in np.flatnonzero((taken > 0) & ~full))])
 
 
-def _cps_masses(odds: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per unit, the weight of the size-n samples that hold it and that do not.
-
-    Both sum positive terms e_a(head) e_b(tail) at one scale per unit, so
-    pi = inc / (inc + exc) and logit(pi) = log(inc / exc) stay precise near 1.
-    A block's tail and head tables are built in one stacked pass, then dropped.
-    """
-    inc, exc = np.empty(len(odds)), np.empty(len(odds))
-    head = np.eye(1, n + 1)[0]
-    for start, end, row in _tail_blocks(odds, n):
-        block = odds[start:end]
-        tails, heads = _esp_columns(np.stack([row, head]), np.stack([block[::-1], block]))
-        head = _rescaled(heads[:, -1])
-        heads, tails = heads[:, :-1], tails[::-1, -2::-1]  # tails[c, j]: e_{n-c}(odds[start+j+1:])
-        inc[start:end] = block * np.einsum("kj,kj->j", heads[:-1], tails[1:])
-        exc[start:end] = np.einsum("kj,kj->j", heads, tails)
-        del heads, tails
-    return inc, exc
-
-
-def _class_pmfs(odds: np.ndarray, n: int, counts: np.ndarray) -> tuple[np.ndarray, list]:
-    """Poisson-sampling count pmfs over 0..n: row c of counts[c] units of odds[c], row C + c of
-    one unit fewer, each the exp of a cumsum of logs so every value lies in [0, 1]; and
-    tails[c], the pmf of the count of classes c+1.. truncated at n.  O(C n^2)."""
-    both, m = np.tile(odds, 2)[:, None], np.concatenate([counts, counts - 1])[:, None]
-    with np.errstate(divide="ignore"):  # log 0 = -inf: a pmf is 0 above its m
-        steps = np.log(np.maximum(m - np.arange(n), 0) / np.arange(1, n + 1)) + np.log(both)
-    pmfs = np.exp(np.cumsum(np.hstack([-m * np.log1p(both), steps]), axis=1))
-    tails = [np.eye(1, n + 1)[0]]
-    for c in range(len(odds) - 1, 0, -1):
-        tails.append(np.convolve(tails[-1], pmfs[c])[:n + 1])
-    return pmfs, tails[::-1]
-
-
-def _class_masses(odds: np.ndarray, n: int, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per class of counts[c] units sharing odds[c], a unit's _cps_masses up to one factor.
-
-    The product of the pmfs of the classes before c (_class_pmfs), of c's other units and
-    of tails[c] gives P(S_-u = n-1) and P(S_-u = n) for a unit u of class c as sums of
-    positive terms; inc_c and exc_c are those times o_c and 1.  O(C n^2)."""
-    pmfs, tails = _class_pmfs(odds, n, counts)
-    inc, exc, head = np.empty(len(odds)), np.empty(len(odds)), np.eye(1, n + 1)[0]
-    for c, tail in enumerate(tails):
-        others = np.convolve(head, pmfs[len(odds) + c])[:n + 1]
-        inc[c] = odds[c] * np.dot(others[:n], tail[n - 1::-1])
-        exc[c] = np.dot(others, tail[::-1])
-        if c + 1 < len(odds):
-            head = np.convolve(head, pmfs[c])[:n + 1]
-    return inc, exc
-
-
-def _cps_calibrate(target_pi: np.ndarray, n: int, counts: np.ndarray | None = None) -> np.ndarray:
-    """Find working odds whose conditional-on-size-n marginals match target_pi.
+def _cps_calibrate(target_pi: np.ndarray, n: int, counts: np.ndarray):
+    """Working odds whose conditional-on-size-n marginals match target_pi, the target of
+    counts[c] units each, and the count tree at them.
 
     A fixed point on log odds, lambda += logit(target) - logit(pi), stepping from
     the best iterate; a step that does not cut the largest error by a tenth is
     halved.  It returns the first iterate within 4 eps of every target; where the
     floor is higher, an error that stops falling is accepted within an N-scaled bound.
-    Each pass costs O(N n) by _cps_masses.  With ``counts``, target_pi[c] is the
-    target of counts[c] units and the odds are per class: O(C n^2) by _class_masses.
     """
-    n_units = len(target_pi) if counts is None else int(np.sum(counts))
     goal = np.log(target_pi) - np.log1p(-target_pi)
     log_odds, base, direction, best, step = goal, goal, 0.0, math.inf, 1.0
     for _ in range(1000):
         odds = np.exp(log_odds)
-        inc, exc = _cps_masses(odds, n) if counts is None else _class_masses(odds, n, counts)
+        tree = _CountTree(counts, n, odds)
+        inc, exc = tree.masses()
         residual = float(np.max(np.abs(inc / (inc + exc) - target_pi)))
         if residual <= 4 * np.finfo(float).eps:
-            return odds
+            return odds, tree
+        del tree  # one tree at a time: a stall below refills the best iterate's
         if residual < 0.9 * best:
             best, base, step = residual, log_odds, min(1.0, 2.0 * step)
             direction = goal - np.log(inc / exc)
-        elif best <= max(1e-14, 8 * n_units * np.finfo(float).eps):
-            return np.exp(base)
+        elif best <= max(1e-14, 8 * int(np.sum(counts)) * np.finfo(float).eps):
+            return np.exp(base), _CountTree(counts, n, np.exp(base))
         elif step < 1e-6:
             break
         else:
@@ -729,14 +730,11 @@ def _pps_split_cached(n: int, pi_bytes: bytes):
     certain, rest = np.flatnonzero(pi >= _CERTAIN).tolist(), np.flatnonzero(pi < _CERTAIN)
     n_rest = n - len(certain)  # >= 0: the targets sum to n and each is at most one
     if not n_rest:
-        return certain, rest, n_rest, np.zeros(len(rest)), None
+        return certain, rest, n_rest, np.zeros(len(rest)), None, rest
     targets, classes, counts = np.unique(pi[rest], return_inverse=True, return_counts=True)
-    if len(targets) * (_CLASS_FIXED_COST / (n_rest + 1) + n_rest + 1) > _UNIT_COST * len(rest):
-        return certain, rest, n_rest, _cps_calibrate(pi[rest], n_rest), None
-    odds = _cps_calibrate(targets, n_rest, counts)
-    pmfs, tails = _class_pmfs(odds, n_rest, counts)
-    members = np.split(rest[np.argsort(classes, kind="stable")], np.cumsum(counts)[:-1])
-    return certain, rest, n_rest, odds[classes], (members, pmfs[:len(odds)], tails)
+    odds, tree = _cps_calibrate(targets, n_rest, counts)
+    leaf = np.argsort(tree.order)[classes]  # each unit's leaf
+    return certain, rest, n_rest, odds[classes], tree, rest[np.argsort(leaf, kind="stable")]
 
 
 # ---------------------------------------------------------------------------

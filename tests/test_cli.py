@@ -209,7 +209,7 @@ SAMPLE_CSV_PINS = [
     ({"kind": "srswr", "n": 6}, 11,
      "274014f8084cd6989e67cb7b028f897bfff4a2d83c3d44022cd731a2b43bf273"),
     ({"kind": "pps", "n": 3}, 12,
-     "0ad7f72eea6a0e68b554c3057ca2a29d2b76343d9c397de1cb2c21086ab9261c"),
+     "55413b7963d8e0ece9e1c97909ea7fc3f0df023e8b5e616c240bc4e4558acc14"),
     ({"kind": "stratified_srswor", "n": 4, "allocation": "proportional"}, 13,
      "a2bdf5e52a42cfb8862a4289be8a7ac4528ff2d95afd74d190b3e3d96249326d"),
 ]

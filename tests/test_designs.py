@@ -1,7 +1,9 @@
-import contextlib
+import copy
 import itertools
 import math
+import os
 import time
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -111,6 +113,52 @@ def test_allocation_rejects_too_small_n():
     frame = make_frame([0, 0, 1, 1], strata=["A", "A", "B", "B"])
     with pytest.raises(ValueError):
         allocate_strata("proportional", frame, 1)
+
+
+def _cap_below_one():
+    with mock.patch.dict(os.environ, {designs.ENUM_CAP_ENV: "0"}):
+        designs.default_enumeration_cap()
+
+
+@pytest.mark.parametrize("call, message", [
+    (_cap_below_one, "DPSURVEY_ENUM_CAP must be a positive integer, got '0'"),
+    (lambda: WeightedSample(make_frame([0.0, 1.0]), [0, 1], [0.5], [2.0, 2.0], [0.0, 1.0]),
+     "sample columns must have equal length"),
+    (lambda: inclusion_probs(Poisson(0.0), make_frame([0.0, 1.0])),
+     "Poisson rate must be in (0, 1], got 0.0"),
+    (lambda: inclusion_probs(StratifiedSRSWOR(4), make_frame([0, 0, 0])),
+     "n=4 exceeds frame size 3"),
+    (lambda: allocate_strata("optimal", make_frame([0, 1, 0, 1], strata=["a", "a", "b", "b"]), 2),
+     "unknown allocation 'optimal'"),
+    (lambda: allocate_strata("neyman", make_frame([0, math.nan, 0, 1], strata=list("aabb")), 2),
+     "stratum 'a': Neyman allocation needs observed y"),
+], ids=["enum-cap", "sample-columns", "poisson-rate", "stratified-size", "allocation",
+        "neyman-missing-y"])
+def test_design_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert type(excinfo.value) is ValueError and str(excinfo.value) == message
+
+
+def test_neyman_allocation_past_the_float_range_names_the_stratum():
+    # a square past the float range, and a difference that is already infinite
+    for ys in ([0, 1e160, 0, 5e159], [1.7e308, 1.7e308, -1.7e308, 0, 1, 0]):
+        frame = make_frame(ys, strata=["a"] * (len(ys) - 2) + ["b", "b"])
+        with pytest.raises(ValueError, match=r"^stratum 'a': the spread of y overflows a float$"):
+            allocate_strata("neyman", frame, 2)
+    frame = make_frame([0, 1e150, 0, 5e149], strata=["a", "a", "b", "b"])
+    assert allocate_strata("neyman", frame, 2) == {"a": 1, "b": 1}
+
+
+def test_pps_size_measures_past_the_float_range_raise_typed_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ValueError, match=r"^PPS: the size measures x sum past the float"):
+            inclusion_probs(PPS(2), make_frame(np.zeros(5), xs=[1e308] * 5))
+        with pytest.raises(CertaintyUnitError) as excinfo:  # n x overflows, its pi does not
+            inclusion_probs(PPS(2), make_frame(np.zeros(3), xs=[9e307, 1.0, 1.0]))
+    assert excinfo.value.unit_id == 1 and excinfo.value.pi == 2.0
+    assert "is 2 > 1" in str(excinfo.value)
 
 
 def test_allocation_respects_bounds():
@@ -333,7 +381,7 @@ def test_pps_invariant_under_size_rescaling(xs, scale):
 
 
 def test_pps_draw_follows_enumerated_joint_design():
-    # the sequential selection must reproduce the conditional-Poisson joint
+    # the tree draw must reproduce the conditional-Poisson joint
     # distribution, not just the marginals
     frame = make_frame([0] * 4, xs=[4.0, 3.0, 2.0, 1.0])
     space = dict(sample_space(PPS(2), frame))
@@ -381,14 +429,53 @@ def test_pps_with_every_unit_certain_takes_the_frame_without_a_draw():
     assert sample_space(PPS(3), frame) == [((1, 2, 3), 1.0)]
 
 
+def cps_masses_reference(odds, n):
+    """Positive-sum reference for the count tree's masses, moved here from the package:
+    per unit, the weight of the size-n samples that hold it and that do not, from tables
+    of the elementary symmetric polynomials e_0..e_n of the odds, in O(N n).
+
+    A block's table grows one unit per column by the positive update e_k += o e_{k-1}.
+    Blocks end each ~sqrt(N) or 2**20 / (n + 1) units, or where values have grown by
+    2**400, and the row carried between blocks is rescaled by an exact power of two.
+    """
+    def columns(start, block):  # column j: e_0..e_n of the units behind start and block[:j]
+        table = np.empty((n + 1, len(block) + 1))
+        table[0] = start[0]
+        for k in range(1, n + 1):
+            np.multiply(block, table[k - 1, :-1], out=table[k, 1:])
+            table[k, 0] = start[k]
+            np.cumsum(table[k], out=table[k])
+        return table
+
+    def rescaled(row):  # by the power of two that puts its maximum in [0.5, 1)
+        return np.ldexp(row, -math.frexp(float(row.max()))[1])
+
+    cap = max(math.isqrt(len(odds)) + 1, (1 << 20) // (n + 1))
+    band = np.cumsum(np.log2(1.0 + odds)) // 400
+    edges = sorted({*range(0, len(odds), cap), *(np.flatnonzero(np.diff(band)) + 1).tolist()})
+    blocks = list(zip(edges, edges[1:] + [len(odds)]))
+    rows = [np.eye(1, n + 1)[0]]  # e_0..e_n of the units after each block, last block first
+    for start, end in reversed(blocks[1:]):
+        rows.append(rescaled(columns(rows[-1], odds[start:end][::-1])[:, -1]))
+    inc, exc, head = np.empty(len(odds)), np.empty(len(odds)), np.eye(1, n + 1)[0]
+    for start, end in blocks:
+        tails = columns(rows.pop(), odds[start:end][::-1])[::-1, -2::-1]
+        heads = columns(head, odds[start:end])
+        head = rescaled(heads[:, -1])
+        heads = heads[:, :-1]
+        inc[start:end] = odds[start:end] * np.einsum("kj,kj->j", heads[:-1], tails[1:])
+        exc[start:end] = np.einsum("kj,kj->j", heads, tails)
+    return inc, exc
+
+
 def test_pps_calibration_overflow_fails_fast_with_a_typed_error():
     # e_550 of 1100 unit odds overflows a double, which once ended the
-    # calibration in a NaN; the scaled tables now draw, with finite
+    # calibration in a NaN; the count pmfs now draw, with finite
     # conditional-Poisson marginals that sum to n
     for n_frame, n in ((1100, 550), (2000, 1000)):
         frame = make_frame([0.0] * n_frame)
         assert draw(PPS(n), frame, np.random.default_rng(1)).size == n
-        inc, exc = designs._cps_masses(PPS(n)._split(frame)[3], n)
+        inc, exc = cps_masses_reference(PPS(n)._split(frame)[3], n)
         marginals = inc / (inc + exc)
         assert np.all(np.isfinite(marginals))
         assert abs(math.fsum(marginals) - n) < 1e-9
@@ -396,7 +483,7 @@ def test_pps_calibration_overflow_fails_fast_with_a_typed_error():
     # with the finite residual, not a spin
     start = time.perf_counter()
     with pytest.raises(PPSCalibrationError) as excinfo:
-        designs._cps_calibrate(np.array([0.5, 0.5, 0.5]), 1)
+        designs._cps_calibrate(np.array([0.5, 0.5, 0.5]), 1, np.ones(3, int))
     assert time.perf_counter() - start < 1.0
     assert isinstance(excinfo.value, RuntimeError)
     assert math.isfinite(excinfo.value.residual) and excinfo.value.residual > 0.1
@@ -428,107 +515,34 @@ def test_pps_calibration_near_certainty_matches_enumeration(n_frame, data, digit
     assert np.max(np.abs(marginals - inclusion_probs(PPS(n), frame))) < 1e-12
 
 
-def _tail_recursion_draw(odds, n, rng):
-    """Reference selection: e_k of every tail from scratch, O(N^2 n) per draw."""
-    chosen, remaining = [], n
-    for i, odd in enumerate(odds):
-        if remaining == 0:
-            break
-        tail = [1.0] + [0.0] * n
-        for v in odds[i + 1:]:
-            for k in range(n, 0, -1):
-                tail[k] += v * tail[k - 1]
-        take = odd * tail[remaining - 1]
-        if rng.random() < take / (tail[remaining] + take):
-            chosen.append(i)
-            remaining -= 1
-    return chosen
-
-
-@pytest.mark.parametrize("blocked", [False, True])
-def test_pps_table_draw_matches_the_per_unit_tail_recursion(blocked, monkeypatch):
-    if blocked:
-        # blocks of ~sqrt(N) units, and a growth bound that splits them further
-        monkeypatch.setattr(designs, "_CPS_BLOCK_FLOATS", 1)
-        monkeypatch.setattr(designs, "_CPS_GROWTH_BITS", 2)
-    for seed in range(40):
-        gen = np.random.default_rng(seed)
-        n_frame = int(gen.integers(5, 40))
-        frame = make_frame([0.0] * n_frame, xs=gen.choice([1.0, 2.0, 3.0, 4.0], n_frame))
-        n = int(gen.integers(1, n_frame // 3 + 2))
-        certain, rest, n_rest, odds, _ = PPS(n)._split(frame)
-        assert not certain and n_rest == n
-        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert PPS(n).draw(frame, rng) == _tail_recursion_draw(odds.tolist(), n, reference)
-        assert rng.random() == reference.random()
-
-
-def _two_pass_masses(odds, n):
-    """Reference masses: every block's tail and head tables built one at a time."""
-    def columns(start, block):
-        table = np.empty((n + 1, len(block) + 1))
-        table[0] = start[0]
-        for k in range(1, n + 1):
-            np.multiply(block, table[k - 1, :-1], out=table[k, 1:])
-            table[k, 0] = start[k]
-            np.cumsum(table[k], out=table[k])
-        return table
-
-    cap = max(math.isqrt(len(odds)) + 1, designs._CPS_BLOCK_FLOATS // (n + 1))
-    band = np.cumsum(np.log2(1.0 + odds)) // designs._CPS_GROWTH_BITS
-    edges = sorted({*range(0, len(odds), cap), *(np.flatnonzero(np.diff(band)) + 1).tolist()})
-    blocks = list(zip(edges, edges[1:] + [len(odds)]))
-    rows = [np.eye(1, n + 1)[0]]
-    for start, end in reversed(blocks[1:]):
-        rows.append(designs._rescaled(columns(rows[-1], odds[start:end][::-1])[:, -1]))
-    inc, exc, head = np.empty(len(odds)), np.empty(len(odds)), np.eye(1, n + 1)[0]
-    for start, end in blocks:
-        tails = columns(rows.pop(), odds[start:end][::-1])[::-1, -2::-1]
-        heads = columns(head, odds[start:end])
-        head = designs._rescaled(heads[:, -1])
-        heads = heads[:, :-1]
-        inc[start:end] = odds[start:end] * np.einsum("kj,kj->j", heads[:-1], tails[1:])
-        exc[start:end] = np.einsum("kj,kj->j", heads, tails)
-    return inc, exc, len(blocks)
-
-
-@pytest.mark.parametrize("blocked", [False, True])
-def test_stacked_masses_match_the_two_pass_reference_bit_for_bit(blocked, monkeypatch):
-    if blocked:
-        monkeypatch.setattr(designs, "_CPS_BLOCK_FLOATS", 1)
-        monkeypatch.setattr(designs, "_CPS_GROWTH_BITS", 2)
-    for n_frame, n in ((300, 30), (60, 6), (25, 1), (40, 38), (30, 29), (12, 11)):
-        odds = np.random.default_rng(n_frame + n).choice([0.1, 0.5, 1.0, 3.0], n_frame)
-        inc, exc = designs._cps_masses(odds, n)
-        ref_inc, ref_exc, n_blocks = _two_pass_masses(odds, n)
-        assert (n_blocks > 1) == blocked
-        assert inc.tobytes() == ref_inc.tobytes() and exc.tobytes() == ref_exc.tobytes()
+def counted_passes():
+    """A spy on the count tree's passes: one masses call per calibration pass."""
+    return mock.patch.object(designs._CountTree, "masses", autospec=True,
+                             side_effect=designs._CountTree.masses)
 
 
 def test_pps_calibration_stops_at_the_rounding_floor():
-    # bench-shaped frames: the fixed point reaches the floor within six passes
-    masses = designs._cps_masses
+    # bench-shaped frames, one leaf per unit: the fixed point reaches the floor within six passes
     for seed in range(10):
         xs = np.random.default_rng(seed).choice([1.0, 2.0, 3.0, 4.0], 300)
         target = inclusion_probs(PPS(30), make_frame([0.0] * 300, xs=xs))
-        with mock.patch.object(designs, "_cps_masses", wraps=masses) as spy:
-            odds = designs._cps_calibrate(target, 30)
-        assert spy.call_count <= 6
-        inc, exc = masses(odds, 30)
+        with counted_passes() as spy:
+            odds, tree = designs._cps_calibrate(target, 30, np.ones(300, int))
+        assert spy.call_count <= 6 and len(tree.order) == 300
+        inc, exc = tree.masses()
         assert np.max(np.abs(inc / (inc + exc) - target)) <= 4 * np.finfo(float).eps
+        inc, exc = cps_masses_reference(odds, 30)
+        assert np.max(np.abs(inc / (inc + exc) - target)) <= 1e-14
 
 
 def test_pps_calibrates_few_size_classes_per_class_and_continuous_sizes_per_unit():
-    # four distinct x: every pass runs over the classes; one x per unit: over the units
+    # four distinct x: a leaf per size class; one x per unit: a leaf per unit
     rng = np.random.default_rng(3)
-    shapes = {"class": rng.choice([1.0, 2.0, 3.0, 4.0], 300), "blocked": 1.0 + rng.random(300)}
-    for path, xs in shapes.items():
-        designs._pps_split_cached.cache_clear()
-        with mock.patch.object(designs, "_cps_masses", wraps=designs._cps_masses) as units, \
-                mock.patch.object(designs, "_class_masses", wraps=designs._class_masses) as classes:
-            draw(PPS(30), make_frame([0.0] * 300, xs=xs), np.random.default_rng(0))
-        assert (units.call_count == 0) == (path == "class"), path
-        assert (classes.call_count > 0) == (path == "class"), path
+    shapes = {4: rng.choice([1.0, 2.0, 3.0, 4.0], 300), 300: 1.0 + rng.random(300)}
+    for leaves, xs in shapes.items():
+        tree = PPS(30)._split(make_frame([0.0] * 300, xs=xs))[4]
+        assert len(tree.order) == leaves
+        assert sorted(tree.counts.tolist()) == sorted(np.unique(xs, return_counts=True)[1])
 
 
 def test_pps_class_calibration_stops_at_the_rounding_floor():
@@ -537,12 +551,12 @@ def test_pps_class_calibration_stops_at_the_rounding_floor():
         xs = np.random.default_rng(seed).choice([1.0, 2.0, 3.0, 4.0], 300)
         target = inclusion_probs(PPS(30), make_frame([0.0] * 300, xs=xs))
         targets, classes, counts = np.unique(target, return_inverse=True, return_counts=True)
-        with mock.patch.object(designs, "_class_masses", wraps=designs._class_masses) as spy:
-            odds = designs._cps_calibrate(targets, 30, counts)
+        with counted_passes() as spy:
+            odds, tree = designs._cps_calibrate(targets, 30, counts)
         assert spy.call_count <= 6
-        inc, exc = designs._class_masses(odds, 30, counts)
+        inc, exc = tree.masses()
         assert np.max(np.abs(inc / (inc + exc) - targets)) <= 4 * np.finfo(float).eps
-        inc, exc = designs._cps_masses(odds[classes], 30)
+        inc, exc = cps_masses_reference(odds[classes], 30)
         assert np.max(np.abs(inc / (inc + exc) - target)) <= 4 * np.finfo(float).eps
 
 
@@ -550,70 +564,102 @@ def test_pps_class_calibration_stops_at_the_rounding_floor():
                 unique_by=lambda size_and_count: size_and_count[0]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_pps_class_calibration_matches_the_blocked_path(classes, data):
-    # up to six size classes of up to 333 units each, any n that leaves no certainty unit
+    # up to six size classes of up to 333 units each, any n that leaves no certainty unit:
+    # class leaves against a leaf per unit, then the blocked reference's marginals
     xs = np.repeat([float(x) for x, _ in classes], [count for _, count in classes])
     n = data.draw(st.integers(min_value=1, max_value=max(1, math.ceil(xs.sum() / xs.max()) - 1)))
     target = n * xs / math.fsum(xs)
     assume(target.max() < designs._CERTAIN)
     targets, inverse, counts = np.unique(target, return_inverse=True, return_counts=True)
     assert len(targets) == len(classes)
-    odds = designs._cps_calibrate(targets, n, counts)[inverse]
-    assert np.max(np.abs(odds / designs._cps_calibrate(target, n) - 1)) <= 1e-12
-    inc, exc = designs._cps_masses(odds, n)
-    floor = max(1e-14, 8 * len(xs) * np.finfo(float).eps)  # the blocked path's own acceptance
+    odds = designs._cps_calibrate(targets, n, counts)[0][inverse]
+    per_unit = designs._cps_calibrate(target, n, np.ones(len(xs), int))[0]
+    assert np.max(np.abs(odds / per_unit - 1)) <= 1e-12
+    inc, exc = cps_masses_reference(odds, n)
+    floor = max(1e-14, 8 * len(xs) * np.finfo(float).eps)  # the calibration's own acceptance
     assert np.max(np.abs(inc / (inc + exc) - target)) <= floor
 
 
-@contextlib.contextmanager
-def class_path():
-    """Every PPS split with a unit left to draw is calibrated per class and draws count-first.
+def test_fft_products_match_direct_convolution():
+    # factors wider than 64 counts go by FFT; the rows of one call are independent
+    rng = np.random.default_rng(9)
+    for rows, wide, narrow, lo, hi in ((3, 200, 90, 0, 200), (5, 129, 66, 40, 129),
+                                       (1, 1001, 1001, 0, 1001), (4, 70, 300, 60, 131)):
+        a, b = rng.random((rows, wide)), rng.random((rows, narrow))
+        a[0, 100:] = 1e-30  # a tail far below the mass: FFT round-off clips at 0, never below
+        assert min(wide, narrow) > designs._DIRECT_WIDTH + 1
+        out = designs._convolve(a, b, lo, hi)
+        reference = np.array([np.convolve(x, y)[lo:hi] for x, y in zip(a, b)])
+        assert out.shape == reference.shape and np.all(out >= 0.0)
+        assert np.max(np.abs(out - reference)) <= 1e-13 * reference.max()
+    # the direct products below that width are the per-row convolutions, whichever loop runs
+    for rows, wide, narrow in ((2, 65, 65), (100, 30, 3), (40, 2, 2)):
+        a, b = rng.random((rows, wide)), rng.random((rows, narrow))
+        reference = np.array([np.convolve(x, y) for x, y in zip(a, b)])
+        assert np.allclose(designs._convolve(a, b, 0, wide + narrow - 1), reference,
+                           rtol=1e-15, atol=0.0)
 
-    The split cache is cleared on the way in and out, so no forced split outlives the block.
+
+def tree_draw_law(n, frame):
+    """Each sample's probability under the tree draw, by id tuple.
+
+    A node that gets k units sends j of them left with weight L(j) R(k - j) over all
+    such weights, and a leaf picks its k of m units uniformly, so a sample's probability
+    is the product of its splits' shares and of 1 / C(m, k) per leaf.
     """
-    designs._pps_split_cached.cache_clear()
-    try:
-        with mock.patch.multiple(designs, _CLASS_FIXED_COST=0, _UNIT_COST=10 ** 9):
-            yield
-    finally:
-        designs._pps_split_cached.cache_clear()
-
-
-def assert_count_first_law_is_the_enumerated_design(n, frame):
-    """Each sample's probability under the count-first draw equals PPS(n).space within 1e-15.
-
-    The draw takes class c's count k with weight pmf_c(k) P(later classes hold r - k), then
-    one of the C(m_c, k) subsets of the class uniformly; a sample is one such path.
-    """
-    certain, rest, n_rest, _, (members, pmfs, tails) = designs._pps_split_cached(
-        n, inclusion_probs(PPS(n), frame).tobytes())
-    assert sorted(np.concatenate(members).tolist()) == rest.tolist()
+    certain, _, n_rest, _, tree, units = PPS(n)._split(frame)
+    members = np.split(units, np.cumsum(tree.counts)[:-1])
+    pmfs = []  # per level below the root, each node's pmf; empty leaves pad the classes
+    for h, (runs, values) in enumerate(zip(tree.levels, tree.up)):
+        level = [None] * (2 << (len(tree.levels) - 1 - h))
+        for p, pairs, wl, wr, _, span, _ in runs:
+            for r in range(pairs):
+                base = span.start + r * (wl + wr + 2)
+                level[2 * (p + r)] = values[base:base + wl + 1]
+                level[2 * (p + r) + 1] = values[base + wl + 1:base + wl + wr + 2]
+        pmfs.append(level)
     law = {}
-    for picked in itertools.combinations(rest.tolist(), n_rest):
-        prob, remaining = 1.0, n_rest
-        for positions, pmf, tail in zip(members, pmfs, tails):
-            k = len(set(picked) & set(positions.tolist()))
-            weights = pmf[:remaining + 1] * tail[remaining::-1]
-            prob *= weights[k] / math.fsum(weights) / math.comb(len(positions), k)
-            remaining -= k
-        law[tuple(sorted(certain + list(picked)))] = prob
-    space = PPS(n).space(frame)
+    for picked in itertools.combinations(units.tolist(), n_rest):
+        counts = [len(set(picked) & set(leaf.tolist())) for leaf in members]
+        prob = math.prod(1 / math.comb(len(leaf), k) for leaf, k in zip(members, counts))
+        counts += [0] * (len(pmfs[0]) - len(counts)) if pmfs else []
+        for level in pmfs:
+            for left, right, kl, kr in zip(level[::2], level[1::2], counts[::2], counts[1::2]):
+                k = kl + kr
+                splits = [left[j] * right[k - j] for j in range(len(left))
+                          if 0 <= k - j < len(right)]
+                prob *= left[kl] * right[kr] / math.fsum(splits)
+            counts = [sum(counts[i:i + 2]) for i in range(0, len(counts), 2)]
+        law[tuple(frame.ids[p] for p in sorted(certain + list(picked)))] = prob
+    return law
+
+
+def assert_tree_draw_matches_the_references(n, frame):
+    """The tree draw's law equals PPS(n).space within 1e-15, and the count tree's
+    marginals at the calibrated odds equal the blocked reference's within 1e-14."""
+    law, space = tree_draw_law(n, frame), sample_space(PPS(n), frame)
     assert len(law) == len(space)
     for sample, prob in space:
         assert abs(law[sample] - prob) <= 1e-15, (n, sample)
+    pi = inclusion_probs(PPS(n), frame)
+    _, rest, n_rest, odds, tree, _ = PPS(n)._split(frame, pi)
+    inc, exc = tree.masses()
+    classes = np.unique(pi[rest], return_inverse=True)[1]
+    ref_inc, ref_exc = cps_masses_reference(odds, n_rest)
+    assert np.max(np.abs((inc / (inc + exc))[classes] - ref_inc / (ref_inc + ref_exc))) <= 1e-14
 
 
 def test_count_first_draw_law_is_the_enumerated_design_on_every_library_frame():
     checked = 0
-    with class_path():
-        for frame in frame_library():
-            for n in range(1, frame.n + 1):
-                try:
-                    pi = inclusion_probs(PPS(n), frame)
-                except CertaintyUnitError:
-                    continue
-                if np.count_nonzero(pi >= designs._CERTAIN) < n:  # a unit left to draw
-                    assert_count_first_law_is_the_enumerated_design(n, frame)
-                    checked += 1
+    for frame in frame_library():
+        for n in range(1, frame.n + 1):
+            try:
+                pi = inclusion_probs(PPS(n), frame)
+            except CertaintyUnitError:
+                continue
+            if np.count_nonzero(pi >= designs._CERTAIN) < n:  # a unit left to draw
+                assert_tree_draw_matches_the_references(n, frame)
+                checked += 1
     assert checked >= 10
 
 
@@ -626,58 +672,64 @@ def test_count_first_draw_law_is_the_enumerated_design_with_certainty_units(xs, 
     assume(n * max(xs) <= sum(xs))
     pi = inclusion_probs(PPS(n), frame)
     assume(np.count_nonzero(pi >= designs._CERTAIN) < n)
-    with class_path():
-        assert_count_first_law_is_the_enumerated_design(n, frame)
+    assert_tree_draw_matches_the_references(n, frame)
+
+
+@given(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=9), st.data())
+@settings(max_examples=100, deadline=None)
+def test_tree_draw_law_is_the_enumerated_design_for_a_continuous_size_measure(xs, data):
+    # x of every magnitude over four decades: mostly a leaf per unit
+    n = data.draw(st.integers(1, len(xs) - 1))
+    frame = make_frame([0.0] * len(xs), xs=xs)
+    assume(n * max(xs) <= math.fsum(xs))
+    assume(np.count_nonzero(inclusion_probs(PPS(n), frame) >= designs._CERTAIN) < n)
+    assert_tree_draw_matches_the_references(n, frame)
 
 
 def test_count_first_draws_follow_the_enumerated_joint_design():
-    # three size classes of one, three and two units; no selection pass runs
+    # three size classes of one, three and two units
     frame = make_frame([0] * 6, xs=[3.0, 3.0, 2.0, 2.0, 2.0, 1.0])
     trials = 20_000
     rng = np.random.default_rng(456)
-    with class_path(), mock.patch.object(designs, "_esp_columns",
-                                         wraps=designs._esp_columns) as columns:
-        space = dict(sample_space(PPS(3), frame))
-        counts = {sample: 0 for sample in space}
-        for _ in range(trials):
-            counts[draw(PPS(3), frame, rng).ids] += 1
-    assert columns.call_count == 0
+    space = dict(sample_space(PPS(3), frame))
+    counts = {sample: 0 for sample in space}
+    for _ in range(trials):
+        counts[draw(PPS(3), frame, rng).ids] += 1
     for sample, prob in space.items():
         se = math.sqrt(prob * (1 - prob) / trials)
         assert abs(counts[sample] / trials - prob) < 5 * se, sample
 
 
-def test_a_class_frame_draws_count_first_and_continuous_sizes_sequentially():
-    # a bench-shaped frame never builds a tail table; a continuous-x warm draw does
-    rng = np.random.default_rng(3)
-    shapes = {True: rng.choice([1.0, 2.0, 3.0, 4.0], 300), False: 1.0 + rng.random(300)}
-    for count_first, xs in shapes.items():
+def test_a_draw_reads_the_tree_of_the_last_calibration_pass():
+    # a cold draw builds one tree per pass and draws from the last; a warm one builds none
+    rng, tree_type, built = np.random.default_rng(3), designs._CountTree, []
+    for xs in (rng.choice([1.0, 2.0, 3.0, 4.0], 300), 1.0 + rng.random(300)):
         frame = make_frame([0.0] * 300, xs=xs)
         designs._pps_split_cached.cache_clear()
-        with mock.patch.object(designs, "_tail_blocks", wraps=designs._tail_blocks) as blocks, \
-                mock.patch.object(designs, "_esp_columns", wraps=designs._esp_columns) as columns:
+        built.clear()
+        with counted_passes() as passes, mock.patch.object(
+                designs, "_CountTree", lambda *args: built.append(tree_type(*args)) or built[-1]):
             for seed in range(2):  # cold, then warm
-                cold = (blocks.call_count, columns.call_count)
                 assert draw(PPS(30), frame, np.random.default_rng(seed)).size == 30
-        if count_first:
-            assert blocks.call_count == columns.call_count == 0
-        else:
-            assert blocks.call_count - cold[0] == 1 and columns.call_count > cold[1]
+        assert len(built) == passes.call_count > 0
+        assert PPS(30)._split(frame)[4] is built[-1]
 
 
 def test_count_weights_that_vanish_or_are_not_finite_raise_a_typed_error_naming_the_class():
-    frame = make_frame([0] * 6, xs=[3.0, 3.0, 2.0, 2.0, 2.0, 1.0])
-    pi = inclusion_probs(PPS(3), frame)
-    with class_path():
-        *split, (members, pmfs, tails) = designs._pps_split_cached(3, pi.tobytes())
-        for bad in (0.0, math.nan, math.inf):
-            broken = pmfs.copy()
-            broken[1] = bad
-            with mock.patch.object(designs, "_pps_split_cached",
-                                   return_value=(*split, (members, broken, tails))):
-                with pytest.raises(PPSCalibrationError, match="size class 1 no count weight"), \
-                        np.errstate(invalid="ignore"):  # inf * 0 in the weights
-                    draw(PPS(3), frame, np.random.default_rng(0))
+    # two size classes, each a leaf under the root; class 1's pmf is broken
+    frame = make_frame([0] * 5, xs=[3.0, 3.0, 2.0, 2.0, 2.0])
+    pi = inclusion_probs(PPS(2), frame)
+    *split, tree, units = designs._pps_split_cached.__wrapped__(2, pi.tobytes())
+    assert tree.order.tolist() == [0, 1] and tree.groups[0][:3] == (0, 2, 2)
+    for bad in (0.0, math.nan, math.inf):
+        broken = copy.copy(tree)
+        broken.up = [tree.up[0].copy()]
+        broken.up[0][3:] = bad  # leaf 1, class 1: its pmf over 0..2
+        with mock.patch.object(designs, "_pps_split_cached",
+                               return_value=(*split, broken, units)):
+            with pytest.raises(PPSCalibrationError, match=r"classes \[0, 1\] no count weight"), \
+                    np.errstate(invalid="ignore"):  # inf * 0 in the weights
+                draw(PPS(2), frame, np.random.default_rng(0))
 
 
 def test_a_stratified_frame_is_allocated_once():
@@ -724,7 +776,7 @@ DRAW_PINS = {
                                 0.4464395485894398),
     "stratified_neyman": (StratifiedSRSWOR(3, "neyman"), (1, 3, 5), 0.4464395485894398),
     "cluster": (ClusterSRSWOR(1), (1, 2), 0.1609973550916508),
-    "pps": (PPS(2), (1, 4), 0.7488627517077001),
+    "pps": (PPS(2), (3, 4), 0.1227202246563549),
     "systematic_frame": (Systematic(2, "frame"), (1, 3), 0.1609973550916508),
     "systematic_random": (Systematic(2, "random"), (1, 2), 0.1227202246563549),
     "two_stage": (TwoStageDesign(ClusterSRSWOR(1), SRSWOR(1)), (1,), 0.1609973550916508),
@@ -739,17 +791,15 @@ def test_draw_is_stable_across_versions(kind):
     assert rng.random() == next_uniform
 
 
-# The same for a count-first PPS draw: frame_library()[2] has two size classes,
-# and the split is forced onto the class path, which that desk-scale frame
-# would not take by cost.  The sequential draw gives (1, 2, 4) here.
-CLASS_DRAW_PIN = (PPS(3), (3, 4, 5), 0.7488627517077001)
+# The same for PPS(3) on that frame, whose two size classes are the two leaves
+# of its count tree: the root's split takes one uniform, and each class its SRSWOR.
+CLASS_DRAW_PIN = (PPS(3), (3, 4, 5), 0.1609973550916508)
 
 
 def test_count_first_draw_is_stable_across_versions():
     design, ids, next_uniform = CLASS_DRAW_PIN
     rng = np.random.default_rng(20240807)
-    with class_path():
-        assert draw(design, frame_library()[2], rng).ids == ids
+    assert draw(design, frame_library()[2], rng).ids == ids
     assert rng.random() == next_uniform
 
 

@@ -581,7 +581,7 @@ REPORT_PINS = {
     "propensity_stratified_dp_regression":
         "af102207af5910e8c672a40d980ba1f2298debe76ab3f4d05d979dead6452914",
     "pps":
-        "d20788c336a1837b3c8f5c9387d215bfe24b631bab4e29d55298aa936580a670",
+        "c61e6924a9e03002016bd5f08539b2f0c3c0a7de9ab2c165d10322bee86dd65d",
     "srswr_cells_benchmarks":
         "519508f51c6030db625d6a6ac7136dabb86f2983da2efe757e2e3e260e7a7467",
     "srswor_cells_dp_propensities_regularize":
