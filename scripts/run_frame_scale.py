@@ -8,9 +8,9 @@ imputes by DP regression and releases an HT mean and a mean.  It then times
 probabilities and one ``run_pipeline`` (which loads the frame again).  The
 config parse, the load and the run are then each called once more under
 ``tracemalloc``, whose peak is the memory that call itself allocates, numpy
-buffers included; for the parse it also reports what the parsed config keeps
-(its adjustment cells).  The traced calls run several times slower and are
-not timed.
+buffers included; for the parse it also reports what the parsed config keeps:
+its adjustment cells, a sorted int64 id array and one code per id.  The
+traced calls run several times slower and are not timed.
 
 Usage: python scripts/run_frame_scale.py [N] [seed]    (default 10000 1)
 """
@@ -102,7 +102,7 @@ def main(argv: list[str]) -> int:
         run_mb, _ = traced_mb(run_pipeline, config, seed)
     print(f"survey run on N={n_frame}, seed {seed}")
     print(f"  parse_config   {config_s:10.4f} s {parse_mb:8.1f} MB peak {kept_mb:8.1f} MB kept   "
-          "adjustment cells over every id")
+          "adjustment cells over every id, as an id array and codes")
     print(f"  load_frame_csv {load_s:10.4f} s {load_mb:8.1f} MB peak")
     print(f"  first strata() {strata_s:10.4f} s")
     print(f"  stratified pi  {pi_s:10.4f} s   allocation, then one gather")

@@ -225,7 +225,7 @@ def impute_parametric(record, params: ImputationParams, rng) -> np.ndarray:
         return row
 
     if params.method == "regression":
-        fillable = set(np.flatnonzero(missing))
+        fillable = set(np.flatnonzero(missing).tolist())
         if fillable != {params.target}:
             raise ValueError(
                 f"regression model imputes only column {params.target}; "

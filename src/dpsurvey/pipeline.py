@@ -23,6 +23,7 @@ everything intermediary to the mechanism stays out of the output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -53,7 +54,7 @@ from .designs import (
     inclusion_probs,
 )
 from .estimators import ReleaseRefusedError, ht_mean, ht_total, unweighted_mean
-from .frames import Frame, ValueUniverse, load_frame_csv
+from .frames import Frame, ValueUniverse, _frozen, _Labels, _named, load_frame_csv
 from .imputation import (
     fit_dp_mean_model,
     fit_dp_regression,
@@ -136,7 +137,7 @@ class PipelineConfig:
     mechanism_start: str
     budget: float
     response_model: str = "full"            # "full" | "propensity"
-    cell_of: dict | None = None             # unit id -> adjustment cell label
+    cells: tuple | None = None              # (sorted unit ids, frames._Labels of their cells)
     benchmarks: dict | None = None          # label -> population total
     regularize_bounds: tuple[float, float] | None = None
     dp_propensity_epsilon: float | None = None
@@ -176,16 +177,16 @@ class PipelineConfig:
             raise ConfigError("response.model",
                               f"must be 'full' or 'propensity', got {self.response_model!r}")
         if self.benchmarks is not None:
-            if self.cell_of is None:
+            if self.cells is None:
                 raise ConfigError("adjustment.benchmarks", "benchmarks require cells")
-            labels = set(self.cell_of.values())
+            labels = set(self.cells[1].names)
             for label in self.benchmarks:
                 if label not in labels:
                     raise ConfigError(f"adjustment.benchmarks.{label}", "no such cell")
         bounds = self.regularize_bounds
         if bounds is not None and bounds[0] > bounds[1]:
             raise ConfigError("adjustment.regularize", "lower must be <= upper")
-        if self.dp_propensity_epsilon is not None and self.cell_of is None:
+        if self.dp_propensity_epsilon is not None and self.cells is None:
             raise ConfigError("adjustment.dp_propensities", "requires cells")
         method = self.imputation_method
         if method not in (None, "dp_mean", "dp_regression", "hot_deck"):
@@ -292,6 +293,44 @@ def _parse_design(spec, path: str) -> Design:
         raise ConfigError(f"{path}.{option}", str(err)) from err
 
 
+def _check_cells(cells: dict) -> None:
+    """Refuse the first entry, in listed order, that is no unit id or in another cell."""
+    owner_of = {}
+    for label, ids in cells.items():
+        if not isinstance(ids, list) or not ids:
+            raise ConfigError(f"adjustment.cells.{label}", "expected a non-empty list of unit ids")
+        for j, unit in enumerate(ids):
+            _integer(unit, f"adjustment.cells.{label}[{j}]")
+            if owner_of.setdefault(unit, label) != label:
+                raise ConfigError(f"adjustment.cells.{label}[{j}]", f"unit {unit} is already in "
+                                  f"cell {owner_of[unit]!r}; cells must be disjoint")
+
+
+def _parse_cells(cells: dict) -> tuple[np.ndarray, _Labels]:
+    """The cells as the frame holds a label column: the listed ids sorted, once each,
+    and the code of each one's cell.  ``_check_cells`` refuses a fault, and checks an
+    id beyond int64, which matches no frame unit and is left out."""
+    if not all(isinstance(ids, list) and ids and {int}.issuperset(map(type, ids))
+               for ids in cells.values()):
+        _check_cells(cells)  # refuses the first fault
+    owner = np.repeat(np.arange(len(cells)), [len(ids) for ids in cells.values()])
+    flat = list(itertools.chain.from_iterable(cells.values()))
+    try:
+        ids = np.array(flat, np.int64)
+    except OverflowError:
+        _check_cells(cells)
+        keep = np.array([-2 ** 63 <= unit < 2 ** 63 for unit in flat])
+        ids, owner = np.array(list(itertools.compress(flat, keep)), np.int64), owner[keep]
+    del flat
+    order = np.argsort(ids, kind="stable")
+    ids, owner = ids[order], owner[order]
+    repeat = ids[1:] == ids[:-1]
+    if (repeat & (owner[1:] != owner[:-1])).any():  # an id in two cells
+        _check_cells(cells)
+    first = np.r_[True, ~repeat][:len(ids)]
+    return _frozen(ids[first]), _named(dict(zip(cells, range(len(cells)))), owner[first])
+
+
 def parse_config(text: str) -> PipelineConfig:
     """Read a JSON config, checking its keys, value types, ranges and ``invariant``.
 
@@ -342,25 +381,12 @@ def parse_config(text: str) -> PipelineConfig:
     if "response" in top:
         response_model = _object(top["response"], "response", {"model"}, ("model",))["model"]
 
-    cell_of = benchmarks = regularize = dp_prop_eps = None
+    cells = benchmarks = regularize = dp_prop_eps = None
     if "adjustment" in top:
         adj = _object(top["adjustment"], "adjustment",
                       {"cells", "benchmarks", "regularize", "dp_propensities"})
         if "cells" in adj:
-            cell_of = {}
-            for label, ids in _object(adj["cells"], "adjustment.cells").items():
-                if not isinstance(ids, list) or not ids:
-                    raise ConfigError(f"adjustment.cells.{label}",
-                                      "expected a non-empty list of unit ids")
-                for j, unit in enumerate(ids):
-                    # paths are formatted only for the entry being rejected
-                    if isinstance(unit, bool) or not isinstance(unit, int):
-                        _integer(unit, f"adjustment.cells.{label}[{j}]")
-                    owner = cell_of.setdefault(unit, label)
-                    if owner != label:
-                        raise ConfigError(f"adjustment.cells.{label}[{j}]",
-                                          f"unit {unit} is already in cell {owner!r}; "
-                                          f"cells must be disjoint")
+            cells = _parse_cells(_object(adj["cells"], "adjustment.cells"))
         if "benchmarks" in adj:
             totals = _object(adj["benchmarks"], "adjustment.benchmarks")
             benchmarks = {label: _number(total, f"adjustment.benchmarks.{label}", positive=True)
@@ -393,7 +419,7 @@ def parse_config(text: str) -> PipelineConfig:
         frame_path=top["frame"], universe=universe, design=design,
         releases=tuple(releases), mechanism_start=top["mechanism_start"],
         budget=_number(top["budget"], "budget"),
-        response_model=response_model, cell_of=cell_of, benchmarks=benchmarks,
+        response_model=response_model, cells=cells, benchmarks=benchmarks,
         regularize_bounds=regularize, dp_propensity_epsilon=dp_prop_eps,
         imputation_method=imputation_method, imputation_epsilon=imputation_eps,
         audit_design_stage_epsilon=audit_eps,
@@ -477,24 +503,32 @@ def _simulate_response(config: PipelineConfig, sample: WeightedSample,
     return flags
 
 
+def _sample_cells(cells: tuple[np.ndarray, _Labels], units: np.ndarray) -> _Labels:
+    """The cell column of the sampled unit ids, over only the cells they touch."""
+    cell_ids, labels = cells
+    at = np.searchsorted(cell_ids, units)
+    covered = at < len(cell_ids)
+    covered[covered] = cell_ids[at[covered]] == units[covered]
+    if not covered.all():
+        raise ValueError(f"units {units[~covered].tolist()} are not covered by any "
+                         f"adjustment cell")
+    return labels.take(at)
+
+
 def _adjust_stage(config: PipelineConfig, full_sample: WeightedSample,
                   respondents: WeightedSample, flags, ledger: PrivacyLedger,
                   rng: np.random.Generator) -> WeightedSample:
     weights = respondents.w
     if config.regularize_bounds is not None:
         weights = weighting.regularize_weights(weights, *config.regularize_bounds)
-    if config.cell_of is not None:
-        # only the cells the realized sample touches are adjusted
-        labels = [config.cell_of.get(unit) for unit in full_sample.ids]
-        if None in labels:
-            missing = [unit for unit, label in zip(full_sample.ids, labels) if label is None]
-            raise ValueError(f"units {missing} are not covered by any adjustment cell")
+    if config.cells is not None:
+        labels = _sample_cells(config.cells, full_sample.frame.id_array[full_sample.positions])
         if config.dp_propensity_epsilon is not None:
             propensities = weighting.dp_estimate_propensities_cells(
                 labels, flags, config.dp_propensity_epsilon, rng, ledger=ledger)
         else:
             propensities = weighting.estimate_propensities_cells(labels, flags)
-        respondent_labels = [label for label, flag in zip(labels, flags) if flag]
+        respondent_labels = labels.take(flags)
         weights = weighting.nonresponse_adjust(weights, propensities, respondent_labels)
         if config.benchmarks is not None:
             weights = weighting.poststratify(weights, respondent_labels, config.benchmarks)

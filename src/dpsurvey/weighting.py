@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .frames import _group, _Labels
 from .mechanisms import PrivacyLedger, _epsilon_value, release_laplace
 
 __all__ = [
@@ -27,18 +30,26 @@ class CalibrationError(ValueError):
     """Post-stratification could not be carried out for some cell."""
 
 
-def _cell_counts(cell_labels, respond_flags) -> tuple[dict[str, int], dict[str, int]]:
-    """Sampled and responded counts per cell, keyed in sorted label order."""
-    cell_labels = list(cell_labels)
-    respond_flags = list(respond_flags)
-    if len(cell_labels) != len(respond_flags):
-        raise ValueError("cell labels and response flags must align")
-    sampled = dict.fromkeys(sorted(set(cell_labels)), 0)
-    responded = dict.fromkeys(sampled, 0)
-    for label, flag in zip(cell_labels, respond_flags):
-        sampled[label] += 1
-        responded[label] += bool(flag)
-    return sampled, responded
+def _coded(cell_labels, values, kind, pair: str) -> tuple[_Labels, np.ndarray]:
+    """The cells coded as a frame codes a label column, and the values aligned with
+    them as ``kind``.  A coded column is taken as it is."""
+    values = np.fromiter(map(kind, values), kind)
+    if not isinstance(cell_labels, _Labels):
+        labels = list(cell_labels)
+        names = sorted(set(labels))
+        code = dict(zip(names, range(len(names))))
+        cell_labels = _Labels(tuple(names), np.array([code[label] for label in labels], np.intp))
+    if len(values) != len(cell_labels.codes):
+        raise ValueError(f"{pair} must align")
+    return cell_labels, values
+
+
+def _cell_counts(cell_labels, respond_flags) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The labels in sorted order, and the sampled and responded count of each."""
+    (names, codes), flags = _coded(cell_labels, respond_flags, bool,
+                                   "cell labels and response flags")
+    return (names, np.bincount(codes, minlength=len(names)),
+            np.bincount(codes[flags], minlength=len(names)))
 
 
 def estimate_propensities_cells(cell_labels, respond_flags) -> dict[str, float]:
@@ -50,44 +61,31 @@ def estimate_propensities_cells(cell_labels, respond_flags) -> dict[str, float]:
     until every group has a respondent, so the returned propensities are
     always in (0, 1].
     """
-    sampled, responded = _cell_counts(cell_labels, respond_flags)
-
-    # Groups of original labels that share one propensity after collapsing.
-    groups: list[list[str]] = [[label] for label in sampled]
-    if sum(responded.values()) == 0:
+    names, sampled, responded = _cell_counts(cell_labels, respond_flags)
+    if not responded.any():
         raise ValueError("no respondents in any cell; nonresponse adjustment impossible")
-    while True:
-        empty_idx = next((i for i, group in enumerate(groups)
-                          if sum(responded[lb] for lb in group) == 0), None)
-        if empty_idx is None:
-            break
-        merge_into = empty_idx + 1 if empty_idx + 1 < len(groups) else empty_idx - 1
-        keep = min(empty_idx, merge_into)
-        drop = max(empty_idx, merge_into)
-        groups[keep] = groups[keep] + groups[drop]
-        del groups[drop]
-
-    propensities: dict[str, float] = {}
-    for group in groups:
-        rate = sum(responded[lb] for lb in group) / sum(sampled[lb] for lb in group)
-        for label in group:
-            propensities[label] = rate
-    return propensities
+    # each cell's group: the next cell with respondents, past the last one the last one
+    has = responded > 0
+    group = np.minimum(np.cumsum(has) - has, has.sum() - 1)
+    rates = np.bincount(group, responded) / np.bincount(group, sampled)
+    return dict(zip(names, rates[group].tolist()))
 
 
 def nonresponse_adjust(weights, propensities, cell_labels) -> tuple[float, ...]:
     """w_nr_i = w_i / p_hat of unit i's cell."""
-    weights = [float(w) for w in weights]
-    cell_labels = list(cell_labels)
-    if len(weights) != len(cell_labels):
-        raise ValueError("weights and cell labels must align")
-    adjusted = []
-    for weight, label in zip(weights, cell_labels):
-        p = propensities[label]
-        if not (0.0 < p <= 1.0):
-            raise ValueError(f"cell {label!r}: propensity {p!r} outside (0, 1]")
-        adjusted.append(weight / p)
-    return tuple(adjusted)
+    (names, codes), weights = _coded(cell_labels, weights, float, "weights and cell labels")
+    for label in map(names.__getitem__, dict.fromkeys(codes.tolist())):  # in unit order
+        if not (0.0 < propensities[label] <= 1.0):
+            raise ValueError(f"cell {label!r}: propensity {propensities[label]!r} outside (0, 1]")
+    p = np.array([propensities[label] for label in names], float)[codes]
+    with np.errstate(over="ignore"):
+        adjusted = weights / p
+    over = np.isinf(adjusted) & np.isfinite(weights)
+    if over.any():
+        i = over.argmax()
+        raise ValueError(f"cell {names[codes[i]]!r}: weight {float(weights[i])!r} / propensity "
+                         f"{float(p[i])!r} overflows")
+    return tuple(adjusted.tolist())
 
 
 def poststratify(weights, cell_labels, benchmarks) -> tuple[float, ...]:
@@ -95,37 +93,38 @@ def poststratify(weights, cell_labels, benchmarks) -> tuple[float, ...]:
 
     Cells without a benchmark pass through unchanged.  A benchmarked cell
     whose current weight total is zero (no respondents carrying weight)
-    raises CalibrationError.  When a cell already matches its benchmark the
-    weights are returned bit-identical, which makes repeated application a
-    no-op.
+    raises CalibrationError, as does one whose total or rescaled weights
+    overflow.  When a cell already matches its benchmark the weights are
+    returned bit-identical, which makes repeated application a no-op.
     """
-    weights = [float(w) for w in weights]
-    cell_labels = list(cell_labels)
-    if len(weights) != len(cell_labels):
-        raise ValueError("weights and cell labels must align")
-    members: dict[str, list[float]] = {}
-    for weight, label in zip(weights, cell_labels):
-        members.setdefault(label, []).append(weight)
-    # fsum is exactly rounded, so the grouping order cannot move a total
-    totals = {label: math.fsum(ws) for label, ws in members.items()}
-    ratios: dict[str, tuple[float, float]] = {}
+    cells, weights = _coded(cell_labels, weights, float, "weights and cell labels")
+    members = _group(cells)
+    # each cell's (B, S) of w * B / S; (1, 1) passes a cell through bit-identical
+    scale = dict.fromkeys(members, (1.0, 1.0))
     for label, benchmark in benchmarks.items():
         if not (benchmark > 0):
             raise CalibrationError(f"cell {label!r}: benchmark must be > 0, got {benchmark!r}")
-        if label not in totals:
+        if label not in members:
             raise CalibrationError(f"cell {label!r} has a benchmark but no weighted units")
-        if totals[label] <= 0.0:
+        try:  # fsum is exactly rounded, so the grouping order cannot move a total
+            total = math.fsum(weights[members[label]].tolist())
+        except OverflowError:
+            raise CalibrationError(f"cell {label!r}: weight total overflows") from None
+        if total <= 0.0:
             raise CalibrationError(f"cell {label!r}: weight total is 0; cannot calibrate")
-        ratios[label] = (benchmark, totals[label])
-    out = []
-    for weight, label in zip(weights, cell_labels):
-        if label not in ratios:
-            out.append(weight)
-            continue
-        benchmark, total = ratios[label]
-        # (w * B) / S keeps already-calibrated cells bit-identical
-        out.append(weight if total == benchmark else weight * benchmark / total)
-    return tuple(out)
+        if total != benchmark:
+            scale[label] = benchmark, total
+    benchmark, total = np.reshape(list(scale.values()), (-1, 2))[cells.codes].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = weights * benchmark / total
+        # where w * B overflows, w / S <= 1 (a total of positive weights) does not
+        over = np.isinf(out) & np.isfinite(weights)
+        out[over] = weights[over] / total[over] * benchmark[over]
+    over &= np.isinf(out)
+    if over.any():
+        raise CalibrationError(f"cell {cells.names[cells.codes[over.argmax()]]!r}: "
+                               f"a calibrated weight overflows")
+    return tuple(out.tolist())
 
 
 def regularize_weights(weights, lower: float, upper: float) -> tuple[float, ...]:
@@ -147,13 +146,13 @@ def dp_estimate_propensities_cells(cell_labels, respond_flags, eps, rng,
     full ``eps`` to the ledger.
     """
     eps_value = _epsilon_value(eps)
-    sampled, responded = _cell_counts(cell_labels, respond_flags)
+    names, sampled, responded = _cell_counts(cell_labels, respond_flags)
 
     eps_each = eps_value / 2.0
     propensities = {}
-    for label in sampled:
-        noisy_sampled = release_laplace(sampled[label], 2.0, eps_each, rng)
-        noisy_responded = release_laplace(responded[label], 2.0, eps_each, rng)
+    for label, n_sampled, n_responded in zip(names, sampled.tolist(), responded.tolist()):
+        noisy_sampled = release_laplace(n_sampled, 2.0, eps_each, rng)
+        noisy_responded = release_laplace(n_responded, 2.0, eps_each, rng)
         denom = max(noisy_sampled, 1.0)
         numer = max(noisy_responded, 0.5)
         propensities[label] = min(1.0, numer / denom)

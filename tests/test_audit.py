@@ -452,3 +452,32 @@ def test_frame_level_sampling_and_a_report_without_a_witness_are_refused():
     report = EffectiveEpsilonReport(0.1, 0.0, "ok", None, None, 0)
     with pytest.raises(ValueError, match=r"^report has no witness to re-evaluate$"):
         reevaluate_witness(mechanism, instance, POP_Y, report)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NeighborRelation("none", "x-only"), "unknown mutable-field spec 'x-only'"),
+    (lambda: AuditInstance(name="d", statistic="mean", y_grid=(0, 1), design=SRSWOR(1)),
+     "a design instance needs a reference frame"),
+    (lambda: AuditInstance(name="f", statistic="mean", y_grid=(0, 1)),
+     "a flat instance needs size or weights"),
+    (lambda: exact_sensitivity(AuditInstance(name="m", statistic="median", y_grid=(0, 1),
+                                             size=2), NeighborRelation()),
+     "unknown sample statistic 'median'"),
+    (lambda: DiscretizedLaplace(1.0, 1.0, ()), "need at least one cell edge"),
+    (lambda: hot_deck_mean_sensitivity(2, 2, (0, 1)),
+     "need 0 <= n_missing < n_records with n_records >= 1"),
+    (lambda: imputation_composition_epsilon(1.0, 1.0, n_records=1),
+     "need at least one observed record"),
+], ids=["mutable", "design-without-frame", "flat-without-size", "statistic", "edges",
+        "hot-deck-sizes", "composition-records"])
+def test_audit_refusals(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert (type(excinfo.value), str(excinfo.value)) == (ValueError, message)
+
+
+def test_an_unlisted_max_pi_has_no_bundled_frame():
+    with pytest.raises(ValueError) as excinfo:
+        pps_maxpi_frame(0.7)
+    assert (type(excinfo.value), str(excinfo.value)) == (ValueError,
+                                                         "no bundled frame with max pi = 0.7")

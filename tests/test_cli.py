@@ -242,3 +242,11 @@ def test_sample_csv_bytes_are_pinned(tmp_path, design, seed, digest):
     if design["kind"] == "stratified_srswor":
         assert "" in [row[1] for row in rows]  # a missing y
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, out.read_text()
+
+
+def test_impute_refuses_a_config_without_dp_mean_imputation(config_path, capsys):
+    assert main(["impute", config_path, "--seed", "1"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": "the impute command supports configs with imputation.method 'dp_mean'; "
+                   "run the full pipeline for other methods"}

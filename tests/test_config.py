@@ -7,12 +7,17 @@ with the same path and text as a config file.
 
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsurvey.cli import main
 from dpsurvey.designs import (
@@ -25,7 +30,7 @@ from dpsurvey.designs import (
     Systematic,
     TwoStageDesign,
 )
-from dpsurvey.pipeline import ConfigError, ReleaseSpec, parse_config
+from dpsurvey.pipeline import ConfigError, ReleaseSpec, _sample_cells, parse_config
 
 BASE = {
     "frame": "frame.csv",
@@ -86,6 +91,7 @@ CASES = [
     ("mechanism-start", _with(mechanism_start="sample"), "mechanism_start",
      "must be one of ['frame', 'processed-data', 'responding-sample'], got 'sample'"),
     ("releases-empty", _with(releases=[]), "releases", "expected a non-empty list"),
+    ("releases-object", _with(releases={}), "releases", "expected a non-empty list"),
     ("release-statistic", _release(statistic="median"), "releases[0].statistic",
      "must be one of ('mean', 'proportion', 'ht_mean', 'ht_total'), got 'median'"),
     ("response-model", _with(response={"model": "random"}),
@@ -94,6 +100,10 @@ CASES = [
      "adjustment.cells.c", "expected a non-empty list of unit ids"),
     ("cell-id", _with(adjustment={"cells": {"c": [1, "2"]}}),
      "adjustment.cells.c[1]", "expected an integer, got '2'"),
+    ("cell-overlap", _with(adjustment={"cells": {"b": [1, 3], "a": [2, 2, 3, "x"]}}),
+     "adjustment.cells.a[2]", "unit 3 is already in cell 'b'; cells must be disjoint"),
+    ("cell-overlap-beyond-int64", _with(adjustment={"cells": {"a": [2 ** 64], "b": [1, 2 ** 64]}}),
+     "adjustment.cells.b[1]", f"unit {2 ** 64} is already in cell 'a'; cells must be disjoint"),
     ("benchmarks-without-cells", _with(adjustment={"benchmarks": {"c": 6}}),
      "adjustment.benchmarks", "benchmarks require cells"),
     ("benchmark-cell", _with(adjustment={"cells": {"c": [1, 2]}, "benchmarks": {"d": 2}}),
@@ -156,6 +166,9 @@ def test_validate_config_reports_crossed_y_bounds(tmp_path, capsys):
                    "message": "universe: y_max must be >= y_min, got [1.0, 0.0]"}
 
 
+# the parsed cells {"c": [1, 2]}, for configs built in code
+CELLS = parse_config(_with(adjustment={"cells": {"c": [1, 2]}})).cells
+
 # (id, the fault in a config file as changes to BASE, the same fault as fields
 # of a config built in code)
 RULES = [
@@ -166,7 +179,7 @@ RULES = [
     ("benchmarks-without-cells", {"adjustment": {"benchmarks": {"c": 6}}},
      {"benchmarks": {"c": 6.0}}),
     ("benchmark-cell", {"adjustment": {"cells": {"c": [1, 2]}, "benchmarks": {"d": 2}}},
-     {"cell_of": {1: "c", 2: "c"}, "benchmarks": {"d": 2.0}}),
+     {"cells": CELLS, "benchmarks": {"d": 2.0}}),
     ("regularize-order", {"adjustment": {"regularize": {"lower": 2, "upper": 1}}},
      {"regularize_bounds": (2.0, 1.0)}),
     ("dp-propensities-without-cells", {"adjustment": {"dp_propensities": {"epsilon": 0.1}}},
@@ -186,7 +199,7 @@ RULES = [
      {"imputation_method": "dp_mean", "imputation_epsilon": 0.0}),
     ("dp-propensities-epsilon",
      {"adjustment": {"cells": {"c": [1, 2]}, "dp_propensities": {"epsilon": 0}}},
-     {"cell_of": {1: "c", 2: "c"}, "dp_propensity_epsilon": 0.0}),
+     {"cells": CELLS, "dp_propensity_epsilon": 0.0}),
     ("design-stage-audit-epsilon", {"mechanism_start": "frame", "invariant": "population",
                                     "audit": {"design_stage": {"epsilon": -0.5}}},
      {"mechanism_start": "frame", "audit_design_stage_epsilon": -0.5}),
@@ -257,3 +270,71 @@ def test_a_start_that_is_no_string_is_a_config_error():
         parse_config(_with(mechanism_start=[]))
     assert str(excinfo.value) == ("mechanism_start: must be one of ['frame', 'processed-data', "
                                   "'responding-sample'], got []")
+
+
+def _cell_of(cells: dict) -> dict:
+    """The reference: each listed id's cell in a dict, read entry by entry."""
+    cell_of = {}
+    for label, ids in cells.items():
+        if not isinstance(ids, list) or not ids:
+            raise ConfigError(f"adjustment.cells.{label}", "expected a non-empty list of unit ids")
+        for j, unit in enumerate(ids):
+            if isinstance(unit, bool) or not isinstance(unit, int):
+                raise ConfigError(f"adjustment.cells.{label}[{j}]",
+                                  f"expected an integer, got {unit!r}")
+            owner = cell_of.setdefault(unit, label)
+            if owner != label:
+                raise ConfigError(f"adjustment.cells.{label}[{j}]",
+                                  f"unit {unit} is already in cell {owner!r}; "
+                                  f"cells must be disjoint")
+    return cell_of
+
+
+# few ids, so that cells repeat and overlap them; the int64 ends and ids beyond them
+EDGE_IDS = [2 ** 63 - 1, -2 ** 63, 2 ** 63, -2 ** 63 - 1, 2 ** 64, 10 ** 30]
+UNIT_IDS = st.one_of(st.integers(-3, 6), st.sampled_from(EDGE_IDS))
+CELL_IDS = st.one_of(st.lists(UNIT_IDS, min_size=1, max_size=6),
+                     st.lists(st.one_of(UNIT_IDS, st.sampled_from([True, 1.5, "2", None])),
+                              max_size=4),
+                     st.just({"c": 1}))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cells=st.dictionaries(st.text("ab\x00", max_size=2), CELL_IDS, max_size=4),
+       units=st.lists(st.one_of(st.integers(-3, 8), st.sampled_from(EDGE_IDS[:2])),
+                      min_size=1, max_size=8))
+def test_coded_cells_agree_with_a_dict_of_every_listed_id(cells, units):
+    text = _with(adjustment={"cells": cells})
+    try:
+        cell_of = _cell_of(cells)
+    except ConfigError as expected:
+        with pytest.raises(ConfigError) as refused:
+            parse_config(text)
+        assert (refused.value.path, str(refused.value)) == (expected.path, str(expected))
+        return
+    coded = parse_config(text).cells
+    # each int64 id once, in order; an id beyond int64 matches no frame unit
+    assert coded[0].tolist() == sorted(unit for unit in cell_of if -2 ** 63 <= unit < 2 ** 63)
+    labels = [cell_of.get(unit) for unit in units]
+    if None in labels:
+        missing = [unit for unit, label in zip(units, labels) if label is None]
+        with pytest.raises(ValueError, match=f"^units {re.escape(str(missing))} are not covered "
+                                             f"by any adjustment cell$"):
+            _sample_cells(coded, np.array(units, np.int64))
+        return
+    column = _sample_cells(coded, np.array(units, np.int64))
+    assert column.names == tuple(sorted(set(labels)))
+    assert [column.names[code] for code in column.codes] == labels
+
+
+def test_cells_over_every_id_keep_less_than_3_mb():
+    ids = list(range(1, 100_001))
+    text = _with(adjustment={"cells": {f"s{h}": ids[h::10] for h in range(10)}})
+    tracemalloc.start()
+    try:
+        config = parse_config(text)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert config.cells[0].tolist() == ids
+    assert kept < 3 * 2 ** 20

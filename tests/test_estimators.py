@@ -87,3 +87,15 @@ def test_fixed_weight_sensitivity_dominates_unweighted(n_pop, n):
         ht = analytic_sensitivity(HTMeanFixedWeights(base * factor, 1.0, n_pop)).delta_f
         mean = analytic_sensitivity(BoundedMean(1.0, n)).delta_f
         assert ht >= mean
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ht_mean(build_sample(make_frame([0.5, 1.0]), [0], (0.5, 0.5)), 0),
+     "population size must be >= 1, got 0"),
+    (lambda: unweighted_mean([0.5, math.nan]),
+     "missing y values present; impute before estimating"),
+], ids=["ht-mean-population", "unweighted-mean-missing"])
+def test_estimator_refusals(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert (type(excinfo.value), str(excinfo.value)) == (ValueError, message)

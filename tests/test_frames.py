@@ -502,3 +502,11 @@ def test_chunked_loads_from_a_pipe_a_handle_position_and_a_header_only_file():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^frame must contain at least one record$"):
                 load_frame_csv(io.StringIO("id,y,x,stratum,cluster,propensity\n"))
+
+
+def test_dump_to_an_open_handle_writes_the_returned_text():
+    frame = make_frame([0.5, math.nan], strata=["a", "b"])
+    handle = io.StringIO()
+    text = dump_frame_csv(frame, handle)
+    assert handle.getvalue() == text
+    assert text == "id,y,x,stratum,cluster,propensity\n1,0.5,1.0,a,0,1.0\n2,,1.0,b,0,1.0\n"

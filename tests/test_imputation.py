@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dpsurvey.imputation import (
+    ImputationParams,
     fit_dp_mean_model,
     fit_dp_regression,
     hot_deck,
@@ -238,3 +239,33 @@ def test_negative_unit_id_is_imputed_in_the_pipeline_and_the_cli(tmp_path, capsy
     assert rows[0] == "id,y,imputed"
     unit, value, imputed = rows[1].split(",")
     assert (unit, imputed) == ("-1", "1") and 0.0 <= float(value) <= 1.0
+
+
+def _regression():
+    data = np.array([[1.0, 0.5], [2.0, 0.25]])
+    return fit_dp_regression(data, (0,), 1, [(0, 2), (0, 1)], 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: fit_dp_mean_model(np.zeros((2, 2, 2)), [(0, 1)] * 2, 1.0, rng),
+     "data must be 1- or 2-dimensional, got shape (2, 2, 2)"),
+    (lambda rng: fit_dp_mean_model(np.zeros((3, 2)), [(0, 1)], 1.0, rng),
+     "expected 2 (lo, hi) bounds, got 1"),
+    (lambda rng: fit_dp_mean_model(np.zeros((3, 1)), [(1, 0)], 1.0, rng),
+     "column 0: bounds must be finite with hi >= lo, got (1.0, 0.0)"),
+    (lambda rng: fit_dp_regression(np.zeros((3, 2)), (1,), 1, [(0, 1)] * 2, 1.0, rng),
+     "target column cannot also be a predictor"),
+    (lambda rng: fit_dp_regression(np.zeros((3, 2)), (2,), 1, [(0, 1)] * 2, 1.0, rng),
+     "column index 2 out of range"),
+    (lambda rng: impute_parametric([NAN, 1.0, 2.0], _regression(), rng),
+     "record must have 2 entries"),
+    (lambda rng: impute_parametric([NAN, NAN], _regression(), rng),
+     "regression model imputes only column 1; record is missing columns [0, 1]"),
+    (lambda rng: impute_parametric([NAN], ImputationParams("median", ((0.0, 1.0),), 1.0), rng),
+     "unknown imputation method 'median'"),
+], ids=["matrix-shape", "bounds-count", "bounds-order", "target-predictor", "column-range",
+        "record-length", "regression-missing", "method"])
+def test_imputation_refusals(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call(np.random.default_rng(0))
+    assert (type(excinfo.value), str(excinfo.value)) == (ValueError, message)

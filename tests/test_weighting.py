@@ -202,3 +202,74 @@ def test_dp_propensities_stay_in_unit_interval_and_charge_ledger():
     reordered = dp_estimate_propensities_cells(
         labels[::-1], flags[::-1], 1.0, np.random.default_rng(3))
     assert reordered == out
+
+
+@pytest.mark.parametrize("call", [
+    lambda: nonresponse_adjust([1.0, 2.0], {"a": 0.5}, ["a"]),
+    lambda: poststratify([1.0], ["a", "a"], {"a": 2.0}),
+], ids=["nonresponse_adjust", "poststratify"])
+def test_weights_and_labels_of_unequal_length_are_refused(call):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert (type(excinfo.value), str(excinfo.value)) == (ValueError,
+                                                         "weights and cell labels must align")
+
+
+@pytest.mark.filterwarnings("error")
+def test_poststratify_refuses_a_cell_total_that_overflows():
+    with pytest.raises(CalibrationError, match=r"^cell 'a': weight total overflows$"):
+        poststratify([1e308, 1e308], ["a", "a"], {"a": 1.0})
+
+
+@pytest.mark.filterwarnings("error")
+def test_nonresponse_adjust_refuses_a_weight_that_overflows():
+    with pytest.raises(ValueError, match=r"^cell 'a': weight 1e\+300 / propensity 1e-300 "
+                                         r"overflows$"):
+        nonresponse_adjust([1e300, 1.0], {"a": 1e-300}, ["a", "a"])
+
+
+@pytest.mark.filterwarnings("error")
+def test_poststratify_divides_first_where_w_times_b_overflows():
+    out = poststratify([1e10, 1.0], ["a", "a"], {"a": 1e300})
+    # only the weight whose w * B overflows is rescaled as w / S * B
+    assert out == (1e10 / (1e10 + 1.0) * 1e300, 1.0 * 1e300 / (1e10 + 1.0))
+    assert math.fsum(out) == pytest.approx(1e300, rel=1e-15)
+
+
+@given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.sampled_from("abc")), min_size=1,
+                max_size=12),
+       st.dictionaries(st.sampled_from("abcd"), st.floats(1e-3, 1e6)),
+       st.dictionaries(st.sampled_from("abc"), st.floats(1e-3, 1.0), min_size=3))
+@settings(max_examples=200, deadline=None)
+def test_finite_adjustments_are_the_per_unit_float_formulas(rows, benchmarks, propensities):
+    weights, labels = map(list, zip(*rows))
+    assert nonresponse_adjust(weights, propensities, labels) == tuple(
+        w / propensities[label] for w, label in rows)
+    benchmarks = {label: b for label, b in benchmarks.items() if label in labels}
+    totals = {label: math.fsum(w for w, lb in rows if lb == label) for label in benchmarks}
+    assert poststratify(weights, labels, benchmarks) == tuple(
+        w if label not in totals or totals[label] == benchmarks[label]
+        else w * benchmarks[label] / totals[label] for w, label in rows)
+
+
+def _merged_rates(names, sampled, responded) -> dict:
+    """Reference: merge the first group without respondents into the next group
+    (the last into the one before) until every group has one."""
+    groups = [[k] for k in range(len(names))]
+    while any(sum(responded[k] for k in group) == 0 for group in groups):
+        i = next(i for i, group in enumerate(groups) if sum(responded[k] for k in group) == 0)
+        j = i + 1 if i + 1 < len(groups) else i - 1
+        groups[min(i, j)] += groups.pop(max(i, j))
+    return {names[k]: sum(responded[m] for m in group) / sum(sampled[m] for m in group)
+            for group in groups for k in group}
+
+
+@given(st.lists(st.tuples(st.sampled_from("abcdef"), st.booleans()), min_size=1, max_size=24)
+       .filter(lambda rows: any(flag for _, flag in rows)))
+@settings(max_examples=300, deadline=None)
+def test_collapsed_propensities_merge_cell_by_cell(rows):
+    labels, flags = zip(*rows)
+    names = sorted(set(labels))
+    sampled = [labels.count(name) for name in names]
+    responded = [sum(flag for label, flag in rows if label == name) for name in names]
+    assert estimate_propensities_cells(labels, flags) == _merged_rates(names, sampled, responded)
