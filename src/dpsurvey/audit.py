@@ -16,7 +16,8 @@ mixed-radix key of the in-sample codes and weights (``_stage_truths``).
 ``exact_sensitivity`` scans a fixed stage sample by sample, else takes the
 largest change over the samples both datasets of a pair can draw.
 ``effective_epsilon`` sums each dataset's outcome probabilities into one
-mass histogram over the sorted truth categories, mixes it with the base
+mass histogram over the sorted truth categories, in one pass per distinct
+outcome probability of a stage (``_histograms``), mixes it with the base
 mechanism's per-category event probabilities once per distinct histogram,
 and scans the pairs with the loss ln(max(p, q) / min(p, q)).
 
@@ -357,7 +358,9 @@ def _stage_truths(stat: str, table: _PairTable, rows, positions, weights, n_pop,
     the non-empty sample positions[js[i]], passed through ``convert``.  Samples
     are batched by size k and in-sample weights, about ``_BATCH`` codes at a
     time; a batch keys each in-sample code pattern as a mixed-radix integer with
-    one matmul, and ``cache`` maps each distinct (k, key, weights) to a truth."""
+    one matmul, finds the distinct keys by counting (a sort if there are more
+    possible keys than codes), and ``cache`` maps each distinct (k, key,
+    weights) to a truth."""
     batches: dict = {}
     for j, sample in enumerate(positions):
         if sample:
@@ -367,17 +370,22 @@ def _stage_truths(stat: str, table: _PairTable, rows, positions, weights, n_pop,
     slots = table.codes[rows].T.astype(np.min_scalar_type(radix - 1), order="C")
     for (k, ws), js in batches.items():
         place = _place_values(radix, k).astype(np.min_scalar_type(radix ** k - 1))
-        step = max(1, _BATCH // (len(rows) * k))
+        step, digits = max(1, _BATCH // (len(rows) * k)), place.tolist()
         for start in range(0, len(js), step):
             chunk = js[start:start + step]
             sub = slots[[positions[j] for j in chunk]].astype(place.dtype, copy=False)
-            keys, first, inverse = np.unique(place @ sub, return_index=True,
-                                             return_inverse=True)
+            # einsum sums narrow integer products many times faster than matmul, which
+            # object keys (past int64) still take: numpy < 1.25 has no object einsum
+            codes = place @ sub if place.dtype == object else np.einsum("p,cpr->cr", place, sub)
+            if radix ** k <= codes.size:
+                seen = np.bincount(codes.ravel(), minlength=radix ** k) > 0
+                keys, inverse = np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes]
+            else:
+                keys, inverse = np.unique(codes, return_inverse=True)
             values = []
-            for key, at in zip(keys.tolist(), first.tolist()):
-                if (k, key, ws) not in cache:
-                    i, r = divmod(at, len(rows))
-                    ys = [table.ys[c] for c in sub[i, :, r].tolist()]
+            for key in keys.tolist():
+                if (k, key, ws) not in cache:  # a key's mixed-radix digits are its codes
+                    ys = [table.ys[key // p % radix] for p in digits]
                     cache[k, key, ws] = convert(_sample_statistic(stat, ys, ws, n_pop))
                 values.append(cache[k, key, ws])
             yield chunk, np.array(values)[inverse.reshape(len(chunk), len(rows))]
@@ -492,8 +500,9 @@ class DiscretizedLaplace:
     """Laplace release snapped to grid cells, tails lumped into the end cells.
 
     ``edges`` are the interior cell boundaries; with m edges there are m+1
-    cells.  The cell probabilities are exact Laplace CDF differences, so the
-    mechanism is eps-DP for statistics with sensitivity <= delta_f.
+    cells.  The cell probabilities are exact Laplace CDF differences (survival
+    differences above the truth), so the mechanism is eps-DP for statistics
+    with sensitivity <= delta_f.
     """
 
     epsilon: float
@@ -527,14 +536,12 @@ class DiscretizedLaplace:
                 return 0.5 * math.exp((t - truth) / scale)
             return 1.0 - 0.5 * math.exp(-(t - truth) / scale)
 
-        probs = {}
-        prev = 0.0
-        for idx, edge in enumerate(self.edges):
-            value = cdf(edge)
-            probs[("cell", idx)] = value - prev
-            prev = value
-        probs[("cell", len(self.edges))] = 1.0 - prev
-        return probs
+        # 1 - cdf rounds to 0 in the far upper tail, where a cell's mass is positive
+        bounds = (-math.inf,) + self.edges + (math.inf,)
+        return {("cell", idx): (0.5 * (math.exp((truth - left) / scale)
+                                       - math.exp((truth - right) / scale))
+                                if left >= truth else cdf(right) - cdf(left))
+                for idx, (left, right) in enumerate(zip(bounds, bounds[1:]))}
 
 
 @dataclass(frozen=True)
@@ -571,6 +578,13 @@ def _truth_key(value) -> tuple:
     return ("v", round(value, 12))
 
 
+def _split(p: float) -> tuple[float, float]:
+    """(high, low): p = high + low exactly (Veltkamp), each of at most 26 significant
+    bits, so a count below 2^27 times either is an exact product."""
+    high = p * 134217729.0 - (p * 134217729.0 - p)  # 2^27 + 1
+    return high, p - high
+
+
 def _histograms(mechanism, instance, relation, bases=None):
     """(table, hist, categories): the instance's pair table (over ``bases``
     if given), and hist[d, c], the probability that dataset d's sampling
@@ -578,10 +592,11 @@ def _histograms(mechanism, instance, relation, bases=None):
     must release the instance's statistic under the instance's design.
 
     The empty sample is the category ``EMPTY_EVENT``.  Categories per
-    (sample, dataset) are held in the narrowest unsigned type, then one
-    outcome is added at a time in space order, with each cell's rounding
-    errors carried in ``error`` (TwoSum), so a mass is rounded once: equal
-    exact masses give equal histograms, however many outcomes make them up.
+    (sample, dataset) are held in the narrowest unsigned type.  A stage adds
+    count * p once per distinct outcome probability p, as ``_split``'s two
+    exact products, with each cell's rounding errors carried in ``error``
+    (TwoSum), so a mass is rounded once: equal exact masses give equal
+    histograms, however many outcomes make them up.
     """
     if (mechanism.statistic, mechanism.design) != (instance.statistic, instance.design):
         raise ValueError(f"mechanism ({mechanism.statistic!r}, {mechanism.design!r}) does not "
@@ -605,13 +620,29 @@ def _histograms(mechanism, instance, relation, bases=None):
     width = len(index)
     hist, error = np.zeros(len(table.codes) * width), np.zeros(len(table.codes) * width)
     for rows, probs, cat in stages:
-        at = rows * width
-        for prob, columns in zip(probs, cat):
-            cells = at + columns
-            before = hist[cells]
-            hist[cells] = total = before + prob
-            part = total - before
-            error[cells] += (before - (total - part)) + (prob - part)
+        at, step = rows * width, max(1, _BATCH // len(rows))
+        distinct, of = np.unique(probs, return_inverse=True)
+        classes = np.split(np.argsort(of, kind="stable"), np.cumsum(np.bincount(of))[:-1])
+        for prob, js in zip(distinct.tolist(), classes):  # one pass per distinct probability
+            # a run of at most 2^26 outcomes keeps every count below _split's 2^27
+            for run in (js[i:i + 2 ** 26] for i in range(0, len(js), 2 ** 26)):
+                if len(run) == 1:  # one outcome: each of its cells once
+                    cells, parts = at + cat[run[0]], [prob]
+                elif len(run) * len(rows) < hist.size:  # fewer codes than cells: sort them
+                    cells, count = np.unique((at + cat[run]).ravel(), return_counts=True)
+                    parts = [count * p for p in _split(prob) if p]  # exact products
+                else:
+                    count = np.zeros(hist.size, np.intp)
+                    for i in range(0, len(run), step):  # slabs of at most _BATCH codes
+                        count += np.bincount((at + cat[run[i:i + step]]).ravel(),
+                                             minlength=hist.size)
+                    cells = np.flatnonzero(count)
+                    parts = [count[cells] * p for p in _split(prob) if p]
+                for part in parts:
+                    before = hist[cells]
+                    hist[cells] = total = before + part
+                    back = total - before
+                    error[cells] += (before - (total - back)) + (part - back)
     categories = tuple(sorted(index))
     order = [index[c] for c in categories]
     return table, (hist + error).reshape(len(table.codes), width)[:, order], categories

@@ -44,6 +44,16 @@ def _coded(cell_labels, values, kind, pair: str) -> tuple[_Labels, np.ndarray]:
     return cell_labels, values
 
 
+def _check_finite(weights: np.ndarray, cells: _Labels | None = None) -> None:
+    """Refuse a NaN or infinite weight, naming its position (and cell)."""
+    bad = ~np.isfinite(weights)
+    if bad.any():
+        i = int(bad.argmax())
+        cell = "" if cells is None else f" in cell {cells.names[cells.codes[i]]!r}"
+        raise ValueError(f"weight at position {i}{cell} is {float(weights[i])!r}; "
+                         f"weights must be finite")
+
+
 def _cell_counts(cell_labels, respond_flags) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The labels in sorted order, and the sampled and responded count of each."""
     (names, codes), flags = _coded(cell_labels, respond_flags, bool,
@@ -72,15 +82,17 @@ def estimate_propensities_cells(cell_labels, respond_flags) -> dict[str, float]:
 
 
 def nonresponse_adjust(weights, propensities, cell_labels) -> tuple[float, ...]:
-    """w_nr_i = w_i / p_hat of unit i's cell."""
-    (names, codes), weights = _coded(cell_labels, weights, float, "weights and cell labels")
+    """w_nr_i = w_i / p_hat of unit i's cell; a NaN or infinite weight is refused."""
+    cells, weights = _coded(cell_labels, weights, float, "weights and cell labels")
+    _check_finite(weights, cells)
+    names, codes = cells
     for label in map(names.__getitem__, dict.fromkeys(codes.tolist())):  # in unit order
         if not (0.0 < propensities[label] <= 1.0):
             raise ValueError(f"cell {label!r}: propensity {propensities[label]!r} outside (0, 1]")
     p = np.array([propensities[label] for label in names], float)[codes]
     with np.errstate(over="ignore"):
         adjusted = weights / p
-    over = np.isinf(adjusted) & np.isfinite(weights)
+    over = np.isinf(adjusted)
     if over.any():
         i = over.argmax()
         raise ValueError(f"cell {names[codes[i]]!r}: weight {float(weights[i])!r} / propensity "
@@ -94,10 +106,12 @@ def poststratify(weights, cell_labels, benchmarks) -> tuple[float, ...]:
     Cells without a benchmark pass through unchanged.  A benchmarked cell
     whose current weight total is zero (no respondents carrying weight)
     raises CalibrationError, as does one whose total or rescaled weights
-    overflow.  When a cell already matches its benchmark the weights are
-    returned bit-identical, which makes repeated application a no-op.
+    overflow; a NaN or infinite weight raises ValueError.  When a cell
+    already matches its benchmark the weights are returned bit-identical,
+    which makes repeated application a no-op.
     """
     cells, weights = _coded(cell_labels, weights, float, "weights and cell labels")
+    _check_finite(weights, cells)
     members = _group(cells)
     # each cell's (B, S) of w * B / S; (1, 1) passes a cell through bit-identical
     scale = dict.fromkeys(members, (1.0, 1.0))
@@ -118,7 +132,7 @@ def poststratify(weights, cell_labels, benchmarks) -> tuple[float, ...]:
     with np.errstate(over="ignore", invalid="ignore"):
         out = weights * benchmark / total
         # where w * B overflows, w / S <= 1 (a total of positive weights) does not
-        over = np.isinf(out) & np.isfinite(weights)
+        over = np.isinf(out)
         out[over] = weights[over] / total[over] * benchmark[over]
     over &= np.isinf(out)
     if over.any():
@@ -128,10 +142,12 @@ def poststratify(weights, cell_labels, benchmarks) -> tuple[float, ...]:
 
 
 def regularize_weights(weights, lower: float, upper: float) -> tuple[float, ...]:
-    """Clamp every weight into [lower, upper]; lower == upper equalizes them."""
+    """Clamp every finite weight into [lower, upper]; lower == upper equalizes them."""
     if not (0.0 < lower <= upper) or not math.isfinite(upper):
         raise ValueError(f"bounds must satisfy 0 < lower <= upper, got [{lower}, {upper}]")
-    return tuple(min(upper, max(lower, float(w))) for w in weights)
+    weights = [float(w) for w in weights]
+    _check_finite(np.array(weights, float))
+    return tuple(min(upper, max(lower, w)) for w in weights)
 
 
 def dp_estimate_propensities_cells(cell_labels, respond_flags, eps, rng,

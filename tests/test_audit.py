@@ -2,6 +2,7 @@ import math
 import re
 import time
 
+import numpy as np
 import pytest
 
 from dpsurvey.audit import (
@@ -379,6 +380,23 @@ def test_imputation_composition_bounded_by_budget_sum():
     assert report.eps_nominal == 1.0
     assert report.eps_effective <= 1.0 + 1e-6
     assert report.status == "ok"
+
+
+@pytest.mark.parametrize("truth", [0.0, 1.0])
+def test_discretized_laplace_far_tail_cells_keep_positive_mass(truth):
+    # 1 - cdf rounds to 1 - 1 = 0 this far above the truth; the tail mass is not 0
+    probs = DiscretizedLaplace(50.0, 0.5, np.linspace(0, 1, 9)).event_probs(truth)
+    assert len(probs) == 10
+    assert all(p > 0.0 for p in probs.values()), probs
+
+
+@pytest.mark.parametrize("eps1", [1.0, 5.0, 10.0, 20.0, 50.0])
+def test_imputation_composition_stays_finite_for_a_strong_fit(eps1):
+    # a zeroed upper tail makes an (eps1 + eps2)-DP composition read as infinite
+    report = imputation_composition_epsilon(eps1, 1.0)
+    assert report.status == "ok"
+    assert math.isfinite(report.eps_effective)
+    assert report.eps_effective <= eps1 + 1.0 + 1e-9
 
 
 def test_design_label_is_stable():

@@ -10,6 +10,8 @@ zero, Neyman allocation, full-record neighbors, explicit base datasets,
 conditioning, the empty sample, zero-scale Laplace and all three invariant
 levels; weighted frames in which samples of one size carry different
 weights; and the oracle's memory and enumeration-cap bounds.
+``twosum_histograms`` keeps the mass histograms' per-outcome TwoSum loop
+as the reference of their per-probability accumulation.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -559,6 +562,93 @@ def test_frame_invariant_cap_counts_distinct_tables(monkeypatch):
     with pytest.raises(EnumerationCapExceeded) as excinfo:
         exact_sensitivity(replace(instance, cap=distinct - 1), FRAME_Y)
     assert excinfo.value.count == distinct
+
+
+def test_sample_keys_past_int64_match_reference():
+    # 3^40 in-sample code patterns: the keys are Python ints in an object array
+    instance = AuditInstance(name="wide", statistic="total", y_grid=(0.0, 0.5, 1.0), size=40,
+                             base_datasets=((0.0,) * 40, (1.0,) * 40))
+    assert audit._place_values(3, 40).dtype == object
+    check_sensitivity(instance, Y_ONLY)
+    check_epsilon(SampledReleaseMechanism("total", RandomizedResponse(1.0)), instance, Y_ONLY)
+
+
+def twosum_histograms(mechanism, instance, relation):
+    """(hist, categories) of ``_histograms``, summed one outcome at a time in
+    space order with each cell's rounding errors carried in ``error`` (TwoSum)."""
+    table = audit._pairs(instance, relation)
+    index, cache, stages = {}, {}, []
+
+    def column(truth) -> int:
+        return index.setdefault(truth if truth == EMPTY_EVENT else _truth_key(truth), len(index))
+
+    for rows, (positions, probs, weights) in audit._groups(
+            table, instance, relation, condition_on_unit=mechanism.condition_on_unit):
+        cat = np.zeros((len(positions), len(rows)), dtype=np.intp)
+        for j, sample in enumerate(positions):
+            if not sample:
+                cat[j] = column(EMPTY_EVENT)
+        for js, values in audit._stage_truths(mechanism.statistic, table, rows, positions,
+                                              weights, instance.n_pop, cache, column):
+            cat[js] = values
+        stages.append((rows, probs, cat))
+    width = len(index)
+    hist, error = np.zeros(len(table.codes) * width), np.zeros(len(table.codes) * width)
+    for rows, probs, cat in stages:
+        for prob, columns in zip(probs, cat):
+            cells = rows * width + columns
+            before = hist[cells]
+            hist[cells] = total = before + prob
+            part = total - before
+            error[cells] += (before - (total - part)) + (prob - part)
+    categories = tuple(sorted(index))
+    order = [index[c] for c in categories]
+    return (hist + error).reshape(len(table.codes), width)[:, order], categories
+
+
+# every PPS(2) outcome on this frame has a probability of its own
+DISTINCT_PPS_FRAME = make_frame([0.0] * 5, xs=[1.0, 1.5, 2.5, 4.0, 6.5])
+
+
+@st.composite
+def histogram_cases(draw):
+    """(mechanism, instance, relation): a library instance, its design or Poisson(0.4)
+    (the empty sample) on its frame, or PPS(2) on ``DISTINCT_PPS_FRAME``; conditioned
+    on a unit or not."""
+    instance, relation = draw(design_instances(relations=(Y_ONLY, POP_Y, FULL)))
+    kind = draw(st.sampled_from(["library", "empty sample", "distinct probabilities"]))
+    if kind == "empty sample":
+        instance = replace(instance, design=Poisson(0.4))
+    elif kind == "distinct probabilities":
+        instance = replace(instance, design=PPS(2), frame=DISTINCT_PPS_FRAME,
+                           n_pop=DISTINCT_PPS_FRAME.n, base_datasets=None)
+    unit = draw(st.sampled_from([None, *instance.frame.ids[:2]]))
+    base = RandomizedResponse(1.0)
+    return SampledReleaseMechanism(instance.statistic, base, instance.design, unit), \
+        instance, relation
+
+
+@CASE_SETTINGS
+@given(histogram_cases())
+def test_histograms_equal_the_per_outcome_twosum_bytes(case):
+    expected, error = outcome(twosum_histograms, *case)
+    got, got_error = outcome(audit._histograms, *case)
+    assert got_error is error
+    if error is None:
+        (_, hist, categories), (reference, reference_categories) = got, expected
+        assert categories == reference_categories
+        assert hist.shape == reference.shape and hist.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("count", [2 ** 26 - 1, 2 ** 26, 2 ** 27 - 1])
+@settings(max_examples=200, deadline=None)
+@given(st.floats(2.0 ** -900, 1.0))
+def test_split_products_are_exact_up_to_the_count_bound(count, p):
+    # a class's count is capped at 2^26 per run; the split allows below 2^27
+    high, low = audit._split(p)
+    assert Fraction(high) + Fraction(low) == Fraction(p)
+    for part in (high, low):
+        assert Fraction(count * part) == count * Fraction(part)
 
 
 def traced_peak(fn, *args) -> int:

@@ -236,6 +236,44 @@ def test_poststratify_divides_first_where_w_times_b_overflows():
     assert math.fsum(out) == pytest.approx(1e300, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weights, message", [
+    ([math.inf, 1.0], "weight at position 0 in cell 'a' is inf; weights must be finite"),
+    ([math.inf, -math.inf], "weight at position 0 in cell 'a' is inf; weights must be finite"),
+    ([1.0, math.nan], "weight at position 1 in cell 'a' is nan; weights must be finite"),
+], ids=["inf", "inf-and-minus-inf", "nan"])
+def test_poststratify_refuses_a_weight_that_is_not_finite(weights, message):
+    # an infinite cell total turns w * B / S into inf / inf and 1 / inf
+    with pytest.raises(ValueError) as excinfo:
+        poststratify(weights, ["a", "a"], {"a": 2.0})
+    assert (type(excinfo.value), str(excinfo.value)) == (ValueError, message)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weights, labels, message", [
+    ([math.inf, 1.0], "aa", "weight at position 0 in cell 'a' is inf; weights must be finite"),
+    ([1.0, -math.inf], "ab", "weight at position 1 in cell 'b' is -inf; weights must be finite"),
+    ([math.nan, 1.0], "aa", "weight at position 0 in cell 'a' is nan; weights must be finite"),
+], ids=["inf", "minus-inf", "nan"])
+def test_nonresponse_adjust_refuses_a_weight_that_is_not_finite(weights, labels, message):
+    with pytest.raises(ValueError) as excinfo:
+        nonresponse_adjust(weights, {"a": 0.5, "b": 0.5}, list(labels))
+    assert (type(excinfo.value), str(excinfo.value)) == (ValueError, message)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weights, message", [
+    ([math.nan, 1.0], "weight at position 0 is nan; weights must be finite"),
+    ([1.0, math.inf], "weight at position 1 is inf; weights must be finite"),
+    ([-math.inf], "weight at position 0 is -inf; weights must be finite"),
+], ids=["nan", "inf", "minus-inf"])
+def test_regularize_weights_refuses_a_weight_that_is_not_finite(weights, message):
+    # min and max do not order a NaN: it would come back clamped to a bound
+    with pytest.raises(ValueError) as excinfo:
+        regularize_weights(weights, 0.5, 2.0)
+    assert (type(excinfo.value), str(excinfo.value)) == (ValueError, message)
+
+
 @given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.sampled_from("abc")), min_size=1,
                 max_size=12),
        st.dictionaries(st.sampled_from("abcd"), st.floats(1e-3, 1e6)),
