@@ -116,7 +116,8 @@ class AuditInstance:
     statistics of samples drawn from ``frame`` under ``design``.
     ``base_datasets`` restricts the enumeration to explicit starting
     datasets (an adversarial instance); by default every grid assignment is
-    a base.
+    a base.  Every enumeration is capped by ``DPSURVEY_ENUM_CAP``
+    (``designs.check_cap``).
     """
 
     name: str
@@ -129,7 +130,6 @@ class AuditInstance:
     design: Design | None = None
     frame: Frame | None = None
     base_datasets: tuple | None = None
-    cap: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "y_grid", tuple(float(v) for v in self.y_grid))
@@ -193,12 +193,13 @@ class _PairTable:
     pair (b, s, j) replaces slot s of base b by ``universe[j]``.  A dataset's
     row is the rank of its mixed-radix key among ``keys``: every key when
     every assignment is a base, else the keys of the bases and their moves.
+    ``ys`` and ``xs`` hold each value's y and x (None for a bare y value).
     """
 
     def __init__(self, universe: tuple, n_slots: int, bases: list | None = None):
         self.values = sorted(set(universe).union(*(bases or ())))
         code = {value: c for c, value in enumerate(self.values)}
-        self.ys = [v[0] if isinstance(v, tuple) else v for v in self.values]
+        self.ys, self.xs = zip(*(v if isinstance(v, tuple) else (v, None) for v in self.values))
         self.universe, self.bases = universe, bases
         self.raw = np.array([code[v] for v in universe], dtype=np.intp)
         self.place = _place_values(len(self.values), n_slots)
@@ -210,10 +211,12 @@ class _PairTable:
             self.base_codes = np.array([[code[v] for v in b] for b in bases],
                                        dtype=np.intp).reshape(len(bases), n_slots)
         self.base_keys = self.base_codes.astype(self.place.dtype) @ self.place
-        self.keys = np.arange(len(self.values) ** n_slots) if bases is None else None
-        if bases is not None:  # return_index: a bare np.unique imports numpy.ma (numpy 2)
-            self.keys, _ = np.unique(np.concatenate(
-                [self.base_keys] + [moved for *_, moved in self.chunks()]), return_index=True)
+        if bases is None:
+            self.keys = np.arange(len(self.values) ** n_slots)
+        else:  # the bases and every move; return_index: a bare np.unique imports numpy.ma
+            shift = (self.raw - self.base_codes[:, :, None]).astype(self.place.dtype)
+            moved = self.base_keys[:, None, None] + shift * self.place[:, None]
+            self.keys, _ = np.unique(np.append(self.base_keys, moved), return_index=True)
         self.codes = (self.keys[:, None] // self.place % len(self.values)).astype(np.intp)
         # a slot holding code c has one move per universe entry of another code
         other = len(self.raw) - np.bincount(self.raw, minlength=len(self.values))
@@ -230,8 +233,6 @@ class _PairTable:
             moved = self.base_keys[base] + shift * self.place[slot]
             if self.bases is None:  # every key is present, so a key is its own row
                 yield base, slot, choice, self.base_keys[base], moved
-            elif self.keys is None:  # collecting the keys of an explicit-base table
-                yield base, slot, choice, None, moved
             else:
                 yield (base, slot, choice, np.searchsorted(self.keys, self.base_keys[base]),
                        np.searchsorted(self.keys, moved))
@@ -251,7 +252,7 @@ def _pairs(instance: AuditInstance, relation: NeighborRelation, bases=None) -> _
     checked before anything is built."""
     values, given = _slot_values(instance, relation), instance.base_datasets
     n_bases = len(values) ** instance.n_slots if given is None else len(given)
-    check_cap(n_bases * instance.n_slots * (len(values) - 1), instance.cap)
+    check_cap(n_bases * instance.n_slots * (len(values) - 1))
     if bases is None and given is not None:
         bases = [tuple(d) for d in given]
     full = relation.mutable == "full-record"
@@ -273,16 +274,6 @@ def neighbors(instance: AuditInstance, relation: NeighborRelation):
     for base, slot, choice, _, _ in table.chunks():
         for b, s, j in zip(base.tolist(), slot.tolist(), choice.tolist()):
             yield table.pair(b, s, j)
-
-
-def _split_y_x(dataset: tuple, instance: AuditInstance, relation: NeighborRelation):
-    if relation.mutable == "full-record":
-        ys = tuple(v[0] for v in dataset)
-        xs = tuple(v[1] for v in dataset)
-    else:
-        ys = dataset
-        xs = tuple(instance.frame.x) if instance.frame is not None else None
-    return ys, xs
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +312,7 @@ def _sampling_stage(instance: AuditInstance, ys=None, xs=None,
     if xs is not None and tuple(xs) != tuple(instance.frame.x):
         frame = frame.with_x(xs)
     pi = inclusion_probs(instance.design, frame)
-    space = [(s, p) for s, p in sample_space(instance.design, frame, cap=instance.cap) if p > 0.0]
+    space = [(s, p) for s, p in sample_space(instance.design, frame) if p > 0.0]
     found = iter(frame.positions([unit for sample, _ in space for unit in sample]))
     positions = [tuple(itertools.islice(found, len(sample))) for sample, _ in space]
     probs = [p for _, p in space]
@@ -336,20 +327,22 @@ def _sampling_stage(instance: AuditInstance, ys=None, xs=None,
     return positions, probs, tuple(1.0 / float(v) for v in pi)
 
 
-def _groups(table: _PairTable, instance, relation, **stage):
+def _groups(table: _PairTable, instance, relation, condition_on_unit: int | None = None):
     """[(rows, (positions, probs, weights))]: the datasets that share one
-    sampling stage, which is built once per group (``stage`` holds the
-    options of ``_sampling_stage``)."""
-    n, design = len(table.codes), instance.design
-    if design is None or not (design.space_depends_on_y or relation.mutable == "full-record"):
-        return [(np.arange(n), _sampling_stage(instance, **stage))] if n else []
-    keyed: dict = {}
-    for row in range(n):
-        ys, xs = _split_y_x(table.dataset(row), instance, relation)
-        key = (xs, ys if design.space_depends_on_y else None)
-        keyed.setdefault(key, (ys, xs, []))[2].append(row)
-    return [(np.array(rows, dtype=np.intp), _sampling_stage(instance, ys, xs, **stage))
-            for ys, xs, rows in keyed.values()]
+    sampling stage, which is built once per group.  The groups are keyed by
+    the codes that move the stage: every code where the design's sample
+    space reads y, else the x codes of full-record datasets."""
+    n, design, full = len(table.codes), instance.design, relation.mutable == "full-record"
+    if design is None or not (design.space_depends_on_y or full):
+        return [(np.arange(n), _sampling_stage(instance, None, None, condition_on_unit))] if n else []
+    moving = table.codes if design.space_depends_on_y else np.unique(  # the x codes
+        table.xs, return_inverse=True)[1].reshape(-1)[table.codes]
+    _, first, of, counts = np.unique(moving, axis=0, return_index=True, return_inverse=True,
+                                     return_counts=True)
+    members = np.split(np.argsort(of.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
+    return [(rows, _sampling_stage(instance, np.take(table.ys, row),
+                                   np.take(table.xs, row) if full else None, condition_on_unit))
+            for row, rows in zip(table.codes[first], members)]
 
 
 def _stage_truths(stat: str, table: _PairTable, rows, positions, weights, n_pop,
@@ -420,13 +413,6 @@ def _max_change(table: _PairTable, values: np.ndarray, l1: bool = False) -> floa
 # Exact sensitivity
 # ---------------------------------------------------------------------------
 
-def _allocation_vector(instance: AuditInstance, ys) -> tuple[int, ...]:
-    design = instance.design
-    frame = instance.frame.with_y(ys)
-    allocation = allocate_strata(design.allocation, frame, design.n)
-    return tuple(allocation[label] for label in sorted(allocation))
-
-
 def exact_sensitivity(instance: AuditInstance, relation: NeighborRelation) -> Sensitivity:
     """Exact L1 sensitivity: max over all neighbor pairs of the statistic change.
 
@@ -444,11 +430,11 @@ def exact_sensitivity(instance: AuditInstance, relation: NeighborRelation) -> Se
         samples, _, weights = _sampling_stage(instance)
         return Sensitivity(_scan_tables(instance, _sample_tables(samples, weights)))
     table = _pairs(instance, relation)
-    if instance.statistic == "neyman_allocation":
-        allocations = np.array([
-            _allocation_vector(instance, _split_y_x(table.dataset(row), instance, relation)[0])
-            for row in range(len(table.codes))], dtype=float).reshape(len(table.codes), -1)
-        return Sensitivity(_max_change(table, allocations, l1=True))
+    if instance.statistic == "neyman_allocation":  # n_h per stratum, in label order
+        allocations = [allocate_strata(design.allocation, instance.frame.with_y(ys), design.n)
+                       for ys in np.take(table.ys, table.codes).tolist()]
+        return Sensitivity(_max_change(table, np.array(
+            [[a[label] for label in sorted(a)] for a in allocations], dtype=float), l1=True))
     groups = _groups(table, instance, relation)
     truth = _truth_matrix(instance.statistic, table, groups, instance.n_pop)
     return Sensitivity(_max_change(table, truth))
@@ -467,7 +453,7 @@ def _sample_tables(samples, weights) -> dict:
 def _scan_tables(instance: AuditInstance, tables: dict) -> float:
     """Max change over y-only neighbors of each table's units; the cap counts their pairs."""
     grid = instance.y_grid
-    check_cap(sum(len(grid) ** n * n * (len(grid) - 1) for n in tables.values()), instance.cap)
+    check_cap(sum(len(grid) ** n * n * (len(grid) - 1) for n in tables.values()))
     best = 0.0
     for (draws, ws), n in tables.items():
         table = _PairTable(grid, n)
@@ -490,8 +476,13 @@ class RandomizedResponse:
     def event_probs(self, truth_key, categories) -> dict:
         eps = _epsilon_value(self.epsilon)
         k = len(categories)
-        p_true = math.exp(eps) / (math.exp(eps) + k - 1)
-        p_other = 1.0 / (math.exp(eps) + k - 1)
+        try:
+            odds = math.exp(eps)
+        except OverflowError:
+            raise ValueError(f"randomized response: e^epsilon leaves the float range at "
+                             f"epsilon {eps!r}") from None
+        p_true = odds / (odds + k - 1)
+        p_other = 1.0 / (odds + k - 1)
         return {cat: (p_true if cat == truth_key else p_other) for cat in categories}
 
 
@@ -502,7 +493,8 @@ class DiscretizedLaplace:
     ``edges`` are the interior cell boundaries; with m edges there are m+1
     cells.  The cell probabilities are exact Laplace CDF differences (survival
     differences above the truth), so the mechanism is eps-DP for statistics
-    with sensitivity <= delta_f.
+    with sensitivity <= delta_f.  A cell of positive width whose mass underflows
+    to 0 is refused, since it would make a finite loss look infinite.
     """
 
     epsilon: float
@@ -523,7 +515,8 @@ class DiscretizedLaplace:
         return mids
 
     def event_probs(self, truth) -> dict:
-        scale = self.delta_f / _epsilon_value(self.epsilon)
+        eps = _epsilon_value(self.epsilon)
+        scale = self.delta_f / eps
         if scale == 0.0:
             probs = {}
             cell = sum(1 for edge in self.edges if truth > edge)
@@ -538,10 +531,16 @@ class DiscretizedLaplace:
 
         # 1 - cdf rounds to 0 in the far upper tail, where a cell's mass is positive
         bounds = (-math.inf,) + self.edges + (math.inf,)
-        return {("cell", idx): (0.5 * (math.exp((truth - left) / scale)
-                                       - math.exp((truth - right) / scale))
-                                if left >= truth else cdf(right) - cdf(left))
-                for idx, (left, right) in enumerate(zip(bounds, bounds[1:]))}
+        probs = {("cell", idx): (0.5 * (math.exp((truth - left) / scale)
+                                        - math.exp((truth - right) / scale))
+                                 if left >= truth else cdf(right) - cdf(left))
+                 for idx, (left, right) in enumerate(zip(bounds, bounds[1:]))}
+        for (_, idx), mass in probs.items():
+            if mass == 0.0 and bounds[idx] < bounds[idx + 1]:
+                raise ValueError(f"discretized Laplace at epsilon {eps!r}, delta_f "
+                                 f"{self.delta_f!r}: cell {idx} has positive width but its "
+                                 f"mass at truth {float(truth)!r} underflows to 0")
+        return probs
 
 
 @dataclass(frozen=True)
@@ -766,8 +765,8 @@ def design_label(design: Design) -> str:
     return f"{kind}[{inner}]"
 
 
-def amplification_sweep(designs, eps_values, frame: Frame, *, statistic: str = "max",
-                        base_datasets=None, cap: int | None = None) -> list[dict]:
+def amplification_sweep(designs, eps_values, frame: Frame, *,
+                        statistic: str = "max") -> list[dict]:
     """Effective epsilon for every design x epsilon cell; errors stay in-table.
 
     Cells audit y in {0, 1} under population-invariant y-only neighbors.
@@ -784,8 +783,7 @@ def amplification_sweep(designs, eps_values, frame: Frame, *, statistic: str = "
                 row["rate_or_maxpi"] = design.sampling_rate(frame)
                 instance = AuditInstance(
                     name=f"sweep-{design_label(design)}", statistic=statistic,
-                    y_grid=(0.0, 1.0), design=design, frame=frame,
-                    base_datasets=base_datasets, cap=cap)
+                    y_grid=(0.0, 1.0), design=design, frame=frame)
                 mechanism = SampledReleaseMechanism(
                     statistic=statistic, base=RandomizedResponse(float(eps)), design=design)
                 report = effective_epsilon(mechanism, instance, relation)

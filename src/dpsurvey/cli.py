@@ -19,12 +19,11 @@ from .audit import (
     exact_sensitivity,
     write_sweep_csv,
 )
-from .designs import ClusterSRSWOR, Poisson, PPS, SRSWOR, SRSWR, Systematic, draw
+from .designs import ClusterSRSWOR, Poisson, PPS, SRSWOR, SRSWR, Systematic, build_sample, draw
 from .frames import load_frame_csv, write_csv
-from .imputation import fit_dp_mean_model, impute_parametric, record_rng
 from .instances import formula_agreement_instances, four_unit_frame
-from .mechanisms import analytic_sensitivity
-from .pipeline import _resolve_seed, parse_config_file, run_pipeline
+from .mechanisms import PrivacyLedger, analytic_sensitivity
+from .pipeline import _impute_stage, _resolve_seed, parse_config_file, run_pipeline
 
 
 def _error_json(err: Exception) -> str:
@@ -45,9 +44,13 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
+def _config_and_seed(args):
     config = parse_config_file(args.config)
-    seed = _resolve_seed(config, args.seed)
+    return config, _resolve_seed(config, args.seed)
+
+
+def _cmd_sample(args) -> int:
+    config, seed = _config_and_seed(args)
     frame = load_frame_csv(config.frame_path)
     sample = draw(config.design, frame, np.random.default_rng(seed))
     rows = ([unit, "" if np.isnan(y) else repr(y), repr(pi), repr(w)] for unit, y, pi, w in
@@ -57,23 +60,15 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_impute(args) -> int:
-    config = parse_config_file(args.config)
-    seed = _resolve_seed(config, args.seed)
+    config, seed = _config_and_seed(args)
     if config.imputation_method != "dp_mean":
         raise ValueError("the impute command supports configs with imputation.method "
                          "'dp_mean'; run the full pipeline for other methods")
     frame = load_frame_csv(config.frame_path)
-    universe = config.universe
-    data = np.array(frame.y_array).reshape(-1, 1)
-    params = fit_dp_mean_model(data, [(universe.y_min, universe.y_max)],
-                               config.imputation_epsilon, np.random.default_rng(seed))
-    rows = []
-    for unit, y, row in zip(frame.ids, frame.y, data):
-        if np.isnan(y):
-            filled = impute_parametric(row, params, record_rng(seed, unit))
-            rows.append([unit, repr(float(filled[0])), 1])
-        else:
-            rows.append([unit, repr(y), 0])
+    # the run's imputation stage on a census of the frame, with a ledger of its own
+    census = build_sample(frame, np.arange(frame.n), np.ones(frame.n))
+    filled = _impute_stage(config, census, PrivacyLedger(), np.random.default_rng(seed), seed)
+    rows = zip(frame.ids, map(repr, filled.y.tolist()), np.isnan(census.y).astype(int).tolist())
     _write_text(write_csv(["id", "y", "imputed"], rows), args.out)
     return 0
 
@@ -125,41 +120,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dpsurvey",
         description="Differentially private survey pipelines with a desk-scale audit oracle")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, func, text in (
+            ("run", _cmd_run, "execute a pipeline config and write the run report"),
+            ("validate-config", _cmd_validate, "exit 0 if the config is valid"),
+            ("sample", _cmd_sample, "draw one sample under the config's design"),
+            ("impute", _cmd_impute, "fill missing y values per the config"),
+            ("audit-sensitivity", _cmd_audit_sensitivity,
+             "oracle vs closed-form sensitivities on bundled instances"),
+            ("audit-amplification", _cmd_audit_amplification,
+             "exact effective epsilon of a sampled release")):
+        commands[name] = sub.add_parser(name, help=text)
+        commands[name].set_defaults(func=func)
 
-    run = sub.add_parser("run", help="execute a pipeline config and write the run report")
-    run.add_argument("config")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--out", default=None)
-    run.set_defaults(func=_cmd_run)
-
-    validate = sub.add_parser("validate-config", help="exit 0 if the config is valid")
-    validate.add_argument("config")
-    validate.add_argument("--seed", type=int, default=None)
-    validate.set_defaults(func=_cmd_validate)
-
-    sample = sub.add_parser("sample", help="draw one sample under the config's design")
-    sample.add_argument("config")
-    sample.add_argument("--seed", type=int, default=None)
-    sample.add_argument("--out", default=None)
-    sample.set_defaults(func=_cmd_sample)
-
-    impute = sub.add_parser("impute", help="fill missing y values per the config")
-    impute.add_argument("config")
-    impute.add_argument("--seed", type=int, default=None)
-    impute.add_argument("--out", default=None)
-    impute.set_defaults(func=_cmd_impute)
-
-    sens = sub.add_parser("audit-sensitivity",
-                          help="oracle vs closed-form sensitivities on bundled instances")
-    sens.add_argument("--invariant", default="none",
-                      choices=["none", "population", "frame"])
+    sens = commands["audit-sensitivity"]
+    sens.add_argument("--invariant", default="none", choices=["none", "population", "frame"])
     sens.add_argument("--mutable", default="y-only", choices=["y-only", "full-record"])
-    sens.add_argument("--seed", type=int, default=None)
-    sens.add_argument("--out", default=None)
-    sens.set_defaults(func=_cmd_audit_sensitivity)
 
-    amp = sub.add_parser("audit-amplification",
-                         help="exact effective epsilon of a sampled release")
+    amp = commands["audit-amplification"]
     amp.add_argument("--design", required=True, choices=sorted(_DESIGN_BUILDERS))
     amp.add_argument("--rate", type=float, default=None, help="poisson rate")
     amp.add_argument("-n", type=int, default=1, help="sample size (fixed-size designs)")
@@ -170,10 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
     amp.add_argument("--statistic", default="max",
                      choices=["max", "mean", "proportion", "total"])
     amp.add_argument("--frame", default=None, help="frame CSV (default: bundled 4-unit)")
-    amp.add_argument("--seed", type=int, default=None)
-    amp.add_argument("--out", default=None)
-    amp.set_defaults(func=_cmd_audit_amplification)
 
+    for name, command in commands.items():  # the arguments that commands share
+        if not name.startswith("audit-"):
+            command.add_argument("config")
+        command.add_argument("--seed", type=int, default=None)
+        if name != "validate-config":
+            command.add_argument("--out", default=None)
     return parser
 
 

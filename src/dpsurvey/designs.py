@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 import os
-import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -50,7 +49,6 @@ __all__ = [
 
 ENUM_CAP_ENV = "DPSURVEY_ENUM_CAP"
 DEFAULT_ENUM_CAP = 10 ** 6
-_ALLOCATIONS = weakref.WeakKeyDictionary()  # frame -> {StratifiedSRSWOR: its allocate_strata}
 
 
 def default_enumeration_cap() -> int:
@@ -72,9 +70,9 @@ class EnumerationCapExceeded(Exception):
         super().__init__(f"intractable enumeration: {count} outcomes exceed cap {cap}")
 
 
-def check_cap(count: int, cap: int | None = None) -> None:
-    """Refuse an enumeration of ``count`` outcomes above ``cap`` (default: the environment's)."""
-    cap = default_enumeration_cap() if cap is None else cap
+def check_cap(count: int) -> None:
+    """Refuse an enumeration of ``count`` outcomes above the cap, ``DPSURVEY_ENUM_CAP``."""
+    cap = default_enumeration_cap()
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
 
@@ -263,32 +261,26 @@ class StratifiedSRSWOR(Design):
         # Neyman allocation follows the within-stratum spread of y
         return self.allocation == "neyman"
 
-    def _allocation(self, frame: Frame) -> dict[str, int]:
-        memo = _ALLOCATIONS.setdefault(frame, {})  # once per frame: frames never change
-        if self not in memo:
-            memo[self] = allocate_strata(self.allocation, frame, self.n)
-        return memo[self]
-
     def pi(self, frame):
-        allocation = self._allocation(frame)
+        allocation = allocate_strata(self.allocation, frame, self.n)
         n_h = np.array([allocation[label] for label in frame.stratum_names])
         return (n_h / np.bincount(frame.stratum_codes))[frame.stratum_codes]
 
     def draw(self, frame, rng):
-        allocation = self._allocation(frame)
+        allocation = allocate_strata(self.allocation, frame, self.n)
         return np.sort(np.concatenate([
             positions[rng.choice(len(positions), size=allocation[label], replace=False)]
             for label, positions in frame.strata().items()])).tolist()
 
     def space_size(self, frame):
-        allocation = self._allocation(frame)
+        allocation = allocate_strata(self.allocation, frame, self.n)
         size = 1
         for label, positions in frame.strata().items():
             size *= math.comb(len(positions), allocation[label])
         return size
 
     def space(self, frame):
-        allocation, prob = self._allocation(frame), 1.0
+        allocation, prob = allocate_strata(self.allocation, frame, self.n), 1.0
         per_stratum = [list(itertools.combinations(positions.tolist(), allocation[label]))
                        for label, positions in frame.strata().items()]
         for combos in per_stratum:
@@ -741,20 +733,19 @@ def _pps_split_cached(n: int, pi_bytes: bytes):
 # Exact sample-space enumeration
 # ---------------------------------------------------------------------------
 
-def sample_space(design: Design, frame: Frame, cap: int | None = None
-                 ) -> list[tuple[tuple[int, ...], float]]:
+def sample_space(design: Design, frame: Frame) -> list[tuple[tuple[int, ...], float]]:
     """Enumerate every possible sample with its selection probability.
 
     The design's sample size is validated first: a size the frame cannot
     hold raises the ``ValueError`` of ``inclusion_probs``.  An outcome count
-    above ``cap`` raises ``EnumerationCapExceeded``.  Samples are id tuples
-    with units in frame order (repeats kept for SRSWR), listed in the
-    design's enumeration order.  Probabilities sum to one up to float
+    above ``DPSURVEY_ENUM_CAP`` raises ``EnumerationCapExceeded``.  Samples
+    are id tuples with units in frame order (repeats kept for SRSWR), listed
+    in the design's enumeration order.  Probabilities sum to one up to float
     rounding; designs with rational structure are enumerated with exact
     Fractions before conversion.
     """
     design.pi(frame)
-    check_cap(design.space_size(frame), cap)
+    check_cap(design.space_size(frame))
     ids = frame.ids
     return [(tuple(map(ids.__getitem__, sample)), prob) for sample, prob in design.space(frame)]
 

@@ -54,7 +54,11 @@ def ht_total(sample: WeightedSample) -> HTEstimate:
     if len(missing):
         raise ValueError(f"unit {sample.ids[missing.min()]} has a missing y value; "
                          "impute before estimating")
-    return HTEstimate(math.fsum((sample.w[first] * y).tolist()))
+    try:
+        with np.errstate(over="raise"):
+            return HTEstimate(math.fsum((sample.w[first] * y).tolist()))
+    except (FloatingPointError, OverflowError):
+        raise ValueError("the weighted total sum(w * y) overflows a float") from None
 
 
 def unweighted_mean(values) -> HTEstimate:
@@ -63,4 +67,7 @@ def unweighted_mean(values) -> HTEstimate:
         raise ValueError("cannot take the mean of an empty sample")
     if any(math.isnan(v) for v in values):
         raise ValueError("missing y values present; impute before estimating")
-    return HTEstimate(math.fsum(values) / len(values))
+    try:
+        return HTEstimate(math.fsum(values) / len(values))
+    except OverflowError:
+        raise ValueError("the total of the values overflows a float") from None

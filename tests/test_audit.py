@@ -93,9 +93,9 @@ def test_neighbors_total_count_formula():
     assert len(pairs) == 9 * 2 * 2  # |U|^n bases * n * (|U| - 1)
 
 
-def test_neighbors_respects_cap():
-    instance = AuditInstance(name="capped", statistic="mean", y_grid=(0.0, 1.0), size=6,
-                             cap=10)
+def test_neighbors_respects_cap(monkeypatch):
+    monkeypatch.setenv("DPSURVEY_ENUM_CAP", "10")
+    instance = AuditInstance(name="capped", statistic="mean", y_grid=(0.0, 1.0), size=6)
     with pytest.raises(EnumerationCapExceeded):
         list(neighbors(instance, Y_ONLY))
 
@@ -309,16 +309,6 @@ def test_sweep_rows_monotone_in_epsilon():
     assert all(row["status"] == "ok" for row in rows)
 
 
-def test_sweep_systematic_row_dominates_srswor_on_adversarial_ordering():
-    adversarial = adversarial_systematic_instance()
-    rows = amplification_sweep([Systematic(2, "frame"), SRSWOR(2)], [0.1],
-                               four_unit_frame(), statistic="mean",
-                               base_datasets=adversarial.base_datasets)
-    systematic_row, srswor_row = rows
-    assert systematic_row["eps_effective"] >= srswor_row["eps_effective"]
-    assert systematic_row["eps_effective"] > srswor_row["eps_effective"]
-
-
 def test_sweep_pps_tracks_max_inclusion_probability():
     eps = 0.05
     for max_pi in (0.2, 0.4, 0.6):
@@ -329,7 +319,7 @@ def test_sweep_pps_tracks_max_inclusion_probability():
         assert row["eps_effective"] / eps == pytest.approx(max_pi, rel=0.15)
 
 
-def test_sweep_records_errors_in_table_and_continues():
+def test_sweep_records_errors_in_table_and_continues(monkeypatch):
     # PPS(3) pushes one unit past certainty on this frame: that cell errors,
     # the rest of the sweep still runs
     frame = make_frame([0.0] * 4, xs=[4.0, 1.0, 1.0, 1.0])
@@ -338,7 +328,8 @@ def test_sweep_records_errors_in_table_and_continues():
     assert rows[0]["eps_effective"] == ""
     assert rows[1]["status"] == "ok"
     # an enumeration cap is also recorded in-table, not raised
-    rows = amplification_sweep([Poisson(0.5)], [0.1], four_unit_frame(), cap=3)
+    monkeypatch.setenv("DPSURVEY_ENUM_CAP", "3")
+    rows = amplification_sweep([Poisson(0.5)], [0.1], four_unit_frame())
     assert rows[0]["status"].startswith("error: intractable enumeration")
 
 
@@ -397,6 +388,34 @@ def test_imputation_composition_stays_finite_for_a_strong_fit(eps1):
     assert report.status == "ok"
     assert math.isfinite(report.eps_effective)
     assert report.eps_effective <= eps1 + 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("eps", [710.0, 1000.0])
+def test_randomized_response_refuses_epsilon_whose_odds_leave_the_float_range(eps):
+    categories = [("v", 0.0), ("v", 1.0)]
+    probs = RandomizedResponse(709.0).event_probs(("v", 0.0), categories)
+    assert probs[("v", 0.0)] == 1.0 and 0.0 < probs[("v", 1.0)] < 1e-300
+    with pytest.raises(ValueError) as excinfo:
+        RandomizedResponse(eps).event_probs(("v", 0.0), categories)
+    assert str(excinfo.value) == ("randomized response: e^epsilon leaves the float range at "
+                                  f"epsilon {eps!r}")
+
+
+def test_sweep_records_an_epsilon_past_the_float_range_in_table():
+    (row,) = amplification_sweep([SRSWOR(2)], [1000.0], four_unit_frame())
+    assert row["eps_effective"] == "" and row["rate_or_maxpi"] == 0.5
+    assert row["status"] == ("error: randomized response: e^epsilon leaves the float range "
+                             "at epsilon 1000.0")
+
+
+def test_imputation_composition_refuses_a_cell_whose_mass_underflows():
+    # at eps1 = 400 the fit's far cells fall below the smallest double; a
+    # zero there would read as an infinite loss for a 401-DP mechanism
+    assert imputation_composition_epsilon(300.0, 1.0).status == "ok"
+    with pytest.raises(ValueError) as excinfo:
+        imputation_composition_epsilon(400.0, 1.0)
+    assert str(excinfo.value) == ("discretized Laplace at epsilon 400.0, delta_f 0.5: cell 9 "
+                                  "has positive width but its mass at truth 0.0 underflows to 0")
 
 
 def test_design_label_is_stable():

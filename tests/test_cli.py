@@ -250,3 +250,38 @@ def test_impute_refuses_a_config_without_dp_mean_imputation(config_path, capsys)
         "error": "ValueError",
         "message": "the impute command supports configs with imputation.method 'dp_mean'; "
                    "run the full pipeline for other methods"}
+
+
+# sha256 of the `impute` CSV on a frame with two missing y values (one of a
+# negative id), recorded when the command still fitted and imputed on its own
+IMPUTE_CSV_PINS = [
+    (1, "8194fc59cf2421a1be8783fa2292d645d88d4be6c9d3671c3625d868cb392184"),
+    (2, "b296310d367292e3f9fd4e6c21578f75585c905d7c8dd9bc308b06dda7894c60"),
+    (3, "0906acb48b0b58ce72e8831cbbf14b63fc4152514282a9d279a829d711102628"),
+]
+
+
+@pytest.mark.parametrize("seed, digest", IMPUTE_CSV_PINS,
+                         ids=[f"seed{seed}" for seed, _ in IMPUTE_CSV_PINS])
+def test_impute_csv_bytes_are_pinned(tmp_path, seed, digest):
+    frame = make_frame([0.2, float("nan"), 0.4, 1.0, 0.0, 0.7, float("nan"), 0.35],
+                       ids=[1, 2, 3, 4, 5, 6, -7, 8])
+    frame_path = tmp_path / "frame.csv"
+    dump_frame_csv(frame, frame_path)
+    config = {
+        "frame": str(frame_path),
+        "universe": {"y_min": 0.0, "y_max": 1.0},
+        "design": {"kind": "srswor", "n": 4},
+        "imputation": {"method": "dp_mean", "epsilon": 0.5},
+        "releases": [{"statistic": "mean", "epsilon": 0.5}],
+        "mechanism_start": "responding-sample",
+        "invariant": "frame",
+        "budget": 1.0,
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "filled.csv"
+    assert main(["impute", str(config_path), "--seed", str(seed), "--out", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+    assert [row[2] for row in rows] == ["0", "1", "0", "0", "0", "0", "1", "0"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, out.read_text()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dpsurvey import audit, designs
+from dpsurvey import designs
 from dpsurvey.designs import (
     PPS,
     SRSWOR,
@@ -33,12 +33,7 @@ from dpsurvey.designs import (
     sample_space,
 )
 from dpsurvey.frames import make_frame
-from dpsurvey.instances import (
-    design_library,
-    frame_library,
-    neyman_allocation_instance,
-    neyman_reference_frame,
-)
+from dpsurvey.instances import design_library, frame_library
 
 
 def marginals_from_space(space, frame):
@@ -305,10 +300,11 @@ def test_sample_space_probabilities_sum_to_one():
             assert all(p > 0 for _, p in space)
 
 
-def test_enumeration_cap_error_names_count():
+def test_enumeration_cap_error_names_count(monkeypatch):
     frame = make_frame([0] * 6)
+    monkeypatch.setenv("DPSURVEY_ENUM_CAP", "10")
     with pytest.raises(EnumerationCapExceeded) as excinfo:
-        sample_space(Poisson(0.5), frame, cap=10)
+        sample_space(Poisson(0.5), frame)
     assert excinfo.value.count == 64
     assert "64" in str(excinfo.value)
 
@@ -730,20 +726,6 @@ def test_count_weights_that_vanish_or_are_not_finite_raise_a_typed_error_naming_
             with pytest.raises(PPSCalibrationError, match=r"classes \[0, 1\] no count weight"), \
                     np.errstate(invalid="ignore"):  # inf * 0 in the weights
                 draw(PPS(2), frame, np.random.default_rng(0))
-
-
-def test_a_stratified_frame_is_allocated_once():
-    # pi, space_size, space and draw share one allocation per frame, and the
-    # audit's sampling stage (pi, then sample_space, on a fresh frame) makes one
-    design = StratifiedSRSWOR(4, "neyman")
-    with mock.patch.object(designs, "allocate_strata", wraps=allocate_strata) as spy:
-        frame = neyman_reference_frame()
-        assert len(sample_space(design, frame)) == 3  # Neyman takes all of stratum A
-        assert spy.call_count == 1
-        draw(design, frame, np.random.default_rng(0))
-        assert spy.call_count == 1
-        audit._sampling_stage(neyman_allocation_instance())
-        assert spy.call_count == 2
 
 
 def test_cluster_sampling_observes_whole_clusters():

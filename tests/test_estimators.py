@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dpsurvey.designs import build_sample, inclusion_probs, sample_space
@@ -99,3 +100,24 @@ def test_estimator_refusals(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert (type(excinfo.value), str(excinfo.value)) == (ValueError, message)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ys, pi", [([1e308, 1e308, 1.0], 0.9), ([1.7e308, 1.0, 1.0], 0.5)],
+                         ids=["sum", "product"])
+def test_ht_total_past_the_float_range_is_refused(ys, pi):
+    sample = build_sample(make_frame(ys), [0, 1], np.full(3, pi))
+    for call in (lambda: ht_total(sample), lambda: ht_mean(sample, 3)):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == "the weighted total sum(w * y) overflows a float"
+    assert ht_total(build_sample(make_frame(ys), [1, 2], np.full(3, pi))).value == \
+        math.fsum([1.0 / pi * ys[1], 1.0 / pi * ys[2]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_unweighted_mean_past_the_float_range_is_refused():
+    with pytest.raises(ValueError) as excinfo:
+        unweighted_mean([1e308, 1e308])
+    assert str(excinfo.value) == "the total of the values overflows a float"
+    assert unweighted_mean([1e308, -1e308, 1.0]).value == 1.0 / 3

@@ -99,7 +99,7 @@ class Reference:
         n_bases = (len(instance.base_datasets) if instance.base_datasets is not None
                    else len(values) ** n)
         count = n_bases * n * (len(values) - 1)
-        cap = instance.cap if instance.cap is not None else default_enumeration_cap()
+        cap = default_enumeration_cap()
         if count > cap:
             raise EnumerationCapExceeded(count, cap)
         bases = ([tuple(d) for d in instance.base_datasets]
@@ -129,7 +129,7 @@ class Reference:
                     frame = frame.with_x(xs)
                 pi = inclusion_probs(self.design, frame)
                 # an outcome of probability zero is impossible: it never counts
-                space = [(s, p) for s, p in sample_space(self.design, frame, cap=self.instance.cap)
+                space = [(s, p) for s, p in sample_space(self.design, frame)
                          if p > 0.0]
                 positions = [tuple(frame.positions(sample)) for sample, _ in space]
                 probs = [p for _, p in space]
@@ -512,9 +512,9 @@ def test_reevaluate_witness_returns_the_reported_epsilon_exactly(base):
             report.eps_effective, design
 
 
-def test_cap_is_checked_before_any_table_is_built():
-    instance = AuditInstance(name="capped", statistic="mean", y_grid=(0.0, 0.5, 1.0),
-                             size=40, cap=10 ** 6)
+def test_cap_is_checked_before_any_table_is_built(monkeypatch):
+    monkeypatch.setenv("DPSURVEY_ENUM_CAP", str(10 ** 6))
+    instance = AuditInstance(name="capped", statistic="mean", y_grid=(0.0, 0.5, 1.0), size=40)
     with pytest.raises(EnumerationCapExceeded) as excinfo:
         exact_sensitivity(instance, Y_ONLY)
     assert excinfo.value.count == 3 ** 40 * 40 * 2
@@ -553,14 +553,16 @@ def test_frame_invariant_cap_counts_distinct_tables(monkeypatch):
                              design=Poisson(0.5), frame=make_frame([0.0] * 11))
     assert exact_sensitivity(instance, FRAME_Y).delta_f == 1.0
     distinct = sum(k * 2 ** k for k in range(1, 12))
-    assert exact_sensitivity(replace(instance, cap=distinct), FRAME_Y).delta_f == 1.0
+    monkeypatch.setenv("DPSURVEY_ENUM_CAP", str(distinct))
+    assert exact_sensitivity(instance, FRAME_Y).delta_f == 1.0
 
     def no_table(*args):
         raise AssertionError("a pair table was built past the cap")
 
     monkeypatch.setattr(audit, "_PairTable", no_table)
+    monkeypatch.setenv("DPSURVEY_ENUM_CAP", str(distinct - 1))
     with pytest.raises(EnumerationCapExceeded) as excinfo:
-        exact_sensitivity(replace(instance, cap=distinct - 1), FRAME_Y)
+        exact_sensitivity(instance, FRAME_Y)
     assert excinfo.value.count == distinct
 
 
@@ -743,12 +745,14 @@ def test_fixed_stage_cap_counts_distinct_tables(monkeypatch):
                              design=Poisson(0.5), frame=make_frame([0.0] * 11))
     assert exact_sensitivity(instance, POP_Y).delta_f == 1.0
     distinct = sum(k * 2 ** k for k in range(1, 12))
-    assert exact_sensitivity(replace(instance, cap=distinct), POP_Y).delta_f == 1.0
+    monkeypatch.setenv("DPSURVEY_ENUM_CAP", str(distinct))
+    assert exact_sensitivity(instance, POP_Y).delta_f == 1.0
 
     def no_table(*args):
         raise AssertionError("a pair table was built past the cap")
 
     monkeypatch.setattr(audit, "_PairTable", no_table)
+    monkeypatch.setenv("DPSURVEY_ENUM_CAP", str(distinct - 1))
     with pytest.raises(EnumerationCapExceeded) as excinfo:
-        exact_sensitivity(replace(instance, cap=distinct - 1), POP_Y)
+        exact_sensitivity(instance, POP_Y)
     assert excinfo.value.count == distinct

@@ -409,14 +409,6 @@ def test_sampled_unit_outside_every_cell_fails_in_adjust(frame_csv):
     assert "units [5] are not covered by any adjustment cell" in str(excinfo.value)
 
 
-def test_a_stratified_run_allocates_once(frame_csv):
-    # the run's pi and its draw share one allocation of the loaded frame
-    config = parse_config(minimal_config(frame_csv, design={"kind": "stratified_srswor", "n": 4}))
-    with mock.patch.object(designs, "allocate_strata", wraps=designs.allocate_strata) as spy:
-        run_pipeline(config)
-    assert spy.call_count == 1
-
-
 def test_a_pps_run_computes_pi_once(frame_csv):
     # the run's pi is the draw's calibration key: the draw does not compute it again
     config = parse_config(minimal_config(frame_csv, design={"kind": "pps", "n": 3}))
@@ -506,6 +498,18 @@ def test_two_stage_design_stage_audit(frame_csv):
     report = run_pipeline(parse_config(text))
     assert report.audit["status"] == "ok"
     assert math.isfinite(report.audit["eps_effective"])
+
+
+@pytest.mark.parametrize("eps, status", [(5.0, "ok"), (1000.0, (
+    "error: randomized response: e^epsilon leaves the float range at epsilon 1000.0"))])
+def test_design_stage_audit_past_the_float_range_is_reported(tmp_path, eps, status):
+    path = tmp_path / "frame.csv"
+    dump_frame_csv(make_frame([0.2, 0.5, 0.9]), path)
+    config = parse_config(minimal_config(
+        str(path), mechanism_start="frame", invariant="population",
+        design={"kind": "srswor", "n": 2}, audit={"design_stage": {"epsilon": eps}},
+        releases=[{"statistic": "mean", "epsilon": 1.0, "audited_sensitivity": 1.0}]))
+    assert run_pipeline(config).audit["status"] == status
 
 
 def test_intractable_design_stage_audit_is_reported_and_a_bug_is_raised(tmp_path):
