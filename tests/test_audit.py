@@ -309,6 +309,26 @@ def test_sweep_rows_monotone_in_epsilon():
     assert all(row["status"] == "ok" for row in rows)
 
 
+def test_sweep_systematic_row_dominates_srswor_on_adversarial_ordering():
+    # the sweep enumerates every base, the adversarial ordering among them:
+    # systematic's row is attained there, where SRSWOR stays strictly below
+    adversarial = adversarial_systematic_instance()
+    rows = amplification_sweep([Systematic(2, "frame"), SRSWOR(2)], [0.1],
+                               four_unit_frame(), statistic="mean")
+    systematic_row, srswor_row = rows
+    assert systematic_row["eps_effective"] >= srswor_row["eps_effective"]
+
+    def on_adversarial_base(design):
+        instance = AuditInstance(name="sweep-adv", statistic="mean", y_grid=(0.0, 1.0),
+                                 design=design, frame=four_unit_frame(),
+                                 base_datasets=adversarial.base_datasets)
+        mechanism = SampledReleaseMechanism("mean", RandomizedResponse(0.1), design=design)
+        return effective_epsilon(mechanism, instance, POP_Y).eps_effective
+
+    assert on_adversarial_base(Systematic(2, "frame")) == systematic_row["eps_effective"]
+    assert systematic_row["eps_effective"] > on_adversarial_base(SRSWOR(2))
+
+
 def test_sweep_pps_tracks_max_inclusion_probability():
     eps = 0.05
     for max_pi in (0.2, 0.4, 0.6):
